@@ -282,7 +282,7 @@ class RegretTrace:
 
 def _edf_sorted(arr: np.ndarray, bounds: SupportBounds) -> DiscreteDistribution:
     xs, counts = np.unique(arr, return_counts=True)
-    return DiscreteDistribution(xs, counts / arr.size, bounds)
+    return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
 
 
 def _sorted_quantile(arr: np.ndarray, y: float) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -99,11 +100,12 @@ def _reject_unsupported(spec: RiskMeasure, dist_kind: Distance, method: BoundMet
             )
 
 
-def _attainable_range(spec: RiskMeasure, bounds) -> tuple[float, float]:
+@lru_cache(maxsize=None)
+def _attainable_range(spec: RiskMeasure, bounds: SupportBounds) -> tuple[float, float]:
     """Range of the risk measure over all distributions on [a, b]: by
     monotonicity it is [T(delta_a), T(delta_b)], which equals [a, b] itself
     for every family except rank-dependent expected utility (whose value
-    function rescales the support)."""
+    function rescales the support). Computed once per (spec, bounds)."""
     lo = evaluate(spec, DiscreteDistribution.dirac(bounds.a, bounds))
     hi = evaluate(spec, DiscreteDistribution.dirac(bounds.b, bounds))
     return lo, hi

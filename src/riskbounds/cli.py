@@ -391,6 +391,12 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        # Domain errors the argument parsers cannot see, raised where the
+        # arguments meet each other: delta against the radius rule, n against
+        # log(1/delta), a sampling distribution against the bounds.
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -62,13 +62,49 @@ class SupportBounds:
         return bool(np.all(np.asarray(x) >= self.a) and np.all(np.asarray(x) <= self.b))
 
 
+def _store(obj, xs, ps, bounds, cum=None) -> None:
+    """Normalize and cumulate trusted masses (unless ``cum`` is given),
+    freeze the arrays, and set the slots of ``obj``."""
+    if cum is None:
+        total = float(ps.sum())
+        if total != 1.0:
+            ps = ps / total
+        cum = np.cumsum(ps)
+        cum[-1] = 1.0
+    for arr in (xs, ps, cum):
+        arr.setflags(write=False)
+    object.__setattr__(obj, "xs", xs)
+    object.__setattr__(obj, "ps", ps)
+    object.__setattr__(obj, "cum", cum)
+    object.__setattr__(obj, "bounds", bounds)
+
+
 class DiscreteDistribution:
     """Sorted weighted atoms with declared support bounds.
 
-    Atoms are strictly increasing; equal positions are coalesced by summing
-    masses; masses are positive and sum to one (renormalized when within
-    ``MASS_SUM_TOL``). Instances are immutable after construction and safe to
-    share across threads.
+    Every instance holds these invariants: atoms are finite, strictly
+    increasing and inside [a, b]; masses are positive; ``cum`` is their
+    running sum with ``cum[-1] == 1.0`` exactly. Instances are immutable
+    after construction (read-only arrays) and safe to share across threads.
+
+    Two kinds of entry point build them:
+
+    - Validating: the public constructor, ``from_json``, and ``dirac`` for an
+      argument that is not a finite float inside the bounds. They accept
+      atoms in any order, coalesce equal positions by summing masses, clip
+      masses within ``_NEG_MASS_TOL`` below zero, drop zero masses, and
+      renormalize a mass sum within ``MASS_SUM_TOL`` of one; anything else
+      is rejected with ``ValueError``.
+    - Trusted: ``_trusted``, used only for distributions the package builds
+      itself: ``from_samples`` (after its finiteness and bounds checks),
+      ``dirac`` (after its scalar check), the Wasserstein operators (whose
+      outputs fall back to the public constructor when an atom ties or a
+      mass is not positive) and the bandit's sorted-sample EDF. It checks
+      nothing: callers pass float64 arrays they own, with finite, strictly
+      increasing atoms inside [a, b] and positive masses. ``_from_cdf``, for
+      the supremum operators, stores exact CDF values on sorted in-bounds
+      atoms and only drops zero-mass atoms and checks the CDF's monotonicity
+      and terminal value.
     """
 
     __slots__ = ("xs", "ps", "cum", "bounds")
@@ -104,27 +140,24 @@ class DiscreteDistribution:
         total = float(ps.sum())
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"atom masses sum to {total}, outside 1 +/- {MASS_SUM_TOL}")
-        if total != 1.0:
-            ps = ps / total
-
-        cum = np.cumsum(ps)
-        cum[-1] = 1.0
-        self._freeze(xs, ps, cum, bounds)
-
-    def _freeze(self, xs, ps, cum, bounds):
-        for arr in (xs, ps, cum):
-            arr.setflags(write=False)
-        DiscreteDistribution._set(self, xs, ps, cum, bounds)
-
-    @staticmethod
-    def _set(obj, xs, ps, cum, bounds):
-        object.__setattr__(obj, "xs", xs)
-        object.__setattr__(obj, "ps", ps)
-        object.__setattr__(obj, "cum", cum)
-        object.__setattr__(obj, "bounds", bounds)
+        _store(self, xs, ps, bounds)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDistribution is immutable")
+
+    @classmethod
+    def _trusted(
+        cls, xs: np.ndarray, ps: np.ndarray, bounds: SupportBounds, cum: np.ndarray | None = None
+    ) -> "DiscreteDistribution":
+        """Build from float64 arrays that already hold the class invariants.
+
+        Nothing is checked, and the arrays are frozen in place, so the caller
+        must own them. Without ``cum`` the masses are normalized and cumulated
+        exactly as the public constructor does.
+        """
+        obj = object.__new__(cls)
+        _store(obj, xs, ps, bounds, cum)
+        return obj
 
     @classmethod
     def _from_cdf(cls, xs: np.ndarray, cdf_vals: np.ndarray, bounds: SupportBounds) -> "DiscreteDistribution":
@@ -148,15 +181,13 @@ class DiscreteDistribution:
                 raise ValueError(f"terminal CDF value {cum[-1]} != 1")
             cum = cum / cum[-1]
             ps = np.diff(cum, prepend=0.0)
-        obj = object.__new__(cls)
-        xs, ps, cum = xs.copy(), ps.copy(), cum.copy()
-        for arr in (xs, ps, cum):
-            arr.setflags(write=False)
-        cls._set(obj, xs, ps, cum, bounds)
-        return obj
+        return cls._trusted(xs, ps, bounds, cum)
 
     @classmethod
     def dirac(cls, x: float, bounds: SupportBounds) -> "DiscreteDistribution":
+        # Finite bounds make the range test reject nan and inf as well.
+        if isinstance(x, (float, int)) and bounds.a <= x <= bounds.b:
+            return cls._trusted(np.array([x], dtype=np.float64), np.ones(1), bounds)
         return cls([x], [1.0], bounds)
 
     @property
@@ -248,7 +279,7 @@ def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDis
             "radii and ball operators assume bounded support"
         )
     xs, counts = np.unique(arr, return_counts=True)
-    return DiscreteDistribution(xs, counts / arr.size, bounds)
+    return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
 
 
 def _check_shared_bounds(d1: DiscreteDistribution, d2: DiscreteDistribution) -> None:

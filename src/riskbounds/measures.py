@@ -270,9 +270,13 @@ def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
 # ---------------------------------------------------------------------------
 # Parametric catalog. Arbitrary function objects are accepted through the
 # dataclasses above; the catalog is the subset expressible as CLI strings.
+# The builders are memoized, so equal parameters give the same spec object
+# and the caches keyed on specs (support checks, attainable ranges, true-risk
+# quadrature) hit across parses of the same text.
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def srm_power(k: float) -> SRM:
     """Spectrum phi(y) = k y^(k-1) with antiderivative y^k, k >= 1."""
     if k < 1.0:
@@ -287,6 +291,7 @@ def srm_power(k: float) -> SRM:
     return SRM(phi, phi_integral)
 
 
+@lru_cache(maxsize=None)
 def drm_power(s: float) -> DRM:
     """Distortion g(y) = y^s for s in (0, 1]; g'(0+) is infinite for s < 1."""
     if not 0.0 < s <= 1.0:
@@ -302,6 +307,7 @@ def drm_power(s: float) -> DRM:
     return DRM(g, g_prime)
 
 
+@lru_cache(maxsize=None)
 def ce_power(k: float) -> CE:
     """Utility u(x) = x^k on nonnegative supports, k >= 1."""
     if k < 1.0:
@@ -319,6 +325,7 @@ def ce_power(k: float) -> CE:
     return CE(u, u_prime, u_inv)
 
 
+@lru_cache(maxsize=None)
 def rdeu_power(s: float, k: float) -> RDEU:
     """Weight w(y) = y^s (convex, s >= 1) and value v(x) = x^k, k >= 1."""
     if s < 1.0 or k < 1.0:

@@ -153,7 +153,10 @@ def pos_w1(
 
     xs = np.concatenate((d.xs[:k], [d.xs[k], b]))
     ps = np.concatenate((d.ps[:k], [keep_mass, mass_at_b]))
-    out = DiscreteDistribution(xs, ps, d.bounds)
+    # The break atom lies below b; a break exactly on the radius leaves it
+    # zero mass, which the validating constructor drops.
+    trusted = keep_mass > 0.0 and mass_at_b > 0.0
+    out = (DiscreteDistribution._trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
     if not with_trace:
         return out
     trace = WaterFillTrace(i_plus + 1, rev_areas[: i_plus + 1].copy(), float(keep_mass))
@@ -194,6 +197,8 @@ def neg_w1(
         ps = np.concatenate((d.ps[: j + 1], [1.0 - kept]))
         collapsed = int(d.xs.size - (j + 1))
         areas = suffix[j:][::-1][1:]  # ends at the first area >= c
+        # suffix[j] == c puts the level on atom j: a tie to coalesce.
+        trusted = level > d.xs[j] and kept < 1.0
     else:
         # Solution sits below the lowest atom: everything collapses; the
         # terminal area is measured down to a.
@@ -202,7 +207,8 @@ def neg_w1(
         ps = np.array([1.0])
         collapsed = int(d.xs.size)
         areas = np.append(suffix[::-1][1:], total)
-    out = DiscreteDistribution(xs, ps, d.bounds)
+        trusted = level >= a
+    out = (DiscreteDistribution._trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
     if not with_trace:
         return out
     trace = WaterFillTrace(collapsed, areas.copy(), float(level))

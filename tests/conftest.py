@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,50 @@ def random_interior_dist(
     xs = np.sort(rng.uniform(lo, hi, m))
     ps = rng.random(m) + 0.05
     return DiscreteDistribution(xs, ps / ps.sum(), bounds)
+
+
+def assert_invariants(d: DiscreteDistribution) -> None:
+    """The class invariants every instance must hold, however it was built."""
+    assert d.xs.dtype == d.ps.dtype == d.cum.dtype == np.float64
+    assert d.xs.size == d.ps.size == d.cum.size >= 1
+    assert np.all(np.isfinite(d.xs))
+    assert np.all(np.diff(d.xs) > 0.0)
+    assert d.bounds.a <= d.xs[0] and d.xs[-1] <= d.bounds.b
+    assert np.all(d.ps > 0.0)
+    assert d.cum[-1] == 1.0
+    assert not (d.xs.flags.writeable or d.ps.flags.writeable or d.cum.flags.writeable)
+
+
+def assert_bitwise_equal(d1: DiscreteDistribution, d2: DiscreteDistribution) -> None:
+    assert d1.bounds == d2.bounds
+    for name in ("xs", "ps", "cum"):
+        a1, a2 = getattr(d1, name), getattr(d2, name)
+        assert a1.shape == a2.shape and a1.tobytes() == a2.tobytes(), name
+
+
+@contextmanager
+def validated_builds():
+    """Send every trusted build through the public, validating constructor.
+
+    Builds that bring their own exact CDF values (``_from_cdf``) are stored
+    verbatim by design; for them the stand-in asserts the trusted contract
+    instead. Comparing results inside and outside this context checks the
+    trusted path against the validated one on the same arrays.
+    """
+    trusted = DiscreteDistribution.__dict__["_trusted"]
+
+    def validating(cls, xs, ps, bounds, cum=None):
+        if cum is None:
+            return cls(np.array(xs), np.array(ps), bounds)
+        out = trusted.__func__(cls, xs, ps, bounds, cum)
+        assert_invariants(out)
+        return out
+
+    DiscreteDistribution._trusted = classmethod(validating)
+    try:
+        yield
+    finally:
+        DiscreteDistribution._trusted = trusted
 
 
 def cvar_spectrum(alpha: float):

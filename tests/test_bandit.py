@@ -22,13 +22,14 @@ from riskbounds import (
     solve_cstar,
     true_risk,
 )
+import riskbounds.bandit as bandit_module
 from riskbounds.bandit import (
     BetaArm,
     _sorted_cvar,
     _sorted_cvar_neg_sup,
     _sorted_quantile,
 )
-from riskbounds.measures import ERM
+from riskbounds.measures import ERM, parse_risk
 
 B01 = SupportBounds(0.0, 1.0)
 
@@ -46,6 +47,22 @@ class TestTrueRisk:
     def test_discrete_exact(self):
         d = from_samples([0.1, 0.5, 0.9], B01)
         assert true_risk(DiscreteArm(d), CVaR(0.25), B01) == evaluate(CVaR(0.25), d)
+
+    def test_quadrature_cached_across_parses(self, monkeypatch):
+        calls = []
+        original = bandit_module.quadrature_risk
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bandit_module, "quadrature_risk", counting)
+        bandit_module._cached_quadrature.cache_clear()
+        arm = BetaArm(2, 5)
+        first = true_risk(arm, parse_risk("srm-power:2"), B01)
+        second = true_risk(arm, parse_risk("srm-power:2"), B01)
+        assert first == second
+        assert len(calls) == 1
 
 
 class TestRunLcb:

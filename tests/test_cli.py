@@ -216,3 +216,25 @@ class TestBandit:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["bandit", "--instance", str(bad), "--out", str(tmp_path / "x")]) == 4
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # n below log(1/delta) for the direct W1 radius
+            ["coverage", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "cvar:0.1", "--distance", "w1",
+             "--radius", "fact22", "--n", "2", "--trials", "3", "--delta", "0.01"],
+            # delta outside (0, 2]
+            ["sweep", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "cvar:0.1", "--n", "10", "--seeds", "2",
+             "--delta", "3"],
+            # sampling distribution outside the bounds
+            ["sweep", "--dist", "uniform:0.5,2", "--bounds", "0,1", "--risk", "cvar:0.1", "--n", "10",
+             "--seeds", "2"],
+        ],
+    )
+    def test_usage_exit_without_traceback(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err

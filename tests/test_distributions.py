@@ -14,7 +14,8 @@ from riskbounds import (
     from_samples,
     read_samples_csv,
 )
-from conftest import random_interior_dist
+from riskbounds.bandit import _edf_sorted
+from conftest import assert_bitwise_equal, assert_invariants, random_interior_dist, validated_builds
 
 B05 = SupportBounds(0.0, 5.0)
 B01 = SupportBounds(0.0, 1.0)
@@ -190,6 +191,49 @@ def test_edf_mass_and_cdf_props(samples):
     assert np.all(np.diff(d.xs) > 0)
     assert d.cdf(B05.b) == 1.0
     assert d.quantile(1.0) == max(samples)
+
+
+# Samples on a coarse grid (ties, atoms on a and b) mixed with free floats.
+_SAMPLES = st.lists(
+    st.sampled_from([0.0, 0.5, 1.25, 2.5, 5.0]) | st.floats(min_value=0.0, max_value=5.0),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestTrustedBuilds:
+    """The trusted constructor against the public, validating one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_SAMPLES)
+    def test_from_samples_matches_public_constructor(self, samples):
+        d = from_samples(samples, B05)
+        assert_invariants(d)
+        xs, counts = np.unique(np.asarray(samples, dtype=np.float64), return_counts=True)
+        assert_bitwise_equal(d, DiscreteDistribution(xs, counts / len(samples), B05))
+        with validated_builds():
+            assert_bitwise_equal(d, from_samples(samples, B05))
+        assert_bitwise_equal(d, _edf_sorted(np.sort(np.asarray(samples, dtype=np.float64)), B05))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0.0, 5.0, 2.5]) | st.floats(min_value=0.0, max_value=5.0))
+    def test_dirac_matches_public_constructor(self, x):
+        d = DiscreteDistribution.dirac(x, B05)
+        assert_invariants(d)
+        assert_bitwise_equal(d, DiscreteDistribution([x], [1.0], B05))
+
+    def test_single_sample(self):
+        assert_bitwise_equal(from_samples([5.0], B05), DiscreteDistribution.dirac(5.0, B05))
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -0.5, 5.5, np.float32(6.0), "7"])
+    def test_dirac_rejections_unchanged(self, x):
+        with pytest.raises(ValueError):
+            DiscreteDistribution.dirac(x, B05)
+
+    def test_dirac_integer_and_numpy_scalars(self):
+        ref = DiscreteDistribution([2.0], [1.0], B05)
+        for x in (2, np.float64(2.0), np.int64(2), np.float32(2.0), True + 1):
+            assert_bitwise_equal(DiscreteDistribution.dirac(x, B05), ref)
 
 
 class TestSerialization:

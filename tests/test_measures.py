@@ -302,6 +302,11 @@ class TestParseRisk:
         with pytest.raises(ValueError):
             parse_risk(text)
 
+    @pytest.mark.parametrize("text", ["srm-power:2", "drm-power:0.5", "ce-power:2", "rdeu-power:2,2"])
+    def test_equal_text_parses_to_the_same_spec(self, text):
+        # Caches keyed on the spec (quadrature, support checks) hit only then.
+        assert parse_risk(text) is parse_risk(text)
+
     def test_catalog_values_agree_with_direct_construction(self):
         d = from_samples([0.1, 0.4, 0.7], B01)
         assert evaluate(parse_risk("srm-power:3"), d) == pytest.approx(

@@ -19,7 +19,13 @@ from riskbounds import (
     pos_sup,
     pos_w1,
 )
-from conftest import catalog_specs, random_interior_dist
+from conftest import (
+    assert_bitwise_equal,
+    assert_invariants,
+    catalog_specs,
+    random_interior_dist,
+    validated_builds,
+)
 
 B05 = SupportBounds(0.0, 5.0)
 B01 = SupportBounds(0.0, 1.0)
@@ -221,3 +227,56 @@ def test_outputs_are_valid_distributions(xs, c, seed):
         assert np.all(out.ps > 0)
         assert np.all(np.diff(out.xs) > 0)
         assert B05.a <= out.xs[0] and out.xs[-1] <= B05.b
+
+
+OPERATORS = (pos_sup, neg_sup, pos_w1, neg_w1)
+
+
+def assert_matches_validated(d, c):
+    """Each operator's output holds the class invariants and is bitwise the
+    output of the same code with every build validated."""
+    fast = [op(d, c) for op in OPERATORS]
+    with validated_builds():
+        slow = [op(d, c) for op in OPERATORS]
+    for out, ref in zip(fast, slow):
+        assert_invariants(out)
+        assert_bitwise_equal(out, ref)
+
+
+class TestTrustedBuilds:
+    @pytest.mark.parametrize(
+        "c",
+        [
+            0.25,  # pos_w1 break exactly on the radius: zero-mass break atom
+            0.75,  # neg_w1 level lands on an atom (suffix[j] == c): a tie
+            1.5,  # neg_w1 ties the lowest atom; everything above collapses
+            2.0,  # neg_w1 collapses below the lowest atom
+            2.5,  # both W1 operators saturate exactly
+            3.0,  # beyond saturation
+        ],
+    )
+    def test_w1_edges(self, c):
+        assert_matches_validated(EDF, c)
+
+    def test_w1_edge_fallbacks_coalesce(self):
+        assert list(pos_w1(EDF, 0.25).xs) == [1.0, 2.0, 3.0, 5.0]
+        assert list(neg_w1(EDF, 0.75).xs) == [1.0, 2.0]
+        assert list(neg_w1(EDF, 1.5).xs) == [1.0]
+
+    def test_atoms_on_both_bounds(self):
+        d = from_samples([0.0, 0.0, 2.0, 5.0], B05)
+        for c in (0.1, 0.25, 0.5, 1.0, 1.75, 5.0):
+            assert_matches_validated(d, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    samples=st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 5.0]) | st.floats(min_value=0.0, max_value=5.0),
+        min_size=1,
+        max_size=16,
+    ),
+    c=st.sampled_from([k / 16 for k in range(1, 96)]) | st.floats(min_value=0.0, max_value=6.0),
+)
+def test_trusted_outputs_match_validated(samples, c):
+    assert_matches_validated(from_samples(samples, B05), c)
