@@ -35,7 +35,6 @@ from .bounds import (
 )
 from .concentration import (
     RadiusRule,
-    RadiusSpec,
     confidence_radius,
     dkw_radius,
     scaled_dkw_radius,
@@ -50,7 +49,7 @@ from .distributions import (
     from_samples,
     read_samples_csv,
 )
-from .lipschitz import DEFAULT_GRID_POINTS, LipschitzQuery, glc, llc
+from .lipschitz import DEFAULT_GRID_POINTS, glc, llc
 from .measures import (
     CE,
     CVaR,
@@ -72,7 +71,7 @@ from .measures import (
     rdeu_power,
     srm_power,
 )
-from .operators import BallSpec, Side, WaterFillTrace, extreme, neg_sup, neg_w1, pos_sup, pos_w1
+from .operators import BallSpec, WaterFillTrace, neg_sup, neg_w1, pos_sup, pos_w1
 from .oracles import FeasibleSampler, quadrature_risk, random_feasible
 
 __version__ = "0.1.0"

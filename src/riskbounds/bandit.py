@@ -236,6 +236,8 @@ class BanditInstance:
             raise ValueError("a bandit instance needs at least one arm")
         if self.horizon < len(self.arms):
             raise ValueError("horizon must cover one initial pull per arm")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for arm in self.arms:
             arm.validate(self.bounds)
 
@@ -475,12 +477,13 @@ def instance_from_dict(obj: dict) -> BanditInstance:
             raise ValueError(f"unknown arm family {family!r}")
         arms.append(_ARM_FAMILIES[family](arm_obj.get("params", {}), bounds))
     risk = obj["risk"]
-    spec = parse_risk(risk) if isinstance(risk, str) else risk
+    if not isinstance(risk, (str, RiskMeasure)):
+        raise ValueError(f"risk must be a spec string like 'cvar:0.25', got {risk!r}")
     return BanditInstance(
         bounds=bounds,
         arms=tuple(arms),
         horizon=int(obj["horizon"]),
-        risk=spec,
+        risk=parse_risk(risk) if isinstance(risk, str) else risk,
         seed=int(obj.get("seed", 0)),
     )
 

@@ -29,11 +29,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .concentration import RadiusRule, confidence_radius
+from .concentration import RadiusRule, confidence_radius, resolve_radius_rule
 from .distributions import DiscreteDistribution, Distance, SupportBounds, from_samples
 from .lipschitz import UnsupportedCombinationError, glc, llc
 from .measures import RDEU, RiskMeasure, evaluate
-from .operators import neg_sup, neg_w1, pos_sup, pos_w1
+from .operators import _require_radius, neg_sup, neg_w1, pos_sup, pos_w1
 
 __all__ = [
     "BoundMethod",
@@ -119,8 +119,7 @@ def bound_with_radius(
     c: float,
 ) -> ConfidenceResult:
     """(LCB, UCB) for the risk of the true distribution, given ball radius c."""
-    if c < 0.0 or not np.isfinite(c):
-        raise ValueError(f"radius must be finite and >= 0, got {c}")
+    _require_radius(c)
     _reject_unsupported(spec, dist_kind, method)
     point = evaluate(spec, d)
 
@@ -146,10 +145,6 @@ def bound_with_radius(
     )
 
 
-def _default_rule(dist_kind: Distance) -> RadiusRule:
-    return RadiusRule.DKW if dist_kind is Distance.SUPREMUM else RadiusRule.SCALED_DKW
-
-
 def bound_from_samples(
     samples: Sequence[float],
     bounds: SupportBounds,
@@ -164,11 +159,7 @@ def bound_from_samples(
     The rule must match the distance: ``dkw`` for the supremum distance,
     ``scaled-dkw`` (default) or ``fact22`` for W1.
     """
-    rule = radius_rule or _default_rule(dist_kind)
-    if dist_kind is Distance.SUPREMUM and rule is not RadiusRule.DKW:
-        raise ValueError(f"radius rule {rule.value!r} is a W1 radius; the supremum distance needs 'dkw'")
-    if dist_kind is Distance.WASSERSTEIN1 and rule is RadiusRule.DKW:
-        raise ValueError("the plain DKW radius is a supremum radius; W1 needs 'scaled-dkw' or 'fact22'")
+    rule = resolve_radius_rule(radius_rule, dist_kind)
     d = from_samples(samples, bounds)
     c = confidence_radius(rule, len(np.asarray(samples)), delta, bounds)
     result = bound_with_radius(d, spec, dist_kind, method, c)

@@ -9,8 +9,7 @@ Four subcommands, all emitting plot-ready CSV or JSON:
 
 Exit codes: 0 success, 2 usage error, 3 unsupported method/measure
 combination, 4 data error. Reruns with identical arguments and seeds are
-byte-identical; ``RISKBOUNDS_THREADS`` caps worker threads for sweeps and
-multi-seed bandit runs (default 1, fully sequential).
+byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,8 +33,8 @@ from .bandit import (
     true_risk,
 )
 from .bounds import BoundMethod, UnsupportedCombinationError, bound_from_samples
-from .concentration import RadiusRule
-from .distributions import Distance, SupportBounds, read_samples_csv
+from .concentration import RadiusRule, resolve_radius_rule
+from .distributions import Distance, SampleError, SupportBounds, read_samples_csv
 from .measures import CVaR, parse_risk
 
 __all__ = ["main"]
@@ -52,21 +50,6 @@ class DataError(Exception):
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("RISKBOUNDS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_cells(fn, cells):
-    workers = _n_workers()
-    if workers == 1:
-        return [fn(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
 
 
 def _parse_bounds(text: str) -> SupportBounds:
@@ -101,17 +84,14 @@ def _parse_methods(text: str) -> list[BoundMethod]:
 
 
 def _parse_radius_rule(text: str | None, dist_kind: Distance) -> RadiusRule:
-    if text is None:
-        return RadiusRule.DKW if dist_kind is Distance.SUPREMUM else RadiusRule.SCALED_DKW
     try:
-        rule = RadiusRule(text)
+        rule = None if text is None else RadiusRule(text)
     except ValueError as exc:
         raise UsageError(f"--radius must be dkw|fact22|scaled-dkw, got {text!r}") from exc
-    if dist_kind is Distance.SUPREMUM and rule is not RadiusRule.DKW:
-        raise UsageError(f"radius rule {text!r} is a W1 radius; supremum distance needs 'dkw'")
-    if dist_kind is Distance.WASSERSTEIN1 and rule is RadiusRule.DKW:
-        raise UsageError("plain 'dkw' is a supremum radius; W1 needs 'scaled-dkw' or 'fact22'")
-    return rule
+    try:
+        return resolve_radius_rule(rule, dist_kind)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_arm(text: str):
@@ -157,18 +137,14 @@ def cmd_ci(args) -> int:
     rule = _parse_radius_rule(args.radius, dist_kind)
     try:
         samples = read_samples_csv(args.input, header=args.header)
-    except OSError as exc:
-        raise DataError(str(exc)) from exc
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
 
     results = []
     for method in methods:
         try:
             res = bound_from_samples(samples, bounds, spec, dist_kind, method, args.delta, rule)
-        except UnsupportedCombinationError:
-            raise
-        except ValueError as exc:
+        except SampleError as exc:
             raise DataError(str(exc)) from exc
         results.append(res.to_json())
     payload = results[0] if len(results) == 1 else results
@@ -194,24 +170,20 @@ def cmd_sweep(args) -> int:
     arm.validate(bounds)
     truth = true_risk(arm, spec, bounds)
 
-    def one(cell):
-        n, seed_idx = cell
-        rng = np.random.default_rng([args.seed, n, seed_idx])
-        samples = arm.sample(rng, n, bounds)
-        rows = []
-        for method in methods:
-            res = bound_from_samples(samples, bounds, spec, dist_kind, method, args.delta, rule)
-            covered = res.lcb <= truth <= res.ucb
-            rows.append((n, seed_idx, method.value, res.lcb, res.ucb, res.point, truth, covered))
-        return rows
-
-    cells = [(n, s) for n in n_values for s in range(args.seeds)]
-    all_rows = [row for rows in _map_cells(one, cells) for row in rows]
-    all_rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows = []
+    for n in n_values:
+        for seed_idx in range(args.seeds):
+            rng = np.random.default_rng([args.seed, n, seed_idx])
+            samples = arm.sample(rng, n, bounds)
+            for method in methods:
+                res = bound_from_samples(samples, bounds, spec, dist_kind, method, args.delta, rule)
+                covered = res.lcb <= truth <= res.ucb
+                rows.append((n, seed_idx, method.value, res.lcb, res.ucb, res.point, covered))
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = ["n,seed,method,lcb,ucb,point,true_risk,covered"]
-    for n, s, method, lcb, ucb, point, truth_val, covered in all_rows:
+    for n, s, method, lcb, ucb, point, covered in rows:
         lines.append(
-            f"{n},{s},{method},{_fmt(lcb)},{_fmt(ucb)},{_fmt(point)},{_fmt(truth_val)},{int(covered)}"
+            f"{n},{s},{method},{_fmt(lcb)},{_fmt(ucb)},{_fmt(point)},{_fmt(truth)},{int(covered)}"
         )
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -232,13 +204,12 @@ def cmd_coverage(args) -> int:
     arm.validate(bounds)
     truth = true_risk(arm, spec, bounds)
 
-    def one(trial):
+    hits = 0
+    for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])
         samples = arm.sample(rng, args.n, bounds)
         res = bound_from_samples(samples, bounds, spec, dist_kind, method, args.delta, rule)
-        return res.lcb <= truth <= res.ucb
-
-    hits = sum(_map_cells(one, range(args.trials)))
+        hits += res.lcb <= truth <= res.ucb
     payload = {
         "distribution": args.dist,
         "risk": args.risk,
@@ -261,7 +232,7 @@ def cmd_bandit(args) -> int:
         instance = load_instance(args.instance)
     except OSError as exc:
         raise DataError(str(exc)) from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"bad instance file {args.instance}: {exc}") from exc
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
@@ -272,21 +243,18 @@ def cmd_bandit(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
 
-    def one(cell):
-        variant, seed_idx = cell
-        inst = dataclasses.replace(instance, seed=instance.seed + seed_idx)
-        return variant, seed_idx, run_lcb(inst, variant)
-
-    cells = [(v, s) for v in variants for s in range(args.seeds)]
-    runs = _map_cells(one, cells)
+    runs = {
+        variant: [
+            run_lcb(dataclasses.replace(instance, seed=instance.seed + seed_idx), variant)
+            for seed_idx in range(args.seeds)
+        ]
+        for variant in variants
+    }
 
     summary = {"instance": os.path.abspath(args.instance), "seeds": args.seeds, "variants": {}}
     curve_lines = ["round,variant,mean_cum_regret,std_cum_regret"]
-    for variant in variants:
-        traces = [tr for v, _, tr in runs if v is variant]
-        for v, seed_idx, tr in runs:
-            if v is not variant:
-                continue
+    for variant, traces in runs.items():
+        for seed_idx, tr in enumerate(traces):
             path = os.path.join(args.out, f"trace_{variant.value}_{seed_idx}.csv")
             lines = ["round,arm,loss,cum_regret"]
             for t in range(tr.chosen.size):

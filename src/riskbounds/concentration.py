@@ -17,18 +17,17 @@ Three rules:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import SupportBounds
+from .distributions import Distance, SupportBounds
 
 __all__ = [
     "RadiusRule",
-    "RadiusSpec",
     "dkw_radius",
     "w1_radius",
     "scaled_dkw_radius",
     "confidence_radius",
+    "resolve_radius_rule",
 ]
 
 
@@ -78,17 +77,18 @@ def scaled_dkw_radius(n: int, delta: float, bounds: SupportBounds) -> float:
     return bounds.width * dkw_radius(n, delta)
 
 
-@dataclass(frozen=True)
-class RadiusSpec:
-    """A radius rule with its inputs; ``bounds`` is required for W1 rules."""
-
-    rule: RadiusRule
-    n: int
-    delta: float
-    bounds: SupportBounds | None = None
-
-    def value(self) -> float:
-        return confidence_radius(self.rule, self.n, self.delta, self.bounds)
+def resolve_radius_rule(rule: RadiusRule | None, dist_kind: Distance) -> RadiusRule:
+    """The radius rule to use for ``dist_kind``: ``dkw`` for the supremum
+    distance and ``scaled-dkw`` for W1 when ``rule`` is None; otherwise
+    ``rule`` itself, or ValueError when it does not fit the distance."""
+    sup = dist_kind is Distance.SUPREMUM
+    if rule is None:
+        return RadiusRule.DKW if sup else RadiusRule.SCALED_DKW
+    if sup and rule is not RadiusRule.DKW:
+        raise ValueError(f"radius rule {rule.value!r} is a W1 radius; the supremum distance needs 'dkw'")
+    if not sup and rule is RadiusRule.DKW:
+        raise ValueError("the plain DKW radius is a supremum radius; W1 needs 'scaled-dkw' or 'fact22'")
+    return rule
 
 
 def confidence_radius(

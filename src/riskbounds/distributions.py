@@ -21,6 +21,7 @@ __all__ = [
     "SupportBounds",
     "Distance",
     "DiscreteDistribution",
+    "SampleError",
     "from_samples",
     "distance",
     "dominates",
@@ -265,16 +266,20 @@ class DiscreteDistribution:
         return cls(xs, ps, bounds)
 
 
+class SampleError(ValueError):
+    """The samples themselves cannot form an empirical distribution."""
+
+
 def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDistribution:
     """Empirical distribution: mass multiplicity/n at each distinct value."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
-        raise ValueError("cannot build an empirical distribution from zero samples")
+        raise SampleError("cannot build an empirical distribution from zero samples")
     if np.any(~np.isfinite(arr)):
-        raise ValueError("samples must be finite")
+        raise SampleError("samples must be finite")
     if np.any(arr < bounds.a) or np.any(arr > bounds.b):
         bad = arr[(arr < bounds.a) | (arr > bounds.b)][0]
-        raise ValueError(
+        raise SampleError(
             f"sample {bad} outside declared support [{bounds.a}, {bounds.b}]; "
             "radii and ball operators assume bounded support"
         )

@@ -10,8 +10,8 @@ exact expressions, not a numerical search.
 
 Derivative sup-norms are taken analytically where monotonicity pins the
 maximizer (spectra, concave distortions, convex utilities) and on a dense
-grid for free-form weight/value functions; ``grid_points`` (default 10001)
-is the documented, overridable grid size.
+grid of ``DEFAULT_GRID_POINTS`` (10001) points for free-form weight/value
+functions.
 
 Constants can be infinite when the supplied functions are not Lipschitz
 (e.g. a power distortion with exponent below one has unbounded derivative
@@ -21,7 +21,6 @@ at zero); infinity is reported rather than replaced by a surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -40,11 +39,10 @@ from .measures import (
     _segment_grid,
     evaluate,
 )
-from .operators import neg_sup, neg_w1
+from .operators import _require_radius, neg_sup, neg_w1
 
 __all__ = [
     "UnsupportedCombinationError",
-    "LipschitzQuery",
     "glc",
     "llc",
     "DEFAULT_GRID_POINTS",
@@ -57,9 +55,9 @@ class UnsupportedCombinationError(ValueError):
     """A (risk family, distance, method) combination with no valid formula."""
 
 
-def _grid_max(fn, lo: float, hi: float, grid_points: int) -> float:
+def _grid_max(fn, lo: float, hi: float) -> float:
     with np.errstate(divide="ignore", over="ignore"):
-        vals = _apply(fn, np.linspace(lo, hi, grid_points))
+        vals = _apply(fn, np.linspace(lo, hi, DEFAULT_GRID_POINTS))
     return float(np.max(vals))
 
 
@@ -98,12 +96,7 @@ def _cdf_integral(d: DiscreteDistribution, fn) -> float:
     return float(vals @ widths[keep])
 
 
-def glc(
-    spec: RiskMeasure,
-    dist_kind: Distance,
-    bounds: SupportBounds,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> float:
+def glc(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds) -> float:
     """Tightest known global Lipschitz constant for the family.
 
     May be ``inf`` when the supplied functions are not Lipschitz over the
@@ -137,11 +130,11 @@ def glc(
         return u_norm / slope_at_a if slope_at_a > 0.0 else math.inf
     if isinstance(spec, RDEU):
         _check_on_support(spec, a, b)
-        w_max = _grid_max(spec.w_prime, 0.0, 1.0, grid_points)
+        w_max = _grid_max(spec.w_prime, 0.0, 1.0)
         if sup:
             v_l1 = float(_apply(spec.v, np.array([b]))[0] - _apply(spec.v, np.array([a]))[0])
             return w_max * v_l1
-        return w_max * _grid_max(spec.v_prime, a, b, grid_points)
+        return w_max * _grid_max(spec.v_prime, a, b)
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 
@@ -149,21 +142,14 @@ def _quantile_or_a(d: DiscreteDistribution, y: float) -> float:
     return d.bounds.a if y <= 0.0 else float(d.quantile(y))
 
 
-def llc(
-    spec: RiskMeasure,
-    dist_kind: Distance,
-    center: DiscreteDistribution,
-    c: float,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> float:
+def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c: float) -> float:
     """Local Lipschitz constant over the radius-c ball around ``center``.
 
     Supremum-distance constants exist for every family; W1 constants exist
     for all but RDEU (no closed form over the W1 ball; fall back to the
     GLC). Always <= the matching GLC, and nondecreasing in c.
     """
-    if c < 0.0 or not np.isfinite(c):
-        raise ValueError(f"ball radius must be finite and >= 0, got {c}")
+    _require_radius(c)
     bounds = center.bounds
     a, b = bounds.a, bounds.b
     sup = dist_kind is Distance.SUPREMUM
@@ -202,7 +188,7 @@ def llc(
                 "rank-dependent expected utility has no local Lipschitz "
                 "constant over W1 balls; use the global constant"
             )
-        wp = _apply(spec.w_prime, np.linspace(0.0, 1.0, grid_points))
+        wp = _apply(spec.w_prime, np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS))
         if np.any(np.diff(wp) < -1e-9):
             raise ValueError(
                 "the local RDEU constant requires a convex weight function "
@@ -217,24 +203,3 @@ def llc(
         return float(weights @ dv[keep])
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
-
-@dataclass(frozen=True)
-class LipschitzQuery:
-    """A constant request: global when center/c are omitted, local otherwise."""
-
-    spec: RiskMeasure
-    distance: Distance
-    bounds: SupportBounds
-    center: DiscreteDistribution | None = None
-    c: float | None = None
-
-    def __post_init__(self):
-        if (self.center is None) != (self.c is None):
-            raise ValueError("local queries carry both a center and a radius")
-        if self.center is not None and self.center.bounds != self.bounds:
-            raise ValueError("query bounds disagree with the center's bounds")
-
-    def value(self, grid_points: int = DEFAULT_GRID_POINTS) -> float:
-        if self.center is None:
-            return glc(self.spec, self.distance, self.bounds, grid_points)
-        return llc(self.spec, self.distance, self.center, self.c, grid_points)

@@ -26,7 +26,6 @@ sizes. Cost is O(m) on the sorted atom arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,19 +33,18 @@ from .distributions import DiscreteDistribution, Distance
 
 __all__ = [
     "BallSpec",
-    "Side",
     "WaterFillTrace",
     "pos_sup",
     "neg_sup",
     "pos_w1",
     "neg_w1",
-    "extreme",
 ]
 
 
-class Side(Enum):
-    UPPER = "upper"
-    LOWER = "lower"
+def _require_radius(c: float) -> float:
+    if not (np.isfinite(c) and c >= 0.0):
+        raise ValueError(f"ball radius must be finite and >= 0, got {c}")
+    return float(c)
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,7 @@ class BallSpec:
     c: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c >= 0.0):
-            raise ValueError(f"ball radius must be finite and >= 0, got {self.c}")
+        _require_radius(self.c)
 
 
 @dataclass(frozen=True)
@@ -76,12 +73,6 @@ class WaterFillTrace:
     break_index: int
     cumulative_areas: np.ndarray
     residual_mass_or_level: float
-
-
-def _require_radius(c: float) -> float:
-    if not (np.isfinite(c) and c >= 0.0):
-        raise ValueError(f"ball radius must be finite and >= 0, got {c}")
-    return float(c)
 
 
 def pos_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
@@ -213,12 +204,3 @@ def neg_w1(
         return out
     trace = WaterFillTrace(collapsed, areas.copy(), float(level))
     return out, trace
-
-
-def extreme(d: DiscreteDistribution, ball: BallSpec, side: Side) -> DiscreteDistribution:
-    """Dispatch to the matching operator for (distance, side)."""
-    if ball.distance is Distance.SUPREMUM:
-        return pos_sup(d, ball.c) if side is Side.UPPER else neg_sup(d, ball.c)
-    if ball.distance is Distance.WASSERSTEIN1:
-        return pos_w1(d, ball.c) if side is Side.UPPER else neg_w1(d, ball.c)
-    raise ValueError(f"unknown distance kind {ball.distance!r}")

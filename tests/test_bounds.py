@@ -15,6 +15,7 @@ from riskbounds import (
     bound_with_radius,
     compare_methods,
     from_samples,
+    llc,
 )
 from riskbounds.measures import rdeu_power
 from conftest import catalog_specs, random_interior_dist
@@ -43,6 +44,14 @@ class TestBoundWithRadius:
         for method in BoundMethod:
             res = bound_with_radius(EDF, CVaR(0.5), SUP, method, 0.0)
             assert res.lcb == res.ucb == res.point
+
+    @pytest.mark.parametrize("c", [-0.1, math.inf, math.nan])
+    def test_bad_radius_rejected(self, c):
+        # glc and llc never reach an operator, so each checks c itself
+        with pytest.raises(ValueError, match="radius must be finite"):
+            bound_with_radius(EDF, CVaR(0.5), SUP, BoundMethod.GLC, c)
+        with pytest.raises(ValueError, match="radius must be finite"):
+            llc(CVaR(0.5), SUP, EDF, c)
 
     def test_dist_bounds_stay_in_support(self):
         rng = np.random.default_rng(0)

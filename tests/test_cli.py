@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds import BoundMethod, CVaR, Distance, SupportBounds, bound_from_samples
 from riskbounds.cli import main
@@ -95,12 +100,21 @@ class TestCi:
         ])
         assert code == 3
 
-    def test_radius_distance_mismatch_usage(self, samples_csv):
-        code = main([
-            "ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "cvar:0.5",
-            "--distance", "sup", "--radius", "scaled-dkw",
-        ])
-        assert code == 2
+    def test_radius_distance_mismatch_usage(self, capsys):
+        # One shared rule check for all three commands; ci exits before it
+        # reads its (here missing) input.
+        commands = [
+            ["ci", "--input", "/nonexistent.csv", "--bounds", "0,5"],
+            ["sweep", "--dist", "beta:2,5", "--bounds", "0,1", "--n", "10", "--seeds", "1"],
+            ["coverage", "--dist", "beta:2,5", "--bounds", "0,1", "--n", "10", "--trials", "1"],
+        ]
+        for argv in commands:
+            for distance, radius in [("sup", "scaled-dkw"), ("sup", "fact22"), ("w1", "dkw")]:
+                code = main(argv + ["--risk", "cvar:0.5", "--distance", distance, "--radius", radius])
+                assert code == 2, (argv[0], distance, radius)
+                err = capsys.readouterr().err
+                assert err.startswith("usage error: ")
+                assert "W1" in err and "sup" in err
 
 
 class TestSweep:
@@ -191,7 +205,7 @@ class TestBandit:
         assert len(trace) == 31
 
     def test_initialization_only_run(self, two_arm_instance, tmp_path):
-        payload = json.loads(open(two_arm_instance).read())
+        payload = json.loads(Path(two_arm_instance).read_text())
         payload["horizon"] = 2
         inst = tmp_path / "init.json"
         inst.write_text(json.dumps(payload))
@@ -212,10 +226,24 @@ class TestBandit:
         assert curves[0] == "round,variant,mean_cum_regret,std_cum_regret"
         assert len(curves) == 1 + 3 * 60
 
-    def test_bad_instance_is_data_error(self, tmp_path):
+    def test_bad_instance_is_data_error(self, two_arm_instance, tmp_path, capsys):
+        good = json.loads(Path(two_arm_instance).read_text())
+        bad_payloads = [
+            "{not json",
+            {**good, "arms": [1]},
+            {**good, "bounds": [0, 1]},
+            {**good, "arms": [{"family": "dirac", "params": [0.5]}]},
+            [good],
+            {**good, "risk": 0.25},
+            {**good, "seed": -1},
+        ]
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["bandit", "--instance", str(bad), "--out", str(tmp_path / "x")]) == 4
+        for payload in bad_payloads:
+            bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+            assert main(["bandit", "--instance", str(bad), "--out", str(tmp_path / "x")]) == 4, payload
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ")
+            assert "Traceback" not in err
 
 
 class TestDomainErrors:
@@ -231,10 +259,93 @@ class TestDomainErrors:
             # sampling distribution outside the bounds
             ["sweep", "--dist", "uniform:0.5,2", "--bounds", "0,1", "--risk", "cvar:0.1", "--n", "10",
              "--seeds", "2"],
+            # delta outside (0, 2] is an argument fault, not a data fault
+            ["ci", "--input", "SAMPLES", "--bounds", "0,5", "--risk", "cvar:0.5", "--delta", "3"],
         ],
     )
-    def test_usage_exit_without_traceback(self, argv, capsys):
-        assert main(argv) == 2
+    def test_usage_exit_without_traceback(self, argv, samples_csv, capsys):
+        assert main([samples_csv if a == "SAMPLES" else a for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def grammar_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("grammar")
+    files = {
+        "good": "0.1\n0.5\n0.5\n0.9\n",
+        "edge": "0\n1\n",
+        "outside": "0.2\n7\n",
+        "text": "0.2\nabc\n",
+        "nan": "0.2\nnan\n",
+        "empty": "",
+    }
+    paths = []
+    for name, text in files.items():
+        path = root / f"{name}.csv"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths + [str(root / "missing.csv")]
+
+
+# flag -> (valid values, faulty values); combinations of valid values still
+# include mismatches such as a W1 radius rule for the supremum distance.
+_COMMON = {
+    "--bounds": (["0,1", "0,5", "-1,1"], ["1,0", "0,0", "0", "a,b", "0,inf", "nan,1"]),
+    "--risk": (
+        ["cvar:0.25", "cvar:1", "erm:1", "erm:-2", "srm-power:2", "drm-power:0.5", "ce-power:2",
+         "rdeu-power:2,2"],
+        ["cvar:0", "cvar:1.5", "cvar:x", "erm:0", "quantiles:0.5"],
+    ),
+    "--distance": (["sup", "w1"], ["l2"]),
+    "--method": (["dist", "llc", "glc", "all"], ["best"]),
+    "--radius": (["dkw", "scaled-dkw", "fact22"], ["dk"]),
+    "--delta": (["0.05", "0.5", "1", "2"], ["3", "0", "-0.1", "nan", "x"]),
+}
+_DISTS = (
+    ["beta:2,5", "uniform:0.2,0.8", "dirac:0.5", "truncnormal:0.5,0.2"],
+    ["uniform:0.5,2", "beta:-1,2", "poisson:3", "beta"],
+)
+_SEED = (["0", "7"], ["-1", "x"])
+_BY_COMMAND = {
+    "sweep": {
+        "--dist": _DISTS,
+        "--n": (["5,20", "1", "50", "3,3"], ["20,5", "0", "-3", "a"]),
+        "--seeds": (["1", "2"], ["0", "-1", "x"]),
+        "--seed": _SEED,
+    },
+    "coverage": {
+        "--dist": _DISTS,
+        "--n": (["1", "2", "20", "50"], ["0", "-1", "x"]),
+        "--trials": (["1", "5"], ["0", "x"]),
+        "--seed": _SEED,
+    },
+}
+_OPTIONAL = {"--distance", "--method", "--radius", "--delta", "--seeds", "--seed"}
+
+
+@st.composite
+def _cli_argv(draw, inputs):
+    """A ci/sweep/coverage command line: valid values, at most one faulty."""
+    command = draw(st.sampled_from(["ci", "sweep", "coverage"]))
+    grammar = {**_COMMON, **_BY_COMMAND.get(command, {"--input": (inputs[:2], inputs[2:])})}
+    faulty = draw(st.one_of(st.none(), st.sampled_from(sorted(grammar))))
+    argv = [command]
+    for flag, (valid, bad) in grammar.items():
+        if flag in _OPTIONAL and flag != faulty and draw(st.booleans()):
+            continue
+        argv += [flag, draw(st.sampled_from(bad if flag == faulty else valid))]
+    return argv
+
+
+class TestGrammar:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_documented_exit_without_traceback(self, grammar_inputs, data):
+        argv = data.draw(_cli_argv(grammar_inputs))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in {0, 2, 3, 4}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -6,7 +6,6 @@ import pytest
 from riskbounds import (
     Distance,
     RadiusRule,
-    RadiusSpec,
     SupportBounds,
     confidence_radius,
     distance,
@@ -106,7 +105,5 @@ class TestMonotonicityAndDispatch:
             assert min(vals_n + vals_d) >= 0.0
 
     def test_radius_spec(self):
-        spec = RadiusSpec(RadiusRule.DKW, 50, 0.05)
-        assert spec.value() == dkw_radius(50, 0.05)
         with pytest.raises(ValueError, match="bounds"):
-            RadiusSpec(RadiusRule.SCALED_DKW, 50, 0.05).value()
+            confidence_radius(RadiusRule.SCALED_DKW, 50, 0.05)

@@ -7,7 +7,6 @@ from riskbounds import (
     CVaR,
     DiscreteDistribution,
     Distance,
-    LipschitzQuery,
     SupportBounds,
     UnsupportedCombinationError,
     from_samples,
@@ -170,16 +169,3 @@ class TestLocalConstants:
         ce_low = evaluate(spec, neg_w1(d, c))
         assert llc(spec, W1, d, c) == pytest.approx(1.0 / ce_low, rel=1e-10)
 
-
-class TestQueryObject:
-    def test_global_local_dispatch(self):
-        q_global = LipschitzQuery(CVaR(0.5), SUP, B05)
-        assert q_global.value() == glc(CVaR(0.5), SUP, B05)
-        q_local = LipschitzQuery(CVaR(0.5), SUP, B05, center=EDF, c=0.1)
-        assert q_local.value() == llc(CVaR(0.5), SUP, EDF, 0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LipschitzQuery(CVaR(0.5), SUP, B05, center=EDF)
-        with pytest.raises(ValueError):
-            LipschitzQuery(CVaR(0.5), SUP, B01, center=EDF, c=0.1)

@@ -7,12 +7,10 @@ from riskbounds import (
     BallSpec,
     DiscreteDistribution,
     Distance,
-    Side,
     SupportBounds,
     distance,
     dominates,
     evaluate,
-    extreme,
     from_samples,
     neg_sup,
     neg_w1,
@@ -197,14 +195,6 @@ class TestOrderingProperties:
 
 
 class TestDispatch:
-    def test_extreme_matches_direct(self):
-        ball_sup = BallSpec(Distance.SUPREMUM, 0.25)
-        ball_w1 = BallSpec(Distance.WASSERSTEIN1, 0.3)
-        assert extreme(EDF, ball_sup, Side.UPPER) == pos_sup(EDF, 0.25)
-        assert extreme(EDF, ball_sup, Side.LOWER) == neg_sup(EDF, 0.25)
-        assert extreme(EDF, ball_w1, Side.UPPER) == pos_w1(EDF, 0.3)
-        assert extreme(EDF, ball_w1, Side.LOWER) == neg_w1(EDF, 0.3)
-
     def test_ball_spec_validation(self):
         with pytest.raises(ValueError):
             BallSpec(Distance.SUPREMUM, -0.1)
