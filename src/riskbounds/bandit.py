@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Union
 
@@ -32,7 +33,7 @@ from scipy.special import betainc, betaincinv, ndtr, ndtri
 from .bounds import BoundMethod
 from .distributions import DiscreteDistribution, Distance, SupportBounds
 from .lipschitz import glc, llc
-from .measures import CVaR, RiskMeasure, evaluate, parse_risk
+from .measures import CVaR, ERM, RiskMeasure, evaluate, parse_risk
 from .operators import neg_sup
 from .oracles import quadrature_risk
 
@@ -43,6 +44,7 @@ __all__ = [
     "TruncNormalArm",
     "DiscreteArm",
     "Arm",
+    "ARM_FAMILIES",
     "BanditInstance",
     "RegretTrace",
     "true_risk",
@@ -117,6 +119,8 @@ class BetaArm:
     def validate(self, bounds: SupportBounds) -> None:
         if self.shape_a <= 0.0 or self.shape_b <= 0.0:
             raise ValueError("beta shapes must be positive")
+        if not (math.isfinite(self.shape_a) and math.isfinite(self.shape_b)):
+            raise ValueError("beta shapes must be finite")
 
     def as_discrete(self, bounds):
         return None
@@ -157,6 +161,8 @@ class TruncNormalArm:
     def validate(self, bounds: SupportBounds) -> None:
         if self.sigma <= 0.0:
             raise ValueError("truncated normal needs sigma > 0")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError("truncated normal needs a finite mu and sigma")
 
     def as_discrete(self, bounds):
         return None
@@ -457,15 +463,22 @@ def regret_bound(instance: BanditInstance) -> float:
 # Instance files: JSON {bounds, risk, horizon, seed, arms:[{family, params}]}
 # ---------------------------------------------------------------------------
 
-_ARM_FAMILIES = {
-    "dirac": lambda p, bounds: DiracArm(float(p["x"])),
-    "uniform": lambda p, bounds: UniformArm(float(p["lo"]), float(p["hi"])),
-    "beta": lambda p, bounds: BetaArm(float(p["shape_a"]), float(p["shape_b"])),
-    "truncnormal": lambda p, bounds: TruncNormalArm(float(p["mu"]), float(p["sigma"])),
-    "discrete": lambda p, bounds: DiscreteArm(
-        DiscreteDistribution([atom["x"] for atom in p["atoms"]], [atom["p"] for atom in p["atoms"]], bounds)
-    ),
+# Parametric arm families by name. Instance files give the parameters by
+# field name, ``family:params`` CLI strings in dataclass field order.
+ARM_FAMILIES = {
+    "dirac": DiracArm,
+    "uniform": UniformArm,
+    "beta": BetaArm,
+    "truncnormal": TruncNormalArm,
 }
+
+
+def _whole(value, name: str) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def instance_from_dict(obj: dict) -> BanditInstance:
@@ -473,45 +486,46 @@ def instance_from_dict(obj: dict) -> BanditInstance:
     arms = []
     for arm_obj in obj["arms"]:
         family = str(arm_obj["family"]).lower()
-        if family not in _ARM_FAMILIES:
+        params = arm_obj.get("params", {})
+        if family == "discrete":
+            atoms = params["atoms"]
+            dist = DiscreteDistribution([atom["x"] for atom in atoms], [atom["p"] for atom in atoms], bounds)
+            arms.append(DiscreteArm(dist))
+        elif family in ARM_FAMILIES:
+            cls = ARM_FAMILIES[family]
+            arms.append(cls(*(float(params[field.name]) for field in fields(cls))))
+        else:
             raise ValueError(f"unknown arm family {family!r}")
-        arms.append(_ARM_FAMILIES[family](arm_obj.get("params", {}), bounds))
     risk = obj["risk"]
-    if not isinstance(risk, (str, RiskMeasure)):
+    if not isinstance(risk, str):
         raise ValueError(f"risk must be a spec string like 'cvar:0.25', got {risk!r}")
     return BanditInstance(
         bounds=bounds,
         arms=tuple(arms),
-        horizon=int(obj["horizon"]),
-        risk=parse_risk(risk) if isinstance(risk, str) else risk,
-        seed=int(obj.get("seed", 0)),
+        horizon=_whole(obj["horizon"], "horizon"),
+        risk=parse_risk(risk),
+        seed=_whole(obj.get("seed", 0), "seed"),
     )
 
 
 def _arm_to_dict(arm: Arm) -> dict:
-    if isinstance(arm, DiracArm):
-        return {"family": "dirac", "params": {"x": arm.x}}
-    if isinstance(arm, UniformArm):
-        return {"family": "uniform", "params": {"lo": arm.lo, "hi": arm.hi}}
-    if isinstance(arm, BetaArm):
-        return {"family": "beta", "params": {"shape_a": arm.shape_a, "shape_b": arm.shape_b}}
-    if isinstance(arm, TruncNormalArm):
-        return {"family": "truncnormal", "params": {"mu": arm.mu, "sigma": arm.sigma}}
     if isinstance(arm, DiscreteArm):
         return {"family": "discrete", "params": {"atoms": arm.dist.to_json()["atoms"]}}
+    for family, cls in ARM_FAMILIES.items():
+        if isinstance(arm, cls):
+            return {"family": family, "params": asdict(arm)}
     raise TypeError(f"unknown arm {arm!r}")
 
 
-def instance_to_dict(instance: BanditInstance, risk_label: str | None = None) -> dict:
-    if risk_label is None:
-        from .measures import ERM
-
-        if isinstance(instance.risk, CVaR):
-            risk_label = f"cvar:{instance.risk.alpha}"
-        elif isinstance(instance.risk, ERM):
-            risk_label = f"erm:{instance.risk.beta}"
-        else:
-            raise ValueError("pass risk_label for function-valued risk specs")
+def instance_to_dict(instance: BanditInstance) -> dict:
+    """The instance-file form of ``instance``. Only ``cvar`` and ``erm``
+    instances have one: the other families carry functions, not numbers."""
+    if isinstance(instance.risk, CVaR):
+        risk_label = f"cvar:{instance.risk.alpha}"
+    elif isinstance(instance.risk, ERM):
+        risk_label = f"erm:{instance.risk.beta}"
+    else:
+        raise ValueError("only cvar and erm instances can be written as instance files")
     return {
         "bounds": {"a": instance.bounds.a, "b": instance.bounds.b},
         "risk": risk_label,

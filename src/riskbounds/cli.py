@@ -22,16 +22,7 @@ import sys
 
 import numpy as np
 
-from .bandit import (
-    BetaArm,
-    DiracArm,
-    TruncNormalArm,
-    UniformArm,
-    load_instance,
-    regret_bound,
-    run_lcb,
-    true_risk,
-)
+from .bandit import ARM_FAMILIES, load_instance, regret_bound, run_lcb, true_risk
 from .bounds import BoundMethod, UnsupportedCombinationError, bound_from_samples
 from .concentration import RadiusRule, resolve_radius_rule
 from .distributions import Distance, SampleError, SupportBounds, read_samples_csv
@@ -39,9 +30,7 @@ from .measures import CVaR, parse_risk
 
 __all__ = ["main"]
 
-
-class UsageError(Exception):
-    pass
+_METHOD_CHOICES = [m.value for m in BoundMethod] + ["all"]
 
 
 class DataError(Exception):
@@ -57,41 +46,21 @@ def _parse_bounds(text: str) -> SupportBounds:
         a_str, b_str = text.split(",")
         return SupportBounds(float(a_str), float(b_str))
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"--bounds expects 'a,b' with a < b, got {text!r}") from exc
+        raise ValueError(f"--bounds expects 'a,b' with a < b, got {text!r}") from exc
 
 
-def _parse_risk(text: str):
-    try:
-        return parse_risk(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _methods(choice: str) -> list[BoundMethod]:
+    return list(BoundMethod) if choice == "all" else [BoundMethod(choice)]
 
 
-def _parse_distance(text: str) -> Distance:
-    try:
-        return Distance(text)
-    except ValueError as exc:
-        raise UsageError(f"--distance must be 'sup' or 'w1', got {text!r}") from exc
-
-
-def _parse_methods(text: str) -> list[BoundMethod]:
-    if text == "all":
-        return [BoundMethod.DIST, BoundMethod.LLC, BoundMethod.GLC]
-    try:
-        return [BoundMethod(text)]
-    except ValueError as exc:
-        raise UsageError(f"--method must be dist|llc|glc|all, got {text!r}") from exc
-
-
-def _parse_radius_rule(text: str | None, dist_kind: Distance) -> RadiusRule:
-    try:
-        rule = None if text is None else RadiusRule(text)
-    except ValueError as exc:
-        raise UsageError(f"--radius must be dkw|fact22|scaled-dkw, got {text!r}") from exc
-    try:
-        return resolve_radius_rule(rule, dist_kind)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _parse_ball(args):
+    """The confidence-ball options as (bounds, spec, distance, methods, radius rule)."""
+    bounds = _parse_bounds(args.bounds)
+    spec = parse_risk(args.risk)
+    dist_kind = Distance(args.distance)
+    methods = _methods(args.method)
+    rule = resolve_radius_rule(None if args.radius is None else RadiusRule(args.radius), dist_kind)
+    return bounds, spec, dist_kind, methods, rule
 
 
 def _parse_arm(text: str):
@@ -99,24 +68,15 @@ def _parse_arm(text: str):
     beta:A,B | truncnormal:mu,sigma."""
     name, sep, payload = text.partition(":")
     if not sep:
-        raise UsageError(f"distribution spec {text!r} must look like 'family:params'")
+        raise ValueError(f"distribution spec {text!r} must look like 'family:params'")
     try:
         params = [float(v) for v in payload.split(",")]
     except ValueError as exc:
-        raise UsageError(f"bad numeric parameters in {text!r}") from exc
-    name = name.strip().lower()
-    try:
-        if name == "dirac" and len(params) == 1:
-            return DiracArm(params[0])
-        if name == "uniform" and len(params) == 2:
-            return UniformArm(params[0], params[1])
-        if name == "beta" and len(params) == 2:
-            return BetaArm(params[0], params[1])
-        if name == "truncnormal" and len(params) == 2:
-            return TruncNormalArm(params[0], params[1])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown distribution spec {text!r}")
+        raise ValueError(f"bad numeric parameters in {text!r}") from exc
+    cls = ARM_FAMILIES.get(name.strip().lower())
+    if cls is None or len(params) != len(dataclasses.fields(cls)):
+        raise ValueError(f"unknown distribution spec {text!r}")
+    return cls(*params)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -130,11 +90,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_ci(args) -> int:
-    bounds = _parse_bounds(args.bounds)
-    spec = _parse_risk(args.risk)
-    dist_kind = _parse_distance(args.distance)
-    methods = _parse_methods(args.method)
-    rule = _parse_radius_rule(args.radius, dist_kind)
+    bounds, spec, dist_kind, methods, rule = _parse_ball(args)
     try:
         samples = read_samples_csv(args.input, header=args.header)
     except (OSError, ValueError) as exc:
@@ -154,19 +110,15 @@ def cmd_ci(args) -> int:
 
 def cmd_sweep(args) -> int:
     arm = _parse_arm(args.dist)
-    bounds = _parse_bounds(args.bounds)
-    spec = _parse_risk(args.risk)
-    dist_kind = _parse_distance(args.distance)
-    methods = _parse_methods(args.method)
-    rule = _parse_radius_rule(args.radius, dist_kind)
+    bounds, spec, dist_kind, methods, rule = _parse_ball(args)
     try:
         n_values = [int(v) for v in args.n.split(",")]
     except ValueError as exc:
-        raise UsageError(f"--n expects integers like '100,1000', got {args.n!r}") from exc
-    if any(n <= 0 for n in n_values) or sorted(n_values) != n_values:
-        raise UsageError("--n values must be positive and increasing")
+        raise ValueError(f"--n expects integers like '100,1000', got {args.n!r}") from exc
+    if n_values[0] <= 0 or any(lo >= hi for lo, hi in zip(n_values, n_values[1:])):
+        raise ValueError("--n values must be positive and increasing")
     if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
+        raise ValueError("--seeds must be >= 1")
     arm.validate(bounds)
     truth = true_risk(arm, spec, bounds)
 
@@ -191,16 +143,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_coverage(args) -> int:
     arm = _parse_arm(args.dist)
-    bounds = _parse_bounds(args.bounds)
-    spec = _parse_risk(args.risk)
-    dist_kind = _parse_distance(args.distance)
-    methods = _parse_methods(args.method)
+    bounds, spec, dist_kind, methods, rule = _parse_ball(args)
     if len(methods) != 1:
-        raise UsageError("coverage runs one method at a time")
+        raise ValueError("coverage runs one method at a time")
     method = methods[0]
-    rule = _parse_radius_rule(args.radius, dist_kind)
     if args.n <= 0 or args.trials <= 0:
-        raise UsageError("--n and --trials must be positive")
+        raise ValueError("--n and --trials must be positive")
     arm.validate(bounds)
     truth = true_risk(arm, spec, bounds)
 
@@ -235,12 +183,8 @@ def cmd_bandit(args) -> int:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"bad instance file {args.instance}: {exc}") from exc
     if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
-    variants = (
-        [BoundMethod.DIST, BoundMethod.LLC, BoundMethod.GLC]
-        if args.variant == "all"
-        else _parse_methods(args.variant)
-    )
+        raise ValueError("--seeds must be >= 1")
+    variants = _methods(args.variant)
     os.makedirs(args.out, exist_ok=True)
 
     runs = {
@@ -286,6 +230,19 @@ def cmd_bandit(args) -> int:
     return 0
 
 
+def _add_ball_options(parser: argparse.ArgumentParser, method_default: str) -> None:
+    parser.add_argument("--bounds", required=True, help="support bounds 'a,b'")
+    parser.add_argument("--risk", required=True, help="risk spec, e.g. cvar:0.05 or erm:1")
+    parser.add_argument("--distance", default="sup", choices=[d.value for d in Distance])
+    parser.add_argument("--method", default=method_default, choices=_METHOD_CHOICES)
+    parser.add_argument("--delta", type=float, default=0.05, help="confidence failure budget")
+    parser.add_argument(
+        "--radius", choices=[r.value for r in RadiusRule],
+        help="radius rule (default: dkw for sup, scaled-dkw for w1)",
+    )
+    parser.add_argument("--out", help="write the output here instead of stdout")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskbounds",
@@ -295,49 +252,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     ci = sub.add_parser("ci", help="confidence bounds from a sample file")
     ci.add_argument("--input", required=True, help="CSV with one numeric value per line")
-    ci.add_argument("--bounds", required=True, help="support bounds 'a,b'")
-    ci.add_argument("--risk", required=True, help="risk spec, e.g. cvar:0.05 or erm:1")
-    ci.add_argument("--distance", default="sup", help="sup or w1")
-    ci.add_argument("--method", default="dist", help="dist|llc|glc|all")
-    ci.add_argument("--delta", type=float, default=0.05, help="confidence failure budget")
-    ci.add_argument("--radius", default=None, help="dkw|fact22|scaled-dkw")
+    _add_ball_options(ci, "dist")
     ci.add_argument("--header", action="store_true", help="skip the first line of the input")
-    ci.add_argument("--out", default=None, help="write JSON here instead of stdout")
     ci.set_defaults(func=cmd_ci)
 
     sweep = sub.add_parser("sweep", help="bound tightness across sample sizes")
     sweep.add_argument("--dist", required=True, help="sampling distribution, e.g. beta:2,5")
-    sweep.add_argument("--bounds", required=True)
-    sweep.add_argument("--risk", required=True)
-    sweep.add_argument("--distance", default="sup")
-    sweep.add_argument("--method", default="all")
-    sweep.add_argument("--delta", type=float, default=0.05)
-    sweep.add_argument("--radius", default=None)
+    _add_ball_options(sweep, "all")
     sweep.add_argument("--n", required=True, help="comma-separated increasing sample sizes")
     sweep.add_argument("--seeds", type=int, default=20, help="seeds per sample size")
     sweep.add_argument("--seed", type=int, default=0, help="base seed")
-    sweep.add_argument("--out", default=None, help="write CSV here instead of stdout")
     sweep.set_defaults(func=cmd_sweep)
 
     bandit = sub.add_parser("bandit", help="simulate bandit variants from an instance file")
     bandit.add_argument("--instance", required=True, help="instance JSON path")
-    bandit.add_argument("--variant", default="all", help="dist|llc|glc|all")
+    bandit.add_argument("--variant", default="all", choices=_METHOD_CHOICES)
     bandit.add_argument("--seeds", type=int, default=1, help="number of seeds (offsets from the instance seed)")
     bandit.add_argument("--out", required=True, help="output directory for traces and summaries")
     bandit.set_defaults(func=cmd_bandit)
 
     coverage = sub.add_parser("coverage", help="empirical coverage over Monte-Carlo trials")
     coverage.add_argument("--dist", required=True, help="sampling distribution, e.g. beta:2,5")
-    coverage.add_argument("--bounds", required=True)
-    coverage.add_argument("--risk", required=True)
-    coverage.add_argument("--distance", default="sup")
-    coverage.add_argument("--method", default="dist")
-    coverage.add_argument("--delta", type=float, default=0.05)
-    coverage.add_argument("--radius", default=None)
+    _add_ball_options(coverage, "dist")
     coverage.add_argument("--n", type=int, required=True, help="samples per trial")
     coverage.add_argument("--trials", type=int, required=True)
     coverage.add_argument("--seed", type=int, default=0)
-    coverage.add_argument("--out", default=None)
     coverage.set_defaults(func=cmd_coverage)
     return parser
 
@@ -350,9 +289,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except UnsupportedCombinationError as exc:
         print(f"unsupported combination: {exc}", file=sys.stderr)
         return 3
@@ -360,9 +296,10 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
-        # Domain errors the argument parsers cannot see, raised where the
-        # arguments meet each other: delta against the radius rule, n against
-        # log(1/delta), a sampling distribution against the bounds.
+        # Argparse checks flags and choices; values are checked where they
+        # are used (a risk spec by parse_risk, delta against the radius rule,
+        # a sampling distribution against the bounds). Faults in input files
+        # arrive as DataError instead.
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,9 +59,6 @@ class SupportBounds:
     def width(self) -> float:
         return self.b - self.a
 
-    def contains(self, x: np.ndarray | float) -> bool:
-        return bool(np.all(np.asarray(x) >= self.a) and np.all(np.asarray(x) <= self.b))
-
 
 def _store(obj, xs, ps, bounds, cum=None) -> None:
     """Normalize and cumulate trusted masses (unless ``cum`` is given),

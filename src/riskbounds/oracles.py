@@ -35,6 +35,8 @@ __all__ = [
 
 QUADRATURE_TOL = 1e-9
 _INITIAL_PANELS = 32
+# Random atoms each supremum-ball candidate adds to the center's interior atoms.
+ATOM_BUDGET = 4
 
 
 def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> float:
@@ -144,18 +146,13 @@ class FeasibleSampler:
 
     center: DiscreteDistribution
     ball: BallSpec
-    atom_budget: int = 4
     rng_seed: int = 0
 
-    def __post_init__(self):
-        if self.atom_budget < 0:
-            raise ValueError("atom budget must be nonnegative")
 
-
-def _sup_candidate(center: DiscreteDistribution, c: float, budget: int, rng) -> DiscreteDistribution:
+def _sup_candidate(center: DiscreteDistribution, c: float, rng) -> DiscreteDistribution:
     a, b = center.bounds.a, center.bounds.b
     interior = center.xs[center.xs < b]
-    extra = a + (b - a) * rng.random(budget)
+    extra = a + (b - a) * rng.random(ATOM_BUDGET)
     grid = np.union1d(interior, extra[extra < b])
     if grid.size == 0:
         grid = np.array([a])
@@ -199,7 +196,7 @@ def random_feasible(sampler: FeasibleSampler, count: int) -> list[DiscreteDistri
         if attempts > 50 * (count + 1):
             raise RuntimeError("feasible-candidate sampler stalled; ball too tight?")
         if ball.distance is Distance.SUPREMUM:
-            cand = _sup_candidate(center, ball.c, sampler.atom_budget, rng)
+            cand = _sup_candidate(center, ball.c, rng)
         else:
             cand = _w1_candidate(center, ball.c, rng)
         if distance(center, cand, ball.distance) <= ball.c:

@@ -25,6 +25,7 @@ from riskbounds import (
 import riskbounds.bandit as bandit_module
 from riskbounds.bandit import (
     BetaArm,
+    TruncNormalArm,
     _sorted_cvar,
     _sorted_cvar_neg_sup,
     _sorted_quantile,
@@ -117,6 +118,10 @@ class TestRunLcb:
             BanditInstance(B01, (DiracArm(0.2), DiracArm(0.8)), 1, CVaR(0.25))
         with pytest.raises(ValueError):
             BanditInstance(B01, (DiracArm(1.5),), 10, CVaR(0.25))
+        for arm in [BetaArm(math.nan, 2), BetaArm(2, math.inf), TruncNormalArm(math.nan, 0.1),
+                    TruncNormalArm(0.5, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                BanditInstance(B01, (arm,), 10, CVaR(0.25))
 
 
 class TestFastPathConsistency:

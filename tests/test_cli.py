@@ -2,16 +2,14 @@ import contextlib
 import io
 import json
 import math
-import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbounds import BoundMethod, CVaR, Distance, SupportBounds, bound_from_samples
-from riskbounds.cli import main
+from riskbounds import BoundMethod, CVaR, Distance, SupportBounds, bound_from_samples, instance_from_dict
+from riskbounds.cli import _parse_arm, build_parser, main
 
 B05 = SupportBounds(0.0, 5.0)
 
@@ -152,7 +150,8 @@ class TestSweep:
         assert ucb - lcb == pytest.approx(2 * 4.0 * c, abs=1e-12)
 
     def test_bad_n_usage(self):
-        assert main(["sweep", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "cvar:0.5", "--n", "100,50"]) == 2
+        for n in ["100,50", "3,3"]:
+            assert main(["sweep", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "cvar:0.5", "--n", n]) == 2, n
 
 
 class TestCoverage:
@@ -236,6 +235,9 @@ class TestBandit:
             [good],
             {**good, "risk": 0.25},
             {**good, "seed": -1},
+            {**good, "horizon": 99.9},
+            {**good, "seed": 2.7},
+            {**good, "arms": [{"family": "beta", "params": {"shape_a": math.nan, "shape_b": 2}}]},
         ]
         bad = tmp_path / "bad.json"
         for payload in bad_payloads:
@@ -244,6 +246,32 @@ class TestBandit:
             err = capsys.readouterr().err
             assert err.startswith("data error: ")
             assert "Traceback" not in err
+
+
+class TestParser:
+    def test_default_methods(self):
+        ball = ["--bounds", "0,1", "--risk", "cvar:0.5"]
+        cases = [
+            (["ci", "--input", "s.csv", *ball], "method", "dist"),
+            (["sweep", "--dist", "beta:2,5", *ball, "--n", "10"], "method", "all"),
+            (["coverage", "--dist", "beta:2,5", *ball, "--n", "10", "--trials", "1"], "method", "dist"),
+            (["bandit", "--instance", "i.json", "--out", "runs"], "variant", "all"),
+        ]
+        for argv, dest, default in cases:
+            assert getattr(build_parser().parse_args(argv), dest) == default, argv[0]
+
+    def test_arm_strings_match_instance_files(self):
+        pairs = [
+            ("dirac:0.3", {"family": "dirac", "params": {"x": 0.3}}),
+            ("uniform:0.1,0.9", {"family": "uniform", "params": {"lo": 0.1, "hi": 0.9}}),
+            ("beta:2,5", {"family": "beta", "params": {"shape_a": 2, "shape_b": 5}}),
+            ("truncnormal:0.4,0.1", {"family": "truncnormal", "params": {"mu": 0.4, "sigma": 0.1}}),
+        ]
+        for text, arm_obj in pairs:
+            inst = instance_from_dict(
+                {"bounds": {"a": 0, "b": 1}, "risk": "cvar:0.5", "horizon": 5, "arms": [arm_obj]}
+            )
+            assert _parse_arm(text) == inst.arms[0], text
 
 
 class TestDomainErrors:
@@ -305,13 +333,13 @@ _COMMON = {
 }
 _DISTS = (
     ["beta:2,5", "uniform:0.2,0.8", "dirac:0.5", "truncnormal:0.5,0.2"],
-    ["uniform:0.5,2", "beta:-1,2", "poisson:3", "beta"],
+    ["uniform:0.5,2", "beta:-1,2", "beta:nan,2", "truncnormal:0.5,inf", "poisson:3", "beta"],
 )
 _SEED = (["0", "7"], ["-1", "x"])
 _BY_COMMAND = {
     "sweep": {
         "--dist": _DISTS,
-        "--n": (["5,20", "1", "50", "3,3"], ["20,5", "0", "-3", "a"]),
+        "--n": (["5,20", "1", "50"], ["20,5", "3,3", "0", "-3", "a"]),
         "--seeds": (["1", "2"], ["0", "-1", "x"]),
         "--seed": _SEED,
     },

@@ -1,0 +1,37 @@
+"""Source hygiene checks that need no tool beyond the standard library."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by imports in ``path`` that the module never reads and
+    does not list in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # Package __init__ files import names to re-export them.
+    paths = [
+        p for d in ("src", "tests") for p in sorted((ROOT / d).rglob("*.py")) if p.name != "__init__.py"
+    ]
+    assert paths
+    unused = [entry for p in paths for entry in _unused_imports(p)]
+    assert unused == []

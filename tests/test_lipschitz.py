@@ -14,7 +14,7 @@ from riskbounds import (
     llc,
     neg_sup,
 )
-from riskbounds.measures import CE, ERM, RDEU, ce_power, drm_power, rdeu_power, srm_power
+from riskbounds.measures import ERM, RDEU, ce_power, drm_power, rdeu_power, srm_power
 from conftest import catalog_specs, quad_drm, random_interior_dist
 
 B05 = SupportBounds(0.0, 5.0)
