@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import betainc, betaincinv, ndtr, ndtri
+import scipy  # scipy.special loads on first use, keeping it off `import riskbounds`
 
 from .bounds import BoundMethod
 from .distributions import DiscreteDistribution, Distance, SupportBounds
@@ -132,21 +132,19 @@ class BetaArm:
         return bounds.a + bounds.width * rng.beta(self.shape_a, self.shape_b, size)
 
     def quantile(self, y, bounds):
-        return bounds.a + bounds.width * betaincinv(self.shape_a, self.shape_b, np.asarray(y, dtype=np.float64))
+        return bounds.a + bounds.width * scipy.special.betaincinv(self.shape_a, self.shape_b, np.asarray(y, dtype=np.float64))
 
     def cdf(self, x, bounds):
         z = np.clip((np.asarray(x, dtype=np.float64) - bounds.a) / bounds.width, 0.0, 1.0)
-        return betainc(self.shape_a, self.shape_b, z)
+        return scipy.special.betainc(self.shape_a, self.shape_b, z)
 
     def pdf(self, x, bounds):
-        from scipy.special import betaln, xlog1py, xlogy
-
         z = (np.asarray(x, dtype=np.float64) - bounds.a) / bounds.width
         z = np.clip(z, 0.0, 1.0)
         logpdf = (
-            xlogy(self.shape_a - 1.0, z)
-            + xlog1py(self.shape_b - 1.0, -z)
-            - betaln(self.shape_a, self.shape_b)
+            scipy.special.xlogy(self.shape_a - 1.0, z)
+            + scipy.special.xlog1py(self.shape_b - 1.0, -z)
+            - scipy.special.betaln(self.shape_a, self.shape_b)
         )
         return np.exp(logpdf) / bounds.width
 
@@ -171,8 +169,8 @@ class TruncNormalArm:
         return bounds.a, bounds.b
 
     def _phi_range(self, bounds):
-        lo = ndtr((bounds.a - self.mu) / self.sigma)
-        hi = ndtr((bounds.b - self.mu) / self.sigma)
+        lo = scipy.special.ndtr((bounds.a - self.mu) / self.sigma)
+        hi = scipy.special.ndtr((bounds.b - self.mu) / self.sigma)
         return float(lo), float(hi)
 
     def sample(self, rng, size, bounds):
@@ -184,16 +182,16 @@ class TruncNormalArm:
         # inverse normal stays smooth to machine precision near y = 0, 1.
         y = np.asarray(y, dtype=np.float64)
         lo, hi = self._phi_range(bounds)
-        lo_c = float(ndtr(-(bounds.a - self.mu) / self.sigma))
-        hi_c = float(ndtr(-(bounds.b - self.mu) / self.sigma))
+        lo_c = float(scipy.special.ndtr(-(bounds.a - self.mu) / self.sigma))
+        hi_c = float(scipy.special.ndtr(-(bounds.b - self.mu) / self.sigma))
         u = (1.0 - y) * lo + y * hi
         comp = (1.0 - y) * lo_c + y * hi_c
-        z = np.where(u <= 0.5, ndtri(np.maximum(u, 1e-300)), -ndtri(np.maximum(comp, 1e-300)))
+        z = np.where(u <= 0.5, scipy.special.ndtri(np.maximum(u, 1e-300)), -scipy.special.ndtri(np.maximum(comp, 1e-300)))
         return np.clip(self.mu + self.sigma * z, bounds.a, bounds.b)
 
     def cdf(self, x, bounds):
         lo, hi = self._phi_range(bounds)
-        z = ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
+        z = scipy.special.ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
         return np.clip((z - lo) / (hi - lo), 0.0, 1.0)
 
     def pdf(self, x, bounds):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import DiscreteDistribution, Distance, SupportBounds
 from .measures import (
@@ -38,6 +37,7 @@ from .measures import (
     _check_on_support,
     _segment_grid,
     evaluate,
+    logsumexp,
 )
 from .operators import _require_radius, neg_sup, neg_w1
 
@@ -69,7 +69,7 @@ def _deriv_at(fn, x: float) -> float:
 
 def _exp_moment_log(d: DiscreteDistribution, beta: float) -> float:
     """log integral of exp(beta x) against d, shift-stabilized."""
-    return float(logsumexp(beta * d.xs, b=d.ps))
+    return logsumexp(beta * d.xs, d.ps)
 
 
 def _require_positive_beta(beta: float) -> None:
@@ -175,7 +175,10 @@ def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c:
         else:
             log_num = beta * b
             log_den = _exp_moment_log(neg_w1(center, c), beta)
-        return math.exp(log_num - log_den)
+        try:
+            return math.exp(log_num - log_den)
+        except OverflowError:  # beyond the largest float: report inf, as glc does
+            return math.inf
     if isinstance(spec, CE):
         lowered = neg_sup(center, c) if sup else neg_w1(center, c)
         ce_low = evaluate(spec, lowered)  # u^{-1} of the lowered expected utility

@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import DiscreteDistribution
 
@@ -67,6 +66,15 @@ def _apply(fn: Callable, arr: np.ndarray) -> np.ndarray:
     return np.asarray([fn(float(v)) for v in arr], dtype=np.float64)
 
 
+def _require_cvar_level(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"CVaR level must lie in (0, 1), got {alpha}")
+    if 1.0 - alpha == 1.0:
+        # The tail starts at cumulative mass 1 - alpha; if that rounds to 1,
+        # eval_cvar's tail is empty and every value would read 0.
+        raise ValueError(f"CVaR level {alpha} is too small: 1 - alpha rounds to 1")
+
+
 @dataclass(frozen=True)
 class CVaR:
     """Conditional value at risk at tail level alpha in (0, 1)."""
@@ -74,8 +82,7 @@ class CVaR:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"CVaR level must lie in (0, 1), got {self.alpha}")
+        _require_cvar_level(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -195,8 +202,7 @@ def _check_on_support(spec: RiskMeasure, a: float, b: float) -> bool:
 
 def eval_cvar(alpha: float, d: DiscreteDistribution) -> float:
     """Mean of the worst alpha fraction of the loss distribution."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"CVaR level must lie in (0, 1), got {alpha}")
+    _require_cvar_level(alpha)
     tail = np.clip(d.cum - (1.0 - alpha), 0.0, d.ps)
     return float(tail @ d.xs) / alpha
 
@@ -229,11 +235,33 @@ def eval_drm(g, d: DiscreteDistribution) -> float:
     return d.bounds.a + float(vals @ widths)
 
 
+def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
+    """log sum_i b_i exp(a_i) for real ``a`` and positive weights ``b``.
+
+    scipy.special.logsumexp's algorithm step for step, so the result is
+    bitwise equal to it without importing scipy.special: every term equal to
+    the maximum is split off (so ties round as scipy's do), and the shifted
+    sum runs over the full-length array, so numpy's pairwise summation
+    groups the terms the same way.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        top = a == a_max
+        m = np.sum(b * top)
+        s = np.sum(b * np.exp(np.where(top, -np.inf, a) - a_max))
+        if s != 0:
+            s /= m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):  # scipy's fallback, e.g. every a_i = -inf
+            out = np.log(np.sum(b * np.exp(a)))
+    return float(out)
+
+
 def eval_erm(beta: float, d: DiscreteDistribution) -> float:
     """(1/beta) log sum_i p_i exp(beta x_i), via shifted log-sum-exp."""
     if beta == 0.0:
         raise ValueError("ERM coefficient must be nonzero; use the mean instead")
-    return float(logsumexp(beta * d.xs, b=d.ps)) / beta
+    return logsumexp(beta * d.xs, d.ps) / beta
 
 
 def eval_ce(u, u_inv, d: DiscreteDistribution) -> float:

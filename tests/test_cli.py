@@ -68,6 +68,23 @@ class TestCi:
         assert [b["method"] for b in blobs] == ["dist", "llc", "glc"]
         assert blobs[0]["ucb"] <= blobs[1]["ucb"] <= blobs[2]["ucb"] + 1e-12
 
+    def test_erm_infinite_local_constant_clamps(self, samples_csv, capsys):
+        for distance in ("sup", "w1"):
+            code = main([
+                "ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "erm:1e4",
+                "--distance", distance, "--method", "all",
+            ])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert "Traceback" not in captured.err
+            llc_blob = json.loads(captured.out)[1]
+            assert (llc_blob["method"], llc_blob["lcb"], llc_blob["ucb"]) == ("llc", 0.0, 5.0)
+
+    def test_cvar_level_below_float_resolution_usage(self, samples_csv, capsys):
+        code = main(["ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "cvar:1e-17", "--method", "all"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: CVaR level 1e-17 is too small")
+
     def test_degenerate_delta(self, samples_csv, capsys):
         code = main([
             "ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "cvar:0.5",
@@ -225,6 +242,13 @@ class TestBandit:
         assert curves[0] == "round,variant,mean_cum_regret,std_cum_regret"
         assert len(curves) == 1 + 3 * 60
 
+    def test_erm_infinite_local_constant(self, two_arm_instance, tmp_path):
+        # b - x = 0.8 and beta = 1e4: the local constant is beyond the float range
+        payload = {**json.loads(Path(two_arm_instance).read_text()), "risk": "erm:1e4"}
+        inst = tmp_path / "erm.json"
+        inst.write_text(json.dumps(payload))
+        assert main(["bandit", "--instance", str(inst), "--variant", "llc", "--out", str(tmp_path / "erm")]) == 0
+
     def test_bad_instance_is_data_error(self, two_arm_instance, tmp_path, capsys):
         good = json.loads(Path(two_arm_instance).read_text())
         bad_payloads = [
@@ -238,6 +262,7 @@ class TestBandit:
             {**good, "horizon": 99.9},
             {**good, "seed": 2.7},
             {**good, "arms": [{"family": "beta", "params": {"shape_a": math.nan, "shape_b": 2}}]},
+            {**good, "risk": "cvar:1e-17"},
         ]
         bad = tmp_path / "bad.json"
         for payload in bad_payloads:

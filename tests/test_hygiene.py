@@ -1,6 +1,8 @@
 """Source hygiene checks that need no tool beyond the standard library."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +37,13 @@ def test_no_unused_imports():
     assert paths
     unused = [entry for p in paths for entry in _unused_imports(p)]
     assert unused == []
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # Bounds need only numpy; the beta and truncated-normal arms load
+    # scipy.special when first evaluated.
+    code = "import sys, riskbounds, riskbounds.cli; print('scipy.special' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"

@@ -134,6 +134,11 @@ class TestLocalConstants:
             expected = (math.exp(beta * 1.0) - 1.0) / (beta * exp_moment)
             assert llc(ERM(beta), SUP, d, c) == pytest.approx(expected, rel=1e-10)
 
+    def test_erm_local_constant_beyond_float_range_is_inf(self):
+        # exp(beta * (b - x)) overflows for beta = 1e4; like glc, report inf
+        for dist_kind in (SUP, W1):
+            assert llc(ERM(1e4), dist_kind, EDF, 0.1) == math.inf
+
     def test_unbounded_derivative_at_the_support_edge(self):
         # top atom at b: the singular g'(0) only sits on a zero-width
         # segment, so the integral is finite (and must not become nan)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskbounds import (
     CE,
@@ -23,7 +25,7 @@ from riskbounds import (
     from_samples,
     parse_risk,
 )
-from riskbounds.measures import ce_power, drm_power, rdeu_power, srm_power
+from riskbounds.measures import ce_power, drm_power, logsumexp, rdeu_power, srm_power
 from conftest import catalog_specs, cvar_distortion, cvar_spectrum, random_interior_dist
 
 B05 = SupportBounds(0.0, 5.0)
@@ -70,6 +72,18 @@ class TestCVaR:
         for alpha in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 eval_cvar(alpha, d)
+
+    def test_level_below_float_resolution_rejected(self):
+        # 1 - alpha rounds to 1 below alpha = 2**-54: the tail would be
+        # empty and every CVaR would read 0.
+        for alpha in (1e-17, 2.0**-54):
+            with pytest.raises(ValueError, match="too small"):
+                CVaR(alpha)
+            with pytest.raises(ValueError, match="too small"):
+                parse_risk(f"cvar:{alpha!r}")
+            with pytest.raises(ValueError, match="too small"):
+                eval_cvar(alpha, from_samples([1, 2], B05))
+        assert evaluate(CVaR(1e-16), from_samples([1, 2], B05)) > 0.0
 
 
 class TestSRM:
@@ -168,6 +182,29 @@ class TestERM:
             eval_erm(0.0, TWO_POINT)
         with pytest.raises(ValueError):
             ERM(0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(st.floats(0.0, 5.0), st.floats(0.01, 1.0)),
+            min_size=1, max_size=300, unique_by=lambda atom: atom[0],
+        ),
+        beta=st.one_of(
+            st.floats(-800.0, 800.0).filter(lambda b: b != 0.0),
+            st.sampled_from([1e-300, -1e-300, 1e-320, -1e-320, 1e-323, 1e308, -1e308]),
+        ),
+    )
+    @example(atoms=[(2.0, 1.0)], beta=-3.0)  # single atom
+    @example(atoms=[(1.0, 0.3), (1.2, 0.7)], beta=1e-323)  # beta * xs ties
+    @example(atoms=[(3.0, 0.5), (4.0, 0.5)], beta=-1e308)  # every term is -inf
+    def test_logsumexp_is_bitwise_scipy(self, atoms, beta):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        weights = np.array([w for _, w in atoms])
+        d = DiscreteDistribution([x for x, _ in atoms], weights / weights.sum(), B05)
+        with np.errstate(over="ignore"):
+            a = beta * d.xs
+        assert logsumexp(a, d.ps) == float(scipy_logsumexp(a, b=d.ps))
 
 
 class TestCE:
