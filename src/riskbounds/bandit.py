@@ -91,9 +91,6 @@ class UniformArm:
     def as_discrete(self, bounds):
         return None
 
-    def support(self, bounds: SupportBounds):
-        return self.lo, self.hi
-
     def sample(self, rng, size, bounds):
         return self.lo + (self.hi - self.lo) * rng.random(size)
 
@@ -102,11 +99,6 @@ class UniformArm:
 
     def cdf(self, x, bounds):
         return np.clip((np.asarray(x, dtype=np.float64) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def pdf(self, x, bounds):
-        x = np.asarray(x, dtype=np.float64)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,9 +117,6 @@ class BetaArm:
     def as_discrete(self, bounds):
         return None
 
-    def support(self, bounds: SupportBounds):
-        return bounds.a, bounds.b
-
     def sample(self, rng, size, bounds):
         return bounds.a + bounds.width * rng.beta(self.shape_a, self.shape_b, size)
 
@@ -137,16 +126,6 @@ class BetaArm:
     def cdf(self, x, bounds):
         z = np.clip((np.asarray(x, dtype=np.float64) - bounds.a) / bounds.width, 0.0, 1.0)
         return scipy.special.betainc(self.shape_a, self.shape_b, z)
-
-    def pdf(self, x, bounds):
-        z = (np.asarray(x, dtype=np.float64) - bounds.a) / bounds.width
-        z = np.clip(z, 0.0, 1.0)
-        logpdf = (
-            scipy.special.xlogy(self.shape_a - 1.0, z)
-            + scipy.special.xlog1py(self.shape_b - 1.0, -z)
-            - scipy.special.betaln(self.shape_a, self.shape_b)
-        )
-        return np.exp(logpdf) / bounds.width
 
 
 @dataclass(frozen=True)
@@ -164,9 +143,6 @@ class TruncNormalArm:
 
     def as_discrete(self, bounds):
         return None
-
-    def support(self, bounds: SupportBounds):
-        return bounds.a, bounds.b
 
     def _phi_range(self, bounds):
         lo = scipy.special.ndtr((bounds.a - self.mu) / self.sigma)
@@ -193,14 +169,6 @@ class TruncNormalArm:
         lo, hi = self._phi_range(bounds)
         z = scipy.special.ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
         return np.clip((z - lo) / (hi - lo), 0.0, 1.0)
-
-    def pdf(self, x, bounds):
-        lo, hi = self._phi_range(bounds)
-        x = np.asarray(x, dtype=np.float64)
-        z = (x - self.mu) / self.sigma
-        dens = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi) * (hi - lo))
-        inside = (x >= bounds.a) & (x <= bounds.b)
-        return np.where(inside, dens, 0.0)
 
 
 @dataclass(frozen=True)

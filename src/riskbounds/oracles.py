@@ -9,11 +9,10 @@ Two services, both deliberately decoupled from the production bound paths:
   transports with total cost within the radius. Every candidate is checked
   feasible with the exact distance before it is emitted.
 - ``quadrature_risk``: risk values of parametric (continuous) arm
-  distributions by adaptive refinement of the defining integral, quantile
-  form for tail/spectral measures, CDF form for distortion/rank-dependent
-  measures, and density expectation form for the utility-based ones.
-  Refinement doubles the panel count until successive values agree to
-  1e-9. Atomic arms short-circuit to exact evaluation.
+  distributions by adaptive Simpson refinement of the defining integral to
+  1e-9: over the loss quantile on (0, 1) for CVaR, SRM, ERM and CE, over
+  the loss CDF on [a, b] for DRM and RDEU. Atomic arms short-circuit to
+  exact evaluation.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ __all__ = [
 
 QUADRATURE_TOL = 1e-9
 _INITIAL_PANELS = 32
+# Open panels refined per integrand call, and panels refined per integral.
+_BATCH_PANELS, _MAX_PANELS = 1 << 15, 1 << 22
 # Random atoms each supremum-ball candidate adds to the center's interior atoms.
 ATOM_BUDGET = 4
 
@@ -44,98 +45,103 @@ def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> 
     its coarse and refined estimates compared) until the refinements agree
     within the panel's share of ``tol``.
 
+    ``fn`` maps an array of points to an array of the same shape. Each
+    refinement level evaluates it once, on the new points of every panel
+    still open (in batches of up to 2^15 panels), and no point twice.
+
     Quantile integrands of bounded distributions often carry a thin
     near-vertical layer at the support edge where the density vanishes;
     per-panel refinement resolves the layer without wasting panels on the
     smooth bulk. Panels narrower than the float grid are accepted as-is;
-    the leftover disagreement is tracked and reported if it ever exceeds
-    the requested tolerance.
+    the leftover disagreement is tracked and reported if it exceeds the
+    requested tolerance. So is an integrand that needs over 2^22 panels.
     """
     if hi <= lo:
         return 0.0
 
-    def f(x: float) -> float:
-        val = float(np.asarray(fn(np.asarray([x], dtype=np.float64)))[0])
-        if not np.isfinite(val):
-            raise RuntimeError(f"integrand not finite at {x}")
-        return val
+    def f(x: np.ndarray) -> np.ndarray:
+        vals = np.asarray(fn(x), dtype=np.float64)
+        if not np.isfinite(vals).all():
+            raise RuntimeError(f"integrand not finite at {x[np.argmin(np.isfinite(vals))]}")
+        return vals
 
-    def simpson(a: float, b: float, fa: float, fm: float, fb: float) -> float:
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    def simpson(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        return (x[:, 2] - x[:, 0]) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
 
+    n = _INITIAL_PANELS
     width_floor = max(1e-14, (hi - lo) * 1e-13)
     # Seed with a uniform partition so narrow features away from the
     # endpoints are not missed by a single top-level panel.
-    grid = np.linspace(lo, hi, _INITIAL_PANELS + 1)
-    stack = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        fa, fb = f(a), f(b)
-        m = 0.5 * (a + b)
-        fm = f(m)
-        stack.append((a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol / _INITIAL_PANELS))
+    grid = np.linspace(lo, hi, n + 1)
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    vals = f(np.concatenate((grid, mid)))
+    # One row per open panel: left edge, midpoint, right edge. A batch of rows
+    # shares one depth, so its panels share one slice t of the tolerance.
+    x = np.stack((grid[:-1], mid, grid[1:]), axis=1)
+    batches = [(x, np.stack((vals[:n], vals[n + 1:], vals[1:n + 1]), axis=1), tol / n)]
+    failed = f"quadrature failed to resolve [{lo}, {hi}] to {tol}"
+    edges, parts, refined, unresolved = [], [], 0, 0.0
+    while batches:
+        x, fx, t = batches.pop()
+        if len(x) > _BATCH_PANELS:  # refine depth-first so memory stays bounded
+            batches.append((x[_BATCH_PANELS:], fx[_BATCH_PANELS:], t))
+            x, fx = x[:_BATCH_PANELS], fx[:_BATCH_PANELS]
+        refined += len(x)
+        if refined > _MAX_PANELS:
+            raise RuntimeError(f"{failed} in {_MAX_PANELS} panels")
+        # Bisect every open panel: five points, the quarter points new.
+        x5, f5 = np.empty((len(x), 5)), np.empty((len(x), 5))
+        x5[:, ::2], f5[:, ::2] = x, fx
+        x5[:, 1::2] = 0.5 * (x[:, :2] + x[:, 1:])
+        f5[:, 1::2] = f(x5[:, 1::2].ravel()).reshape(-1, 2)
+        left, right = simpson(x5[:, :3], f5[:, :3]), simpson(x5[:, 2:], f5[:, 2:])
+        err = left + right - simpson(x, fx)
+        resolved = np.abs(err) <= 15.0 * t
+        done = resolved | (x[:, 2] - x[:, 0] <= width_floor)
+        edges.append(x[done, 0])
+        parts.append((left + right + err / 15.0)[done])
+        unresolved += float(np.abs(err[done & ~resolved]).sum())
+        if not done.all():
+            go = ~done  # each open panel splits into its two halves
+            x, fx = np.concatenate((x5[go, :3], x5[go, 2:])), np.concatenate((f5[go, :3], f5[go, 2:]))
+            batches.append((x, fx, t / 2.0))
 
-    total = 0.0
-    unresolved = 0.0
-    while stack:
-        a, b, fa, fm, fb, coarse, t = stack.pop()
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        err = left + right - coarse
-        if abs(err) <= 15.0 * t or (b - a) <= width_floor:
-            total += left + right + err / 15.0
-            if abs(err) > 15.0 * t:
-                unresolved += abs(err)
-        else:
-            stack.append((a, m, fa, flm, fm, left, t / 2.0))
-            stack.append((m, b, fm, frm, fb, right, t / 2.0))
+    # A sequential sum from the rightmost panel leftwards, the order of a
+    # depth-first refinement that splits the right half first.
+    order = np.argsort(np.concatenate(edges))[::-1]
+    total = float(np.cumsum(np.concatenate(parts)[order])[-1])
     if unresolved > tol:
-        raise RuntimeError(
-            f"quadrature failed to resolve [{lo}, {hi}] to {tol}; leftover {unresolved}"
-        )
-    return float(total)
+        raise RuntimeError(f"{failed}; leftover {unresolved}")
+    return total
 
 
 def quadrature_risk(arm, spec: RiskMeasure, bounds: SupportBounds) -> float:
     """Risk of a parametric arm distribution, independent of the discrete
-    evaluators. Atomic arms (point masses, explicit atom lists) are exact."""
+    evaluators. Atomic arms (point masses, explicit atom lists) are exact; a
+    continuous arm needs only ``quantile`` and ``cdf``, arrays to arrays."""
     exact = arm.as_discrete(bounds)
     if exact is not None:
         return evaluate(spec, exact)
 
     a, b = bounds.a, bounds.b
     if isinstance(spec, CVaR):
-        alpha = spec.alpha
-        val = refining_integral(lambda y: arm.quantile(y, bounds), 1.0 - alpha, 1.0)
-        return val / alpha
+        return refining_integral(lambda y: arm.quantile(y, bounds), 1.0 - spec.alpha, 1.0) / spec.alpha
     if isinstance(spec, SRM):
-        return refining_integral(
-            lambda y: _apply(spec.phi, y) * arm.quantile(y, bounds), 0.0, 1.0
-        )
+        return refining_integral(lambda y: _apply(spec.phi, y) * arm.quantile(y, bounds), 0.0, 1.0)
     if isinstance(spec, DRM):
-        return a + refining_integral(
-            lambda x: _apply(spec.g, 1.0 - arm.cdf(x, bounds)), a, b
-        )
+        return a + refining_integral(lambda x: _apply(spec.g, 1.0 - arm.cdf(x, bounds)), a, b)
     if isinstance(spec, RDEU):
         v_at_b = float(_apply(spec.v, np.array([b]))[0])
-        correction = refining_integral(
-            lambda x: _apply(spec.w, arm.cdf(x, bounds)) * _apply(spec.v_prime, x), a, b
-        )
+        correction = refining_integral(lambda x: _apply(spec.w, arm.cdf(x, bounds)) * _apply(spec.v_prime, x), a, b)
         return v_at_b - correction
-    lo, hi = arm.support(bounds)
     if isinstance(spec, ERM):
         beta = spec.beta
+        lo, hi = arm.quantile(np.array([0.0, 1.0]), bounds).tolist()
         shift = beta * (hi if beta > 0 else lo)  # keep the exponential moment in range
-        moment = refining_integral(
-            lambda x: np.exp(beta * x - shift) * arm.pdf(x, bounds), lo, hi
-        )
-        return (np.log(moment) + shift) / beta
+        moment = refining_integral(lambda y: np.exp(beta * arm.quantile(y, bounds) - shift), 0.0, 1.0)
+        return float((np.log(moment) + shift) / beta)
     if isinstance(spec, CE):
-        expected = refining_integral(
-            lambda x: _apply(spec.u, x) * arm.pdf(x, bounds), lo, hi
-        )
+        expected = refining_integral(lambda y: _apply(spec.u, arm.quantile(y, bounds)), 0.0, 1.0)
         return float(_apply(spec.u_inv, np.array([expected]))[0])
     raise TypeError(f"not a risk measure spec: {spec!r}")
 

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,17 @@ class TestCoverage:
         blob = json.loads(capsys.readouterr().out)
         assert 0.0 <= blob["coverage"] <= 1.0
 
+    @pytest.mark.parametrize("risk", ["erm:1", "ce-power:2"])
+    def test_beta_shape_below_one(self, risk, capsys):
+        # beta(0.5, 2) has an infinite density at 0; its true risk comes from the quantile.
+        if risk == "erm:1":
+            closed = float(mpmath.log(mpmath.hyp1f1(0.5, 2.5, 1.0)))
+        else:
+            closed = math.sqrt(0.5 * 1.5 / (2.5 * 3.5))  # E[Z^2] = A(A+1) / ((A+B)(A+B+1))
+        code = main(["coverage", "--dist", "beta:0.5,2", "--bounds", "0,1", "--risk", risk, "--n", "50", "--trials", "3"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["true_risk"] == pytest.approx(closed, abs=1e-9)
+
     def test_small_beta_run(self, capsys):
         code = main([
             "coverage", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "cvar:0.1",
@@ -357,7 +369,7 @@ _COMMON = {
     "--delta": (["0.05", "0.5", "1", "2"], ["3", "0", "-0.1", "nan", "x"]),
 }
 _DISTS = (
-    ["beta:2,5", "uniform:0.2,0.8", "dirac:0.5", "truncnormal:0.5,0.2"],
+    ["beta:2,5", "beta:0.5,2", "uniform:0.2,0.8", "dirac:0.5", "truncnormal:0.5,0.2"],
     ["uniform:0.5,2", "beta:-1,2", "beta:nan,2", "truncnormal:0.5,inf", "poisson:3", "beta"],
 )
 _SEED = (["0", "7"], ["-1", "x"])
