@@ -72,6 +72,6 @@ from .measures import (
     srm_power,
 )
 from .operators import BallSpec, WaterFillTrace, neg_sup, neg_w1, pos_sup, pos_w1
-from .oracles import FeasibleSampler, quadrature_risk, random_feasible
+from .oracles import FeasibleSampler, QuadratureError, quadrature_risk, random_feasible
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .bounds import BoundMethod, UnsupportedCombinationError, bound_from_samples
 from .concentration import RadiusRule, resolve_radius_rule
 from .distributions import Distance, SampleError, SupportBounds, read_samples_csv
 from .measures import CVaR, parse_risk
+from .oracles import QuadratureError
 
 __all__ = ["main"]
 
@@ -187,13 +188,16 @@ def cmd_bandit(args) -> int:
     variants = _methods(args.variant)
     os.makedirs(args.out, exist_ok=True)
 
-    runs = {
-        variant: [
-            run_lcb(dataclasses.replace(instance, seed=instance.seed + seed_idx), variant)
-            for seed_idx in range(args.seeds)
-        ]
-        for variant in variants
-    }
+    try:
+        runs = {
+            variant: [
+                run_lcb(dataclasses.replace(instance, seed=instance.seed + seed_idx), variant)
+                for seed_idx in range(args.seeds)
+            ]
+            for variant in variants
+        }
+    except QuadratureError as exc:  # the instance's arms and risk define the integral
+        raise DataError(str(exc)) from exc
 
     summary = {"instance": os.path.abspath(args.instance), "seeds": args.seeds, "variants": {}}
     curve_lines = ["round,variant,mean_cum_regret,std_cum_regret"]
@@ -295,11 +299,13 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, QuadratureError) as exc:
         # Argparse checks flags and choices; values are checked where they
         # are used (a risk spec by parse_risk, delta against the radius rule,
-        # a sampling distribution against the bounds). Faults in input files
-        # arrive as DataError instead.
+        # a sampling distribution against the bounds). A true risk that the
+        # quadrature cannot resolve is a fault of the sampling distribution,
+        # risk and bounds given. Faults in input files arrive as DataError
+        # instead.
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,9 @@ convention F^{-1}(y) = inf{x : F(x) >= y}, with no interpolation.
 
 from __future__ import annotations
 
+import itertools
 import json
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -33,6 +35,9 @@ __all__ = [
 MASS_SUM_TOL = 1e-9
 # Masses this far below zero are treated as cancellation dust and clipped.
 _NEG_MASS_TOL = 1e-12
+# Lines that read_samples_csv hands numpy at a time: bounds the memory held
+# as line strings and the work redone when a block needs the per-line loop.
+_BLOCK_LINES = 1 << 16
 
 
 class Distance(Enum):
@@ -326,19 +331,68 @@ def dominates(d1: DiscreteDistribution, d2: DiscreteDistribution, tol: float = 0
 
 
 def read_samples_csv(path: str, header: bool = False) -> np.ndarray:
-    """Read one numeric value per line; ``header`` skips the first line."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if header and lineno == 1:
-                continue
-            text = line.strip().rstrip(",")
-            if not text:
-                continue
+    """Read a UTF-8 file of one value per line in Python ``float()`` syntax.
+
+    Whitespace around a value, blank lines and trailing commas are ignored;
+    ``header`` skips line 1. Anything else raises ``ValueError`` naming the
+    line, as does a file with no values; a file that cannot be opened or
+    decoded raises ``OSError`` or ``UnicodeDecodeError``.
+
+    The file is read once, front to back, so pipes and FIFOs work, in blocks
+    of ``_BLOCK_LINES`` lines; see ``_parse_lines`` for how a block is
+    parsed. numpy gets the lines, never the path: from a path it would also
+    decompress ``.gz``/``.bz2``/``.xz`` files, open ``x.csv.gz`` in place of
+    a missing ``x.csv`` and download URLs.
+    """
+    parts, first = [], 1
+    with open(path, encoding="utf-8") as fh:
+        while True:
+            block, fault = [], None
             try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
-    if not values:
+                for line in itertools.islice(fh, _BLOCK_LINES):
+                    block.append(line)
+            except (OSError, UnicodeDecodeError) as exc:
+                fault = exc  # a bad line read before it is reported first
+            parts.append(_parse_lines(path, block, first, header))
+            if fault is not None:
+                raise fault
+            if len(block) < _BLOCK_LINES:
+                break
+            first += len(block)
+    values = np.concatenate(parts)
+    if not values.size:
         raise ValueError(f"{path}: no samples found")
+    return values
+
+
+def _parse_lines(path: str, lines: list[str], first: int, header: bool) -> np.ndarray:
+    """The values on ``lines``, which are lines ``first``, ``first + 1``, ...
+    of ``path``.
+
+    numpy's C reader takes the common case, lines it reads as one column of
+    at least one row; it converts each field as ``float()`` does, so the
+    values are bitwise equal. Any other block (extra columns, trailing
+    commas, ``1_0``, a bad line, no values) goes to the per-line loop, which
+    alone decides acceptance and messages, and costs a second parse of the
+    block only.
+    """
+    skip = int(header and first == 1)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(lines, dtype=np.float64, comments=None, skiprows=skip, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if table.shape[0] and table.shape[1] == 1:
+            return table[:, 0]
+    values = []
+    for lineno, line in enumerate(lines[skip:], start=first + skip):
+        text = line.strip().rstrip(",")
+        if not text:
+            continue
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
     return np.asarray(values, dtype=np.float64)

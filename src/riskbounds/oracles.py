@@ -27,6 +27,7 @@ from .operators import BallSpec
 
 __all__ = [
     "FeasibleSampler",
+    "QuadratureError",
     "random_feasible",
     "quadrature_risk",
     "refining_integral",
@@ -38,6 +39,10 @@ _INITIAL_PANELS = 32
 _BATCH_PANELS, _MAX_PANELS = 1 << 15, 1 << 22
 # Random atoms each supremum-ball candidate adds to the center's interior atoms.
 ATOM_BUDGET = 4
+
+
+class QuadratureError(RuntimeError):
+    """An integral that ``refining_integral`` cannot resolve to its tolerance."""
 
 
 def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> float:
@@ -62,7 +67,7 @@ def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> 
     def f(x: np.ndarray) -> np.ndarray:
         vals = np.asarray(fn(x), dtype=np.float64)
         if not np.isfinite(vals).all():
-            raise RuntimeError(f"integrand not finite at {x[np.argmin(np.isfinite(vals))]}")
+            raise QuadratureError(f"integrand not finite at {x[np.argmin(np.isfinite(vals))]}")
         return vals
 
     def simpson(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
@@ -88,7 +93,7 @@ def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> 
             x, fx = x[:_BATCH_PANELS], fx[:_BATCH_PANELS]
         refined += len(x)
         if refined > _MAX_PANELS:
-            raise RuntimeError(f"{failed} in {_MAX_PANELS} panels")
+            raise QuadratureError(f"{failed} in {_MAX_PANELS} panels")
         # Bisect every open panel: five points, the quarter points new.
         x5, f5 = np.empty((len(x), 5)), np.empty((len(x), 5))
         x5[:, ::2], f5[:, ::2] = x, fx
@@ -111,7 +116,7 @@ def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> 
     order = np.argsort(np.concatenate(edges))[::-1]
     total = float(np.cumsum(np.concatenate(parts)[order])[-1])
     if unresolved > tol:
-        raise RuntimeError(f"{failed}; leftover {unresolved}")
+        raise QuadratureError(f"{failed}; leftover {unresolved}")
     return total
 
 

@@ -335,6 +335,40 @@ class TestDomainErrors:
         assert "Traceback" not in err
 
 
+class TestQuadratureFailure:
+    """A true risk the quadrature cannot resolve is a fault of the arguments
+    (sweep, coverage) or of the instance file (bandit), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["coverage", "--dist", "beta:2,5", "--bounds", "0,1000", "--risk", "rdeu-power:3,3", "--n", "5",
+              "--trials", "1"], "quadrature failed to resolve [0.0, 1000.0] to 1e-09 in 4194304 panels\n"),
+            (["sweep", "--dist", "uniform:0.1,0.9", "--bounds", "0,1e8", "--risk", "rdeu-power:3,3", "--n", "5",
+              "--seeds", "1"], "quadrature failed to resolve [0.0, 100000000.0] to 1e-09; leftover "),
+        ],
+        ids=["coverage", "sweep"],
+    )
+    def test_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}") and err.count("\n") == 1, err
+
+    def test_instance_file_data_error(self, two_arm_instance, tmp_path, capsys):
+        payload = {
+            **json.loads(Path(two_arm_instance).read_text()),
+            "bounds": {"a": 0.0, "b": 1e8},
+            "risk": "rdeu-power:3,3",
+            "arms": [{"family": "uniform", "params": {"lo": 0.1, "hi": 0.9}}],
+        }
+        inst = tmp_path / "wide.json"
+        inst.write_text(json.dumps(payload))
+        assert main(["bandit", "--instance", str(inst), "--out", str(tmp_path / "x")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error: quadrature failed to resolve [0.0, 100000000.0] to 1e-09; leftover ")
+        assert err.count("\n") == 1, err
+
+
 @pytest.fixture(scope="module")
 def grammar_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("grammar")

@@ -1,8 +1,11 @@
+import gzip
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskbounds import (
@@ -14,6 +17,7 @@ from riskbounds import (
     from_samples,
     read_samples_csv,
 )
+from riskbounds import distributions
 from riskbounds.bandit import _edf_sorted
 from conftest import assert_bitwise_equal, assert_invariants, random_interior_dist, validated_builds
 
@@ -236,6 +240,72 @@ class TestTrustedBuilds:
             assert_bitwise_equal(DiscreteDistribution.dirac(x, B05), ref)
 
 
+def _line_loop_reader(path, header=False):
+    """The per-line reader that ``read_samples_csv`` falls back to, as it was
+    before numpy's C reader took the common case: the reference for its
+    values and its messages."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if header and lineno == 1:
+                continue
+            text = line.strip().rstrip(",")
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
+    if not values:
+        raise ValueError(f"{path}: no samples found")
+    return np.asarray(values, dtype=np.float64)
+
+
+def _read_outcome(read, path, header):
+    try:
+        return read(path, header)
+    except (OSError, ValueError) as exc:
+        return exc
+
+
+_SIGN = st.sampled_from(["", "+", "-"])
+_PAD = st.text(alphabet=" \t", max_size=2)
+_VALUE = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.builds("{}{}e{}{}".format, st.integers(0, 999), st.sampled_from(["", ".", ".5"]), _SIGN, st.integers(0, 400)),
+    st.sampled_from(["inf", "Infinity", "nan", "NaN", ".5", "5."]),
+)
+_CLEAN_LINE = st.builds("{}{}{}{}".format, _PAD, _SIGN, _VALUE, _PAD)
+_MESSY_LINE = st.one_of(
+    st.builds("{}{}".format, _CLEAN_LINE, st.text(alphabet=",", min_size=1, max_size=2)),
+    st.builds(
+        "{}{}{}".format,
+        _PAD, st.sampled_from(["1_0", "\uff11", "#", "#1", "1 2", "1\t2", "1,2", "1e", "x", ""]), _PAD,
+    ),
+    _CLEAN_LINE,
+)
+
+
+@st.composite
+def _sample_files(draw):
+    """Bytes of a sample file. Clean files hold numbers in every syntax numpy
+    and ``float()`` share, with padding and mixed line ends; messy ones add
+    blank lines, trailing commas, tokens only ``float()`` reads, tokens
+    neither reads, and sometimes a byte that is not UTF-8."""
+    messy = draw(st.booleans())
+    lines = draw(st.lists(_MESSY_LINE if messy else _CLEAN_LINE, max_size=6))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    body = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        body = body[: -len(ends[-1])]  # no line end after the last line
+    data = body.encode("utf-8")
+    if messy and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         d = from_samples([1, 2, 2, 4], B05)
@@ -252,5 +322,82 @@ class TestSerialization:
         assert list(vals) == [1.5, 2.5, 3.5]
 
     def test_csv_reader_missing(self, tmp_path):
-        with pytest.raises(OSError):
+        # A compressed sibling must not stand in for the missing file.
+        with gzip.open(tmp_path / "nope.csv.gz", "wt") as fh:
+            fh.write("1.5\n2.5\n")
+        with pytest.raises(FileNotFoundError, match=r"\[Errno 2\] No such file or directory"):
             read_samples_csv(str(tmp_path / "nope.csv"))
+
+    def test_csv_reader_does_not_decompress(self, tmp_path):
+        # A .gz file is read as the bytes it holds: its 0x8b magic byte is
+        # not UTF-8.
+        path = tmp_path / "x.csv.gz"
+        with gzip.open(path, "wt") as fh:
+            fh.write("1.5\n2.5\n")
+        with pytest.raises(UnicodeDecodeError, match="0x8b in position 1"):
+            read_samples_csv(str(path))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize(
+        "body",
+        [b"1.5\n2.5\n", b"0.45\n67,\n1_0\n", b"1.5\n2.5\nx\n", b"value\n", b""],
+        ids=["clean", "lenient", "bad-line", "one-line", "empty"],
+    )
+    def test_csv_reader_pipe(self, body, header):
+        # A pipe cannot be rewound, so the reader must parse the stream in
+        # its one pass, whichever lines numpy rejects.
+        outcomes = []
+        for read in (read_samples_csv, _line_loop_reader):
+            r, w = os.pipe()
+            try:
+                os.write(w, body)
+                os.close(w)
+                path = f"/dev/fd/{r}"
+                got = _read_outcome(read, path, header)
+            finally:
+                os.close(r)
+            outcomes.append(got if isinstance(got, np.ndarray) else (type(got), str(got).replace(path, "<pipe>")))
+        got, want = outcomes
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    @pytest.mark.parametrize("bad_line", [False, True])
+    def test_csv_reader_decode_error_after_lines(self, tmp_path, block, bad_line):
+        # The undecodable byte lies past the first 8 KiB that are decoded at
+        # once, so the lines before it are read first; a bad one among them
+        # is reported instead, as the line loop does.
+        lines = ["0.125"] * 2000
+        if bad_line:
+            lines[1] = "x"
+        path = tmp_path / "late.csv"
+        path.write_bytes("\n".join(lines).encode() + b"\n\xff\n")
+        with mock.patch.object(distributions, "_BLOCK_LINES", block):
+            got = _read_outcome(read_samples_csv, str(path), False)
+        want = _read_outcome(_line_loop_reader, str(path), False)
+        assert isinstance(want, ValueError if bad_line else UnicodeDecodeError)
+        assert (type(got), str(got)) == (type(want), str(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_sample_files(), header=st.booleans(), block=st.sampled_from([1, 2, 3, 1 << 16]))
+    @example(body=b"1 2\n3 4\n", header=False, block=1 << 16)
+    @example(body=b"value\n", header=True, block=1 << 16)
+    @example(body=b"1.5,\n2.5\n", header=False, block=1 << 16)
+    @example(body="1_0\n\uff11\n".encode(), header=False, block=1 << 16)
+    @example(body=b"value\n1.5\n,\n2.5\n", header=True, block=1)
+    def test_csv_reader_matches_line_loop(self, tmp_path_factory, body, header, block):
+        # Blocks of a few lines put block edges between the drawn lines.
+        path = str(tmp_path_factory.mktemp("reader") / "samples.csv")
+        with open(path, "wb") as fh:
+            fh.write(body)
+        with mock.patch.object(distributions, "_BLOCK_LINES", block):
+            got = _read_outcome(read_samples_csv, path, header)
+        want = _read_outcome(_line_loop_reader, path, header)
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -22,7 +22,7 @@ from riskbounds import (
 from riskbounds.bandit import BetaArm, DiracArm, DiscreteArm, TruncNormalArm, UniformArm, true_risk
 from riskbounds import oracles
 from riskbounds.measures import ce_power, drm_power, rdeu_power, srm_power
-from riskbounds.oracles import refining_integral
+from riskbounds.oracles import QuadratureError, refining_integral
 from conftest import random_interior_dist
 
 B01 = SupportBounds(0.0, 1.0)
@@ -149,20 +149,20 @@ class TestQuadrature:
             with np.errstate(divide="ignore"):
                 return 1.0 / np.asarray(x)
 
-        with pytest.raises(RuntimeError, match="finite"):
+        with pytest.raises(QuadratureError, match="finite"):
             refining_integral(inverse, 0.0, 1.0)
 
     def test_refining_integral_rejects_unresolved_singularity(self):
         # 1/|x - 0.3| is not integrable: the panels around 0.3 reach the
         # width floor with their disagreement still above the tolerance.
-        with pytest.raises(RuntimeError, match="failed to resolve"):
+        with pytest.raises(QuadratureError, match="failed to resolve"):
             refining_integral(lambda x: 1.0 / np.abs(x - 0.3), 0.0, 1.0)
 
     def test_refining_integral_rejects_runaway_refinement(self):
         # Noise above the tolerance never settles, so every panel splits
         # down to the width floor until the panel budget runs out.
         rng = np.random.default_rng(0)
-        with pytest.raises(RuntimeError, match="failed to resolve .* panels"):
+        with pytest.raises(QuadratureError, match="failed to resolve .* panels"):
             refining_integral(lambda x: 1.0 + 1e-7 * rng.standard_normal(x.shape), 0.0, 1.0)
 
     def test_refining_integral_one_call_per_level(self):
