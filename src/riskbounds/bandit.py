@@ -128,6 +128,18 @@ class BetaArm:
         return scipy.special.betainc(self.shape_a, self.shape_b, z)
 
 
+@lru_cache(maxsize=None)
+def _normal_ends(mu: float, sigma: float, a: float, b: float) -> tuple[float, float, float, float]:
+    """Normal(mu, sigma) probabilities below a and b, then their complements."""
+    ndtr = scipy.special.ndtr
+    return (
+        float(ndtr((a - mu) / sigma)),
+        float(ndtr((b - mu) / sigma)),
+        float(ndtr(-(a - mu) / sigma)),
+        float(ndtr(-(b - mu) / sigma)),
+    )
+
+
 @dataclass(frozen=True)
 class TruncNormalArm:
     """Normal(mu, sigma) truncated to the instance support [a, b]."""
@@ -140,33 +152,45 @@ class TruncNormalArm:
             raise ValueError("truncated normal needs sigma > 0")
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValueError("truncated normal needs a finite mu and sigma")
+        lo, hi, lo_c, hi_c = self._ends(bounds)
+        if hi == lo and hi_c == lo_c:
+            raise ValueError(
+                f"truncated normal ({self.mu}, {self.sigma}) has no probability mass inside {bounds}"
+            )
 
     def as_discrete(self, bounds):
         return None
 
-    def _phi_range(self, bounds):
-        lo = scipy.special.ndtr((bounds.a - self.mu) / self.sigma)
-        hi = scipy.special.ndtr((bounds.b - self.mu) / self.sigma)
-        return float(lo), float(hi)
+    def _ends(self, bounds):
+        return _normal_ends(self.mu, self.sigma, bounds.a, bounds.b)
 
     def sample(self, rng, size, bounds):
-        return self.quantile(rng.random(size), bounds)
+        if size != 1:
+            return self.quantile(rng.random(size), bounds)
+        # One draw, as the bandit makes each round: the branch of `quantile`
+        # that its np.where keeps, on Python floats, with the same value.
+        y = rng.random()
+        lo, hi, lo_c, hi_c = self._ends(bounds)
+        u = (1.0 - y) * lo + y * hi
+        if u <= 0.5:
+            z = float(scipy.special.ndtri(max(u, 1e-300)))
+        else:
+            z = -float(scipy.special.ndtri(max((1.0 - y) * lo_c + y * hi_c, 1e-300)))
+        return np.array([min(max(self.mu + self.sigma * z, bounds.a), bounds.b)])
 
     def quantile(self, y, bounds):
         # Convex combinations of the endpoint probabilities and of their
         # complements keep full relative precision in both tails, so the
         # inverse normal stays smooth to machine precision near y = 0, 1.
         y = np.asarray(y, dtype=np.float64)
-        lo, hi = self._phi_range(bounds)
-        lo_c = float(scipy.special.ndtr(-(bounds.a - self.mu) / self.sigma))
-        hi_c = float(scipy.special.ndtr(-(bounds.b - self.mu) / self.sigma))
+        lo, hi, lo_c, hi_c = self._ends(bounds)
         u = (1.0 - y) * lo + y * hi
         comp = (1.0 - y) * lo_c + y * hi_c
         z = np.where(u <= 0.5, scipy.special.ndtri(np.maximum(u, 1e-300)), -scipy.special.ndtri(np.maximum(comp, 1e-300)))
         return np.clip(self.mu + self.sigma * z, bounds.a, bounds.b)
 
     def cdf(self, x, bounds):
-        lo, hi = self._phi_range(bounds)
+        lo, hi, _, _ = self._ends(bounds)
         z = scipy.special.ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
         return np.clip((z - lo) / (hi - lo), 0.0, 1.0)
 
@@ -297,6 +321,9 @@ def _sorted_cvar_neg_sup(arr: np.ndarray, alpha: float, c: float, a: float) -> f
     return (base + integral) / alpha
 
 
+_INITIAL_CAPACITY = 16
+
+
 def run_lcb(instance: BanditInstance, variant: BoundMethod | str = BoundMethod.DIST) -> RegretTrace:
     """Simulate the lower-confidence-bound policy for one seed."""
     variant = BoundMethod(variant) if isinstance(variant, str) else variant
@@ -311,13 +338,16 @@ def run_lcb(instance: BanditInstance, variant: BoundMethod | str = BoundMethod.D
     glc_const = glc(spec, Distance.SUPREMUM, bounds) if variant is BoundMethod.GLC else None
     fast_cvar = isinstance(spec, CVaR)
 
-    samples = [np.empty(0) for _ in range(K)]
+    # Each arm's losses, ascending, in the first fill[i] slots of a buffer
+    # that doubles when full: O(pulls) memory, no reallocation per round.
+    bufs = [np.empty(_INITIAL_CAPACITY) for _ in range(K)]
+    fill = [0] * K
     index = np.full(K, -np.inf)
     chosen = np.empty(N, dtype=np.int64)
     losses = np.empty(N)
 
     def refresh(i: int) -> None:
-        arr = samples[i]
+        arr = bufs[i][: fill[i]]
         c = math.sqrt(log_term / arr.size)
         if fast_cvar:
             alpha = spec.alpha
@@ -341,8 +371,13 @@ def run_lcb(instance: BanditInstance, variant: BoundMethod | str = BoundMethod.D
     for t in range(N):
         i = t if t < K else int(np.argmin(index))
         loss = float(arms[i].sample(rng, 1, bounds)[0])
-        arr = samples[i]
-        samples[i] = np.insert(arr, int(np.searchsorted(arr, loss)), loss)
+        buf, n = bufs[i], fill[i]
+        if n == buf.size:
+            buf = bufs[i] = np.concatenate((buf, np.empty(n)))
+        k = int(np.searchsorted(buf[:n], loss))
+        buf[k + 1 : n + 1] = buf[k:n]
+        buf[k] = loss
+        fill[i] = n + 1
         refresh(i)
         chosen[t] = i
         losses[t] = loss

@@ -200,24 +200,27 @@ def cmd_bandit(args) -> int:
         raise DataError(str(exc)) from exc
 
     summary = {"instance": os.path.abspath(args.instance), "seeds": args.seeds, "variants": {}}
-    curve_lines = ["round,variant,mean_cum_regret,std_cum_regret"]
+    # Rows are formatted from lists of Python numbers, which are freed before
+    # each join; the curves are kept as one joined chunk per variant. This
+    # keeps peak memory below that of a list of all lines.
+    curve_chunks = []
     for variant, traces in runs.items():
         for seed_idx, tr in enumerate(traces):
             path = os.path.join(args.out, f"trace_{variant.value}_{seed_idx}.csv")
-            lines = ["round,arm,loss,cum_regret"]
-            for t in range(tr.chosen.size):
-                lines.append(
-                    f"{t},{tr.chosen[t]},{_fmt(tr.losses[t])},{_fmt(tr.cum_regret[t])}"
-                )
+            lines = [
+                f"{t},{arm},{loss!r},{cum!r}\n"
+                for t, (arm, loss, cum) in enumerate(zip(tr.chosen.tolist(), tr.losses.tolist(), tr.cum_regret.tolist()))
+            ]
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("round,arm,loss,cum_regret\n")
+                fh.write("".join(lines))
         curves = np.stack([tr.cum_regret for tr in traces])
         mean_curve = curves.mean(axis=0)
         std_curve = curves.std(axis=0, ddof=1) if len(traces) > 1 else np.zeros_like(mean_curve)
-        for t in range(mean_curve.size):
-            curve_lines.append(
-                f"{t},{variant.value},{_fmt(mean_curve[t])},{_fmt(std_curve[t])}"
-            )
+        curve_chunks.append("".join([
+            f"{t},{variant.value},{mean!r},{std!r}\n"
+            for t, (mean, std) in enumerate(zip(mean_curve.tolist(), std_curve.tolist()))
+        ]))
         finals = np.array([tr.final_regret for tr in traces])
         summary["variants"][variant.value] = {
             "mean_final_regret": float(finals.mean()),
@@ -227,7 +230,8 @@ def cmd_bandit(args) -> int:
     if isinstance(instance.risk, CVaR) and instance.risk.alpha <= 0.5:
         summary["regret_budget"] = regret_bound(instance)
     with open(os.path.join(args.out, "aggregate_curves.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(curve_lines) + "\n")
+        fh.write("round,variant,mean_cum_regret,std_cum_regret\n")
+        fh.writelines(curve_chunks)
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True))
     print(os.path.join(args.out, "summary.json"))

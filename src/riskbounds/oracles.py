@@ -65,7 +65,10 @@ def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> 
         return 0.0
 
     def f(x: np.ndarray) -> np.ndarray:
-        vals = np.asarray(fn(x), dtype=np.float64)
+        # A non-finite value is reported once, by the check below, not also
+        # as a numpy floating-point warning.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = np.asarray(fn(x), dtype=np.float64)
         if not np.isfinite(vals).all():
             raise QuadratureError(f"integrand not finite at {x[np.argmin(np.isfinite(vals))]}")
         return vals

@@ -1,8 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds import (
     BanditInstance,
@@ -10,12 +13,16 @@ from riskbounds import (
     CVaR,
     DiracArm,
     DiscreteArm,
+    DiscreteDistribution,
+    Distance,
     SupportBounds,
     UniformArm,
     evaluate,
     from_samples,
+    glc,
     instance_from_dict,
     instance_to_dict,
+    llc,
     neg_sup,
     regret_bound,
     run_lcb,
@@ -24,12 +31,15 @@ from riskbounds import (
 )
 import riskbounds.bandit as bandit_module
 from riskbounds.bandit import (
+    _INITIAL_CAPACITY,
     BetaArm,
     TruncNormalArm,
+    _edf_sorted,
     _sorted_cvar,
     _sorted_cvar_neg_sup,
     _sorted_quantile,
 )
+from riskbounds.cli import main
 from riskbounds.measures import ERM, parse_risk
 
 B01 = SupportBounds(0.0, 1.0)
@@ -122,6 +132,181 @@ class TestRunLcb:
                     TruncNormalArm(0.5, math.inf)]:
             with pytest.raises(ValueError, match="finite"):
                 BanditInstance(B01, (arm,), 10, CVaR(0.25))
+        # Both normal probabilities at 0 and 1 round to 1, both complements to 0.
+        with pytest.raises(ValueError, match="no probability mass"):
+            BanditInstance(B01, (TruncNormalArm(-50, 0.1),), 10, CVaR(0.25))
+
+    def test_far_tail_truncnormal_accepted(self):
+        # ndtr rounds both endpoints to 1, but their complements keep the mass.
+        arm = TruncNormalArm(-9, 1)
+        BanditInstance(B01, (arm,), 10, CVaR(0.25))
+        assert 0.0 < true_risk(arm, CVaR(0.25), B01) < 1.0
+
+
+def _reference_run_lcb(instance, variant):
+    """``run_lcb`` as it stood before the per-arm sorted buffers: np.insert
+    reallocates an arm's sample array every round, and a truncated-normal
+    loss is the vector quantile of one uniform."""
+    variant = BoundMethod(variant)
+    rng = np.random.default_rng(instance.seed)
+    arms, bounds, spec = instance.arms, instance.bounds, instance.risk
+    K, N = len(arms), instance.horizon
+    log_term = math.log(2.0 * K * N * N)
+    a, b = bounds.a, bounds.b
+    risks = np.array([true_risk(arm, spec, bounds) for arm in arms])
+    glc_const = glc(spec, Distance.SUPREMUM, bounds) if variant is BoundMethod.GLC else None
+    fast_cvar = isinstance(spec, CVaR)
+    samples = [np.empty(0) for _ in range(K)]
+    index = np.full(K, -np.inf)
+    chosen = np.empty(N, dtype=np.int64)
+    losses = np.empty(N)
+
+    def refresh(i):
+        arr = samples[i]
+        c = math.sqrt(log_term / arr.size)
+        if fast_cvar:
+            alpha = spec.alpha
+            if variant is BoundMethod.DIST:
+                index[i] = _sorted_cvar_neg_sup(arr, alpha, c, a)
+            elif variant is BoundMethod.LLC:
+                y = 1.0 - alpha - c
+                local = (b - (a if y <= 0.0 else _sorted_quantile(arr, y))) / alpha
+                index[i] = _sorted_cvar(arr, alpha) - local * c
+            else:
+                index[i] = _sorted_cvar(arr, alpha) - glc_const * c
+            return
+        edf = _edf_sorted(arr, bounds)
+        if variant is BoundMethod.DIST:
+            index[i] = evaluate(spec, neg_sup(edf, c))
+        elif variant is BoundMethod.LLC:
+            index[i] = evaluate(spec, edf) - llc(spec, Distance.SUPREMUM, edf, c) * c
+        else:
+            index[i] = evaluate(spec, edf) - glc_const * c
+
+    for t in range(N):
+        i = t if t < K else int(np.argmin(index))
+        if isinstance(arms[i], TruncNormalArm):
+            loss = float(arms[i].quantile(rng.random(1), bounds)[0])
+        else:
+            loss = float(arms[i].sample(rng, 1, bounds)[0])
+        arr = samples[i]
+        samples[i] = np.insert(arr, int(np.searchsorted(arr, loss)), loss)
+        refresh(i)
+        chosen[t] = i
+        losses[t] = loss
+    instant = risks[chosen] - risks.min()
+    return chosen, losses, np.cumsum(instant)
+
+
+def _reference_bandit_files(instance, seeds):
+    """The files ``cmd_bandit`` wrote with per-element numpy indexing and
+    ``repr(float(x))``, before its rows were formatted from lists."""
+    def fmt(x):
+        return repr(float(x))
+
+    files = {}
+    curve_lines = ["round,variant,mean_cum_regret,std_cum_regret"]
+    for variant in BoundMethod:
+        traces = [run_lcb(dataclasses.replace(instance, seed=instance.seed + s), variant) for s in range(seeds)]
+        for s, tr in enumerate(traces):
+            lines = ["round,arm,loss,cum_regret"]
+            for t in range(tr.chosen.size):
+                lines.append(f"{t},{tr.chosen[t]},{fmt(tr.losses[t])},{fmt(tr.cum_regret[t])}")
+            files[f"trace_{variant.value}_{s}.csv"] = "\n".join(lines) + "\n"
+        curves = np.stack([tr.cum_regret for tr in traces])
+        mean_curve = curves.mean(axis=0)
+        std_curve = curves.std(axis=0, ddof=1) if len(traces) > 1 else np.zeros_like(mean_curve)
+        for t in range(mean_curve.size):
+            curve_lines.append(f"{t},{variant.value},{fmt(mean_curve[t])},{fmt(std_curve[t])}")
+    files["aggregate_curves.csv"] = "\n".join(curve_lines) + "\n"
+    return files
+
+
+# One arm of every family. The normal probability below a exceeds 0.5 for
+# TruncNormalArm(-0.5, 0.4) and rounds to 1 for the far-tail (-9, 1), so
+# each of their draws takes the complement (u > 0.5) branch; the discrete
+# arm and the Dirac arm repeat losses, so the buffers hold ties.
+MIXED_ARMS = (
+    DiracArm(0.45),
+    UniformArm(0.1, 0.7),
+    BetaArm(2, 5),
+    TruncNormalArm(0.3, 0.15),
+    TruncNormalArm(-0.5, 0.4),
+    TruncNormalArm(-9, 1),
+    DiscreteArm(DiscreteDistribution([0.1, 0.3, 0.9], [0.3, 0.5, 0.2], B01)),
+)
+
+
+class TestBufferedLoop:
+    """``run_lcb`` keeps each arm's losses in a sorted buffer that doubles
+    when full, and draws a truncated-normal loss on Python floats; both must
+    reproduce the old loop bit for bit."""
+
+    @pytest.mark.parametrize("risk, horizon", [("cvar:0.25", 2000), ("srm-power:2", 1000)], ids=["cvar", "srm"])
+    @pytest.mark.parametrize("variant", list(BoundMethod), ids=lambda v: v.value)
+    def test_matches_reference_loop(self, risk, horizon, variant):
+        inst = BanditInstance(B01, MIXED_ARMS, horizon, parse_risk(risk), seed=4)
+        trace = run_lcb(inst, variant)
+        chosen, losses, cum_regret = _reference_run_lcb(inst, variant)
+        assert trace.chosen.tobytes() == chosen.tobytes()
+        assert trace.losses.tobytes() == losses.tobytes()
+        assert trace.cum_regret.tobytes() == cum_regret.tobytes()
+        # The most-pulled arm's buffer doubled at least three times.
+        assert trace.pulls.max() > 4 * _INITIAL_CAPACITY
+
+    def test_cli_files_match_reference_formatter(self, tmp_path):
+        inst = BanditInstance(B01, MIXED_ARMS[:4], 300, CVaR(0.25), seed=2)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        out = tmp_path / "runs"
+        assert main(["bandit", "--instance", str(path), "--seeds", "2", "--out", str(out)]) == 0
+        expected = _reference_bandit_files(inst, 2)
+        assert sorted(expected) == sorted(p.name for p in out.glob("*.csv"))
+        for name, text in expected.items():
+            assert (out / name).read_text(encoding="utf-8") == text, name
+
+
+@st.composite
+def _truncnormal_draw_cases(draw):
+    """(arm, bounds, seed, tail): bounds off zero and up to 10^3 wide; a tail
+    arm sits 37.5 to 38.5 standard deviations below a or above b, where every
+    level of its branch falls under the 1e-300 floor."""
+    a = draw(st.one_of(st.floats(-100.0, -1e-3), st.floats(1e-3, 100.0)))
+    width = draw(st.floats(1e-3, 1e3))
+    bounds = SupportBounds(a, a + width)
+    sigma = width * draw(st.floats(1e-3, 1e2))
+    tail = draw(st.sampled_from(["none", "below", "above"]))
+    if tail == "none":
+        mu = a + width * draw(st.floats(-3.0, 4.0))
+    elif tail == "below":
+        mu = a - sigma * draw(st.floats(37.5, 38.5))
+    else:
+        mu = bounds.b + sigma * draw(st.floats(37.5, 38.5))
+    return TruncNormalArm(mu, sigma), bounds, draw(st.integers(0, 2**32 - 1)), tail
+
+
+class TestOneDrawSample:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_truncnormal_draw_cases())
+    def test_one_draw_matches_quantile(self, case):
+        arm, bounds, seed, tail = case
+        lo, hi, lo_c, hi_c = arm._ends(bounds)
+        if tail == "below":  # complement branch, every level floored
+            assert lo == hi == 1.0 and max(lo_c, hi_c) < 1e-300
+        elif tail == "above":  # direct branch, every level floored
+            assert max(lo, hi) < 1e-300
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = arm.sample(fast, 1, bounds)
+            want = arm.quantile(slow.random(1), bounds)
+            assert got.dtype == want.dtype and got.shape == want.shape == (1,)
+            assert got.tobytes() == want.tobytes()
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_vector_draw_unchanged(self):
+        arm = TruncNormalArm(0.4, 0.15)
+        got = arm.sample(np.random.default_rng(8), 1000, B01)
+        assert got.tobytes() == arm.quantile(np.random.default_rng(8).random(1000), B01).tobytes()
 
 
 class TestFastPathConsistency:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -275,6 +276,7 @@ class TestBandit:
             {**good, "seed": 2.7},
             {**good, "arms": [{"family": "beta", "params": {"shape_a": math.nan, "shape_b": 2}}]},
             {**good, "risk": "cvar:1e-17"},
+            {**good, "arms": [{"family": "truncnormal", "params": {"mu": -50, "sigma": 0.1}}]},
         ]
         bad = tmp_path / "bad.json"
         for payload in bad_payloads:
@@ -326,6 +328,11 @@ class TestDomainErrors:
              "--seeds", "2"],
             # delta outside (0, 2] is an argument fault, not a data fault
             ["ci", "--input", "SAMPLES", "--bounds", "0,5", "--risk", "cvar:0.5", "--delta", "3"],
+            # a truncated normal with no probability mass inside the bounds
+            ["coverage", "--dist", "truncnormal:-50,0.1", "--bounds", "0,1", "--risk", "cvar:0.25", "--n", "5",
+             "--trials", "1"],
+            ["coverage", "--dist", "truncnormal:-50,0.1", "--bounds", "0,1", "--risk", "drm-power:0.5", "--n", "5",
+             "--trials", "1"],
         ],
     )
     def test_usage_exit_without_traceback(self, argv, samples_csv, capsys):
@@ -353,6 +360,18 @@ class TestQuadratureFailure:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {message}") and err.count("\n") == 1, err
+
+    def test_overflowing_integrand_reported_once(self, capsys):
+        # u(x) = x^3 overflows on [0, 1e200]: the usage error is the only
+        # report, with no numpy floating-point warning before it.
+        argv = ["coverage", "--dist", "beta:2,5", "--bounds", "0,1e200", "--risk", "ce-power:3", "--n", "5",
+                "--trials", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == "usage error: integrand not finite at 0.03125\n", err
 
     def test_instance_file_data_error(self, two_arm_instance, tmp_path, capsys):
         payload = {
@@ -404,7 +423,8 @@ _COMMON = {
 }
 _DISTS = (
     ["beta:2,5", "beta:0.5,2", "uniform:0.2,0.8", "dirac:0.5", "truncnormal:0.5,0.2"],
-    ["uniform:0.5,2", "beta:-1,2", "beta:nan,2", "truncnormal:0.5,inf", "poisson:3", "beta"],
+    ["uniform:0.5,2", "beta:-1,2", "beta:nan,2", "truncnormal:0.5,inf", "truncnormal:-50,0.1", "poisson:3",
+     "beta"],
 )
 _SEED = (["0", "7"], ["-1", "x"])
 _BY_COMMAND = {
