@@ -71,7 +71,7 @@ from .measures import (
     rdeu_power,
     srm_power,
 )
-from .operators import BallSpec, WaterFillTrace, neg_sup, neg_w1, pos_sup, pos_w1
-from .oracles import FeasibleSampler, QuadratureError, quadrature_risk, random_feasible
+from .operators import WaterFillTrace, neg_sup, neg_w1, pos_sup, pos_w1
+from .oracles import QuadratureError, quadrature_risk, random_feasible
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ import numpy as np
 import scipy  # scipy.special loads on first use, keeping it off `import riskbounds`
 
 from .bounds import BoundMethod
-from .distributions import DiscreteDistribution, Distance, SupportBounds
+from .distributions import DiscreteDistribution, Distance, SupportBounds, from_samples
 from .lipschitz import glc, llc
 from .measures import CVaR, ERM, RiskMeasure, evaluate, parse_risk
 from .operators import neg_sup
@@ -190,9 +190,11 @@ class TruncNormalArm:
         return np.clip(self.mu + self.sigma * z, bounds.a, bounds.b)
 
     def cdf(self, x, bounds):
-        lo, hi, _, _ = self._ends(bounds)
-        z = scipy.special.ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
-        return np.clip((z - lo) / (hi - lo), 0.0, 1.0)
+        lo, hi, lo_c, hi_c = self._ends(bounds)
+        z = (np.asarray(x, dtype=np.float64) - self.mu) / self.sigma
+        if hi == lo:  # both ends far in the upper tail: only the complements keep the mass
+            return np.clip((lo_c - scipy.special.ndtr(-z)) / (lo_c - hi_c), 0.0, 1.0)
+        return np.clip((scipy.special.ndtr(z) - lo) / (hi - lo), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -257,12 +259,8 @@ class RegretTrace:
 
     chosen: np.ndarray
     losses: np.ndarray
-    instant_regret: np.ndarray
     cum_regret: np.ndarray
     pulls: np.ndarray
-    true_risks: np.ndarray
-    variant: BoundMethod
-    seed: int
 
     def validate(self) -> None:
         n = self.chosen.size
@@ -276,11 +274,6 @@ class RegretTrace:
     @property
     def final_regret(self) -> float:
         return float(self.cum_regret[-1])
-
-
-def _edf_sorted(arr: np.ndarray, bounds: SupportBounds) -> DiscreteDistribution:
-    xs, counts = np.unique(arr, return_counts=True)
-    return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
 
 
 def _sorted_quantile(arr: np.ndarray, y: float) -> float:
@@ -334,7 +327,6 @@ def run_lcb(instance: BanditInstance, variant: BoundMethod | str = BoundMethod.D
     a, b = bounds.a, bounds.b
 
     risks = np.array([true_risk(arm, spec, bounds) for arm in arms])
-    best = float(risks.min())
     glc_const = glc(spec, Distance.SUPREMUM, bounds) if variant is BoundMethod.GLC else None
     fast_cvar = isinstance(spec, CVaR)
 
@@ -360,7 +352,7 @@ def run_lcb(instance: BanditInstance, variant: BoundMethod | str = BoundMethod.D
             else:
                 index[i] = _sorted_cvar(arr, alpha) - glc_const * c
             return
-        edf = _edf_sorted(arr, bounds)
+        edf = from_samples(arr, bounds)
         if variant is BoundMethod.DIST:
             index[i] = evaluate(spec, neg_sup(edf, c))
         elif variant is BoundMethod.LLC:
@@ -382,16 +374,11 @@ def run_lcb(instance: BanditInstance, variant: BoundMethod | str = BoundMethod.D
         chosen[t] = i
         losses[t] = loss
 
-    instant = risks[chosen] - best
     trace = RegretTrace(
         chosen=chosen,
         losses=losses,
-        instant_regret=instant,
-        cum_regret=np.cumsum(instant),
+        cum_regret=np.cumsum(risks[chosen] - risks.min()),
         pulls=np.bincount(chosen, minlength=K),
-        true_risks=risks,
-        variant=variant,
-        seed=instance.seed,
     )
     trace.validate()
     return trace

@@ -86,20 +86,6 @@ class ConfidenceResult:
         }
 
 
-def _reject_unsupported(spec: RiskMeasure, dist_kind: Distance, method: BoundMethod) -> None:
-    if isinstance(spec, RDEU) and dist_kind is Distance.WASSERSTEIN1:
-        if method is BoundMethod.DIST:
-            raise UnsupportedCombinationError(
-                "W1 ball extremes do not attain the rank-dependent expected "
-                "utility optimum; use the supremum distance or the glc method"
-            )
-        if method is BoundMethod.LLC:
-            raise UnsupportedCombinationError(
-                "rank-dependent expected utility has no local Lipschitz "
-                "constant over W1 balls; use the glc method"
-            )
-
-
 @lru_cache(maxsize=None)
 def _attainable_range(spec: RiskMeasure, bounds: SupportBounds) -> tuple[float, float]:
     """Range of the risk measure over all distributions on [a, b]: by
@@ -120,22 +106,27 @@ def bound_with_radius(
 ) -> ConfidenceResult:
     """(LCB, UCB) for the risk of the true distribution, given ball radius c."""
     _require_radius(c)
-    _reject_unsupported(spec, dist_kind, method)
-    point = evaluate(spec, d)
-
     if method is BoundMethod.DIST:
         if dist_kind is Distance.SUPREMUM:
-            lower_dist, upper_dist = neg_sup(d, c), pos_sup(d, c)
+            lower, upper = neg_sup, pos_sup
+        elif isinstance(spec, RDEU):
+            raise UnsupportedCombinationError(
+                "W1 ball extremes do not attain the rank-dependent expected "
+                "utility optimum; use the supremum distance or the glc method"
+            )
         else:
-            lower_dist, upper_dist = neg_w1(d, c), pos_w1(d, c)
-        lcb, ucb = evaluate(spec, lower_dist), evaluate(spec, upper_dist)
-        extras = {"lower_extreme": lower_dist, "upper_extreme": upper_dist}
-        return ConfidenceResult(lcb, ucb, method, dist_kind, c, point, extras)
+            lower, upper = neg_w1, pos_w1
+        point = evaluate(spec, d)
+        lcb, ucb = evaluate(spec, lower(d, c)), evaluate(spec, upper(d, c))
+        return ConfidenceResult(lcb, ucb, method, dist_kind, c, point)
 
+    # The constant comes first: an unsupported combination is reported as
+    # such even where evaluating the point would reject the support.
     if method is BoundMethod.LLC:
         constant = llc(spec, dist_kind, d, c)
     else:
         constant = glc(spec, dist_kind, d.bounds)
+    point = evaluate(spec, d)
     delta = constant * c if c > 0.0 else 0.0  # avoid inf * 0 at zero radius
     raw_lcb, raw_ucb = point - delta, point + delta
     range_lo, range_hi = _attainable_range(spec, d.bounds)

@@ -100,14 +100,13 @@ class DiscreteDistribution:
       is rejected with ``ValueError``.
     - Trusted: ``_trusted``, used only for distributions the package builds
       itself: ``from_samples`` (after its finiteness and bounds checks),
-      ``dirac`` (after its scalar check), the Wasserstein operators (whose
-      outputs fall back to the public constructor when an atom ties or a
-      mass is not positive) and the bandit's sorted-sample EDF. It checks
-      nothing: callers pass float64 arrays they own, with finite, strictly
-      increasing atoms inside [a, b] and positive masses. ``_from_cdf``, for
-      the supremum operators, stores exact CDF values on sorted in-bounds
-      atoms and only drops zero-mass atoms and checks the CDF's monotonicity
-      and terminal value.
+      ``dirac`` (after its scalar check) and the Wasserstein operators
+      (whose outputs fall back to the public constructor when an atom ties
+      or a mass is not positive). It checks nothing: callers pass float64
+      arrays they own, with finite, strictly increasing atoms inside [a, b]
+      and positive masses. ``_from_cdf``, for the supremum operators, stores
+      exact CDF values on sorted in-bounds atoms and only drops zero-mass
+      atoms and checks the CDF's monotonicity and terminal value.
     """
 
     __slots__ = ("xs", "ps", "cum", "bounds")

@@ -67,11 +67,6 @@ def _deriv_at(fn, x: float) -> float:
     return val
 
 
-def _exp_moment_log(d: DiscreteDistribution, beta: float) -> float:
-    """log integral of exp(beta x) against d, shift-stabilized."""
-    return logsumexp(beta * d.xs, d.ps)
-
-
 def _require_positive_beta(beta: float) -> None:
     if beta <= 0.0:
         raise UnsupportedCombinationError(
@@ -94,6 +89,14 @@ def _cdf_integral(d: DiscreteDistribution, fn) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         vals = _apply(fn, cdf_seg[keep])
     return float(vals @ widths[keep])
+
+
+def _ce_u_norm(spec: CE, sup: bool, bounds: SupportBounds) -> float:
+    """Dual norm of u' over [a, b]: u(b) - u(a) for the supremum distance,
+    and for W1 the sup of u', which a convex u attains at b."""
+    if sup:
+        return float(_apply(spec.u, np.array([bounds.b]))[0] - _apply(spec.u, np.array([bounds.a]))[0])
+    return _deriv_at(spec.u_prime, bounds.b)
 
 
 def glc(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds) -> float:
@@ -125,9 +128,8 @@ def glc(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds) -> float:
         # dual-norm of u' over [a, b] divided by u'(a), the slope at the
         # utility's flattest point (u convex => (u^{-1})' peaks at u(a)).
         _check_on_support(spec, a, b)
-        u_norm = float(_apply(spec.u, np.array([b]))[0] - _apply(spec.u, np.array([a]))[0]) if sup else _deriv_at(spec.u_prime, b)
         slope_at_a = _deriv_at(spec.u_prime, a)
-        return u_norm / slope_at_a if slope_at_a > 0.0 else math.inf
+        return _ce_u_norm(spec, sup, bounds) / slope_at_a if slope_at_a > 0.0 else math.inf
     if isinstance(spec, RDEU):
         _check_on_support(spec, a, b)
         w_max = _grid_max(spec.w_prime, 0.0, 1.0)
@@ -145,36 +147,34 @@ def _quantile_or_a(d: DiscreteDistribution, y: float) -> float:
 def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c: float) -> float:
     """Local Lipschitz constant over the radius-c ball around ``center``.
 
-    Supremum-distance constants exist for every family; W1 constants exist
-    for all but RDEU (no closed form over the W1 ball; fall back to the
-    GLC). Always <= the matching GLC, and nondecreasing in c.
+    Supremum-distance constants exist for every family. Over W1 balls the
+    CVaR, SRM and DRM constants gain nothing locally (they are the GLC), and
+    RDEU has none (use the GLC). Always <= the matching GLC, and
+    nondecreasing in c.
     """
     _require_radius(c)
     bounds = center.bounds
     a, b = bounds.a, bounds.b
     sup = dist_kind is Distance.SUPREMUM
 
+    if not sup and isinstance(spec, (CVaR, SRM, DRM)):
+        return glc(spec, dist_kind, bounds)  # no local improvement for W1
     if isinstance(spec, CVaR):
-        if not sup:
-            return 1.0 / spec.alpha  # no local improvement for W1
         return (b - _quantile_or_a(center, 1.0 - spec.alpha - c)) / spec.alpha
     if isinstance(spec, SRM):
-        if not sup:
-            return _deriv_at(spec.phi, 1.0)
         return _cdf_integral(neg_sup(center, c), spec.phi)
     if isinstance(spec, DRM):
-        if not sup:
-            return _deriv_at(spec.g_prime, 0.0)
         return _cdf_integral(neg_sup(center, c), lambda q: _apply(spec.g_prime, 1.0 - np.asarray(q)))
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
         beta = spec.beta
+        lowered = neg_sup(center, c) if sup else neg_w1(center, c)
+        log_den = logsumexp(beta * lowered.xs, lowered.ps)  # log E[exp(beta X)]
         if sup:
             log_num = beta * b + math.log1p(-math.exp(-beta * (b - a)))
-            log_den = math.log(beta) + _exp_moment_log(neg_sup(center, c), beta)
+            log_den += math.log(beta)
         else:
             log_num = beta * b
-            log_den = _exp_moment_log(neg_w1(center, c), beta)
         try:
             return math.exp(log_num - log_den)
         except OverflowError:  # beyond the largest float: report inf, as glc does
@@ -182,14 +182,13 @@ def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c:
     if isinstance(spec, CE):
         lowered = neg_sup(center, c) if sup else neg_w1(center, c)
         ce_low = evaluate(spec, lowered)  # u^{-1} of the lowered expected utility
-        u_norm = float(_apply(spec.u, np.array([b]))[0] - _apply(spec.u, np.array([a]))[0]) if sup else _deriv_at(spec.u_prime, b)
         slope = _deriv_at(spec.u_prime, ce_low)
-        return u_norm / slope if slope > 0.0 else math.inf
+        return _ce_u_norm(spec, sup, bounds) / slope if slope > 0.0 else math.inf
     if isinstance(spec, RDEU):
         if not sup:
             raise UnsupportedCombinationError(
                 "rank-dependent expected utility has no local Lipschitz "
-                "constant over W1 balls; use the global constant"
+                "constant over W1 balls; use the glc method"
             )
         wp = _apply(spec.w_prime, np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS))
         if np.any(np.diff(wp) < -1e-9):

@@ -311,7 +311,7 @@ def srm_power(k: float) -> SRM:
         raise ValueError(f"power spectrum needs k >= 1, got {k}")
 
     def phi(y):
-        return k * np.power(y, k - 1.0) if k != 1.0 else np.ones_like(np.asarray(y, dtype=float))
+        return k * np.power(y, k - 1.0)
 
     def phi_integral(y):
         return np.power(y, k)
@@ -330,7 +330,7 @@ def drm_power(s: float) -> DRM:
 
     def g_prime(y):
         with np.errstate(divide="ignore"):
-            return s * np.power(y, s - 1.0) if s != 1.0 else np.ones_like(np.asarray(y, dtype=float))
+            return s * np.power(y, s - 1.0)
 
     return DRM(g, g_prime)
 
@@ -345,7 +345,7 @@ def ce_power(k: float) -> CE:
         return np.power(x, k)
 
     def u_prime(x):
-        return k * np.power(x, k - 1.0) if k != 1.0 else np.ones_like(np.asarray(x, dtype=float))
+        return k * np.power(x, k - 1.0)
 
     def u_inv(z):
         return np.power(z, 1.0 / k)
@@ -363,13 +363,13 @@ def rdeu_power(s: float, k: float) -> RDEU:
         return np.power(y, s)
 
     def w_prime(y):
-        return s * np.power(y, s - 1.0) if s != 1.0 else np.ones_like(np.asarray(y, dtype=float))
+        return s * np.power(y, s - 1.0)
 
     def v(x):
         return np.power(x, k)
 
     def v_prime(x):
-        return k * np.power(x, k - 1.0) if k != 1.0 else np.ones_like(np.asarray(x, dtype=float))
+        return k * np.power(x, k - 1.0)
 
     return RDEU(w, w_prime, v, v_prime)
 

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Distance
+from .distributions import DiscreteDistribution
 
 __all__ = [
-    "BallSpec",
     "WaterFillTrace",
     "pos_sup",
     "neg_sup",
@@ -45,17 +44,6 @@ def _require_radius(c: float) -> float:
     if not (np.isfinite(c) and c >= 0.0):
         raise ValueError(f"ball radius must be finite and >= 0, got {c}")
     return float(c)
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    """Distance kind plus nonnegative radius."""
-
-    distance: Distance
-    c: float
-
-    def __post_init__(self):
-        _require_radius(self.c)
 
 
 @dataclass(frozen=True)

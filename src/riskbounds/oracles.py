@@ -2,12 +2,14 @@
 
 Two services, both deliberately decoupled from the production bound paths:
 
-- ``random_feasible``: random distributions inside a given distance ball,
-  used to probe that the ball-extreme operators really dominate every
-  feasible competitor in risk value. Supremum balls are sampled as random
-  monotone CDFs inside the tube; W1 balls as random partial mass
-  transports with total cost within the radius. Every candidate is checked
-  feasible with the exact distance before it is emitted.
+- ``random_feasible(center, kind, c, count, seed=0)``: ``count`` random
+  distributions inside the ``kind`` ball of radius ``c`` around
+  ``center``, used to probe that the ball-extreme operators really
+  dominate every feasible competitor in risk value. Supremum balls are
+  sampled as random monotone CDFs inside the tube; W1 balls as random
+  partial mass transports with total cost within the radius. Every
+  candidate is checked feasible with the exact distance before it is
+  emitted.
 - ``quadrature_risk``: risk values of parametric (continuous) arm
   distributions by adaptive Simpson refinement of the defining integral to
   1e-9: over the loss quantile on (0, 1) for CVaR, SRM, ERM and CE, over
@@ -17,16 +19,13 @@ Two services, both deliberately decoupled from the production bound paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distributions import DiscreteDistribution, Distance, SupportBounds, distance
 from .measures import CE, CVaR, DRM, ERM, RDEU, SRM, RiskMeasure, _apply, evaluate
-from .operators import BallSpec
+from .operators import _require_radius
 
 __all__ = [
-    "FeasibleSampler",
     "QuadratureError",
     "random_feasible",
     "quadrature_risk",
@@ -154,15 +153,6 @@ def quadrature_risk(arm, spec: RiskMeasure, bounds: SupportBounds) -> float:
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 
-@dataclass(frozen=True)
-class FeasibleSampler:
-    """Random-candidate generator for one ball around one center."""
-
-    center: DiscreteDistribution
-    ball: BallSpec
-    rng_seed: int = 0
-
-
 def _sup_candidate(center: DiscreteDistribution, c: float, rng) -> DiscreteDistribution:
     a, b = center.bounds.a, center.bounds.b
     interior = center.xs[center.xs < b]
@@ -196,23 +186,26 @@ def _w1_candidate(center: DiscreteDistribution, c: float, rng) -> DiscreteDistri
     return DiscreteDistribution(xs, ps, center.bounds)
 
 
-def random_feasible(sampler: FeasibleSampler, count: int) -> list[DiscreteDistribution]:
-    """``count`` random distributions inside the sampler's ball, each
-    verified feasible with the exact distance before emission."""
-    center, ball = sampler.center, sampler.ball
-    if ball.c == 0.0:
+def random_feasible(
+    center: DiscreteDistribution, kind: Distance, c: float, count: int, seed: int = 0
+) -> list[DiscreteDistribution]:
+    """``count`` random distributions inside the ``kind`` ball of radius
+    ``c`` around ``center``, each verified feasible with the exact distance
+    before emission."""
+    c = _require_radius(c)
+    if c == 0.0:
         return [center] * count
-    rng = np.random.default_rng(sampler.rng_seed)
+    rng = np.random.default_rng(seed)
     out: list[DiscreteDistribution] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 50 * (count + 1):
             raise RuntimeError("feasible-candidate sampler stalled; ball too tight?")
-        if ball.distance is Distance.SUPREMUM:
-            cand = _sup_candidate(center, ball.c, rng)
+        if kind is Distance.SUPREMUM:
+            cand = _sup_candidate(center, c, rng)
         else:
-            cand = _w1_candidate(center, ball.c, rng)
-        if distance(center, cand, ball.distance) <= ball.c:
+            cand = _w1_candidate(center, c, rng)
+        if distance(center, cand, kind) <= c:
             out.append(cand)
     return out

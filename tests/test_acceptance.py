@@ -15,13 +15,11 @@ import pytest
 from scipy.special import betainc
 
 from riskbounds import (
-    BallSpec,
     BoundMethod,
     CVaR,
     DiscreteDistribution,
     Distance,
     ERM,
-    FeasibleSampler,
     SupportBounds,
     bound_with_radius,
     compare_methods,
@@ -135,8 +133,7 @@ def test_criterion_2_feasibility_and_optimality(random_suite):
                     assert distance(d, lo, W1) == pytest.approx(min(c, cap_lo), abs=1e-10)
                 assert dominates(d, up, tol=1e-12) and dominates(lo, d, tol=1e-12)
 
-                sampler = FeasibleSampler(d, BallSpec(kind, c), rng_seed=cell)
-                candidates = random_feasible(sampler, CANDIDATES_PER_CELL)
+                candidates = random_feasible(d, kind, c, CANDIDATES_PER_CELL, seed=cell)
                 for label, spec in specs:
                     if kind is W1 and isinstance(spec, RDEU):
                         continue  # W1 extremes do not claim the RDEU optimum

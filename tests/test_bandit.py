@@ -34,7 +34,6 @@ from riskbounds.bandit import (
     _INITIAL_CAPACITY,
     BetaArm,
     TruncNormalArm,
-    _edf_sorted,
     _sorted_cvar,
     _sorted_cvar_neg_sup,
     _sorted_quantile,
@@ -141,6 +140,8 @@ class TestRunLcb:
         arm = TruncNormalArm(-9, 1)
         BanditInstance(B01, (arm,), 10, CVaR(0.25))
         assert 0.0 < true_risk(arm, CVaR(0.25), B01) < 1.0
+        cdf = arm.cdf(np.linspace(0.0, 1.0, 101), B01)
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0 and np.all(np.diff(cdf) > 0.0)
 
 
 def _reference_run_lcb(instance, variant):
@@ -175,7 +176,7 @@ def _reference_run_lcb(instance, variant):
             else:
                 index[i] = _sorted_cvar(arr, alpha) - glc_const * c
             return
-        edf = _edf_sorted(arr, bounds)
+        edf = from_samples(arr, bounds)
         if variant is BoundMethod.DIST:
             index[i] = evaluate(spec, neg_sup(edf, c))
         elif variant is BoundMethod.LLC:

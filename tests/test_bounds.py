@@ -83,6 +83,8 @@ class TestBoundWithRadius:
                 bound_with_radius(d, spec, W1, method, 0.1)
         res = bound_with_radius(d, spec, W1, BoundMethod.GLC, 0.1)
         assert res.lcb <= res.point <= res.ucb
+        with pytest.raises(UnsupportedCombinationError, match="use the glc method"):
+            bound_with_radius(d, spec, W1, BoundMethod.LLC, 0.1)
 
     def test_json_schema(self):
         res = bound_with_radius(EDF, CVaR(0.5), SUP, BoundMethod.DIST, 0.25)

@@ -117,6 +117,33 @@ class TestCi:
         ])
         assert code == 3
 
+    def test_negative_lower_bound(self, tmp_path, capsys):
+        path = tmp_path / "signed.csv"
+        path.write_text("-0.5\n0.25\n0.75\n")
+        argv = ["ci", "--input", str(path), "--risk", "cvar:0.5"]
+        assert main(argv + ["--bounds=-1,1"]) == 0
+        expected = bound_from_samples(
+            [-0.5, 0.25, 0.75], SupportBounds(-1.0, 1.0), CVaR(0.5), Distance.SUPREMUM, BoundMethod.DIST, 0.05
+        )
+        assert json.loads(capsys.readouterr().out) == expected.to_json()
+        # argparse reads a separate "-1,1" as an option
+        assert main(argv + ["--bounds", "-1,1"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", ["0,1", "-1,1"])
+    def test_rdeu_w1_llc_unsupported(self, bounds, tmp_path, capsys):
+        # On [-1, 1] v(x) = x^2 is not increasing, which evaluating the
+        # point would reject (exit 2); the combination is reported first.
+        path = tmp_path / "unit.csv"
+        path.write_text("0.25\n0.75\n")
+        code = main(["ci", "--input", str(path), f"--bounds={bounds}", "--risk", "rdeu-power:2,2",
+                     "--distance", "w1", "--method", "llc"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "unsupported combination: rank-dependent expected utility has no local "
+            "Lipschitz constant over W1 balls; use the glc method\n"
+        )
+
     def test_radius_distance_mismatch_usage(self, capsys):
         # One shared rule check for all three commands; ci exits before it
         # reads its (here missing) input.
@@ -202,6 +229,16 @@ class TestCoverage:
         code = main(["coverage", "--dist", "beta:0.5,2", "--bounds", "0,1", "--risk", risk, "--n", "50", "--trials", "3"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["true_risk"] == pytest.approx(closed, abs=1e-9)
+
+    @pytest.mark.parametrize("risk", ["drm-power:0.5", "rdeu-power:2,2"])
+    def test_far_tail_truncnormal_cdf(self, risk, capsys):
+        # Both normal probabilities at the bounds round to 1; the cdf-based
+        # true risks must still resolve.
+        code = main(["coverage", "--dist", "truncnormal:-9,1", "--bounds", "0,1", "--risk", risk, "--n", "5",
+                     "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert 0.0 < json.loads(captured.out)["true_risk"] < 1.0
 
     def test_small_beta_run(self, capsys):
         code = main([

@@ -18,7 +18,6 @@ from riskbounds import (
     read_samples_csv,
 )
 from riskbounds import distributions
-from riskbounds.bandit import _edf_sorted
 from conftest import assert_bitwise_equal, assert_invariants, random_interior_dist, validated_builds
 
 B05 = SupportBounds(0.0, 5.0)
@@ -217,7 +216,6 @@ class TestTrustedBuilds:
         assert_bitwise_equal(d, DiscreteDistribution(xs, counts / len(samples), B05))
         with validated_builds():
             assert_bitwise_equal(d, from_samples(samples, B05))
-        assert_bitwise_equal(d, _edf_sorted(np.sort(np.asarray(samples, dtype=np.float64)), B05))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([0.0, 5.0, 2.5]) | st.floats(min_value=0.0, max_value=5.0))

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no tool beyond the standard library."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,25 @@ def test_import_leaves_scipy_special_unloaded():
         [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "False"
+
+
+def test_all_lists_and_package_reexports_agree():
+    # A name deleted from a module but left in its __all__ would fail only
+    # under ``import *``; a re-export must come from the module's __all__.
+    package = ROOT / "src" / "riskbounds"
+    modules = {
+        p.stem: importlib.import_module(f"riskbounds.{p.stem}")
+        for p in sorted(package.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    assert modules
+    for name, module in modules.items():
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+    reexports = [
+        (node.module, alias.name)
+        for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert reexports
+    assert [(m, n) for m, n in reexports if n not in modules[m].__all__] == []

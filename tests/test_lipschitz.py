@@ -149,6 +149,14 @@ class TestLocalConstants:
         interior = DiscreteDistribution([2.0, 4.0], [0.5, 0.5], B05)
         assert llc(drm_power(0.5), SUP, interior, 0.0) == math.inf
 
+    @pytest.mark.parametrize("spec", [CVaR(0.3), srm_power(2.0), drm_power(0.5), drm_power(1.0)])
+    def test_w1_local_is_global_for_quantile_families(self, spec):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            d = random_interior_dist(rng, B05)
+            for c in (0.0, 0.1, 3.0):
+                assert llc(spec, W1, d, c) == glc(spec, W1, B05)
+
     def test_rdeu_w1_unsupported(self):
         with pytest.raises(UnsupportedCombinationError, match="W1"):
             llc(rdeu_power(2.0, 2.0), W1, EDF, 0.1)

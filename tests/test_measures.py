@@ -316,6 +316,15 @@ class TestEvaluateProperties:
             assert ce == pytest.approx(eval_erm(beta, d), abs=1e-10)
 
 
+class TestCatalog:
+    def test_unit_exponent_derivatives_are_exactly_one(self):
+        y = np.array([0.0, 0.5, 1.0])
+        rdeu = rdeu_power(1.0, 1.0)
+        for fn in (srm_power(1.0).phi, drm_power(1.0).g_prime, ce_power(1.0).u_prime, rdeu.w_prime, rdeu.v_prime):
+            out = fn(y)
+            assert out.dtype == np.float64 and out.tolist() == [1.0, 1.0, 1.0]
+
+
 class TestParseRisk:
     @pytest.mark.parametrize(
         "text,family",

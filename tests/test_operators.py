@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbounds import (
-    BallSpec,
     DiscreteDistribution,
     Distance,
     SupportBounds,
@@ -192,14 +191,6 @@ class TestOrderingProperties:
             assert dominates(neg_sup(d, c2), neg_sup(d, c1), tol=1e-12)
             assert dominates(pos_w1(d, c1), pos_w1(d, c2), tol=1e-12)
             assert dominates(neg_w1(d, c2), neg_w1(d, c1), tol=1e-12)
-
-
-class TestDispatch:
-    def test_ball_spec_validation(self):
-        with pytest.raises(ValueError):
-            BallSpec(Distance.SUPREMUM, -0.1)
-        with pytest.raises(ValueError):
-            BallSpec(Distance.SUPREMUM, float("inf"))
 
 
 @settings(max_examples=50, deadline=None)

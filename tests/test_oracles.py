@@ -6,11 +6,9 @@ import pytest
 from scipy.special import beta as beta_fn, betainc, betaincinv
 
 from riskbounds import (
-    BallSpec,
     CVaR,
     Distance,
     ERM,
-    FeasibleSampler,
     SupportBounds,
     distance,
     evaluate,
@@ -21,7 +19,7 @@ from riskbounds import (
 )
 from riskbounds.bandit import BetaArm, DiracArm, DiscreteArm, TruncNormalArm, UniformArm, true_risk
 from riskbounds import oracles
-from riskbounds.measures import ce_power, drm_power, rdeu_power, srm_power
+from riskbounds.measures import ce_power, drm_power, parse_risk, rdeu_power, srm_power
 from riskbounds.oracles import QuadratureError, refining_integral
 from conftest import random_interior_dist
 
@@ -242,18 +240,39 @@ class TestClosedForms:
         assert quadrature_risk(UniformArm(lo, hi), ce_power(k), B01) == pytest.approx(closed, abs=1e-9)
 
 
+    @pytest.mark.parametrize("family", ["drm-power:0.5", "rdeu-power:2,2"])
+    def test_far_tail_truncnormal(self, family):
+        # N(-9, 1) on [0, 1]: the normal probabilities at 0 and 1 both round
+        # to 1, so its cdf must come from their complements, which keep the mass.
+        def survival(x):  # 1 - F(x), from the normal's upper tail
+            upper = [mpmath.ncdf(-(t + 9)) for t in (x, 0, 1)]
+            return (upper[0] - upper[2]) / (upper[1] - upper[2])
+
+        with mpmath.workdps(40):
+            if family == "drm-power:0.5":  # integral of g(1 - F) over [0, 1]
+                closed = float(mpmath.quad(lambda x: mpmath.sqrt(survival(x)), [0, 1]))
+            else:  # v(1) minus the integral of w(F) v' over [0, 1]
+                closed = float(1 - mpmath.quad(lambda x: 2 * x * (1 - survival(x)) ** 2, [0, 1]))
+        got = quadrature_risk(TruncNormalArm(-9.0, 1.0), parse_risk(family), B01)
+        assert got == pytest.approx(closed, abs=1e-9)
+
+
 class TestFeasibleSampler:
+    def test_radius_validation(self):
+        center = from_samples([1, 2, 3, 4], B05)
+        for c in (-0.1, math.inf):
+            with pytest.raises(ValueError, match="ball radius"):
+                random_feasible(center, Distance.SUPREMUM, c, 5)
+
     def test_zero_radius_returns_center(self):
         center = from_samples([1, 2, 3, 4], B05)
-        sampler = FeasibleSampler(center, BallSpec(Distance.SUPREMUM, 0.0), rng_seed=0)
-        cands = random_feasible(sampler, 5)
+        cands = random_feasible(center, Distance.SUPREMUM, 0.0, 5)
         assert len(cands) == 5 and all(c == center for c in cands)
 
     @pytest.mark.parametrize("kind,c", [(Distance.SUPREMUM, 0.25), (Distance.WASSERSTEIN1, 0.4)])
     def test_all_candidates_feasible(self, kind, c):
         center = from_samples([1, 2, 3, 4], B05)
-        sampler = FeasibleSampler(center, BallSpec(kind, c), rng_seed=1)
-        for cand in random_feasible(sampler, 200):
+        for cand in random_feasible(center, kind, c, 200, seed=1):
             assert distance(center, cand, kind) <= c
 
     def test_feasible_on_random_centers(self):
@@ -261,17 +280,15 @@ class TestFeasibleSampler:
         for trial in range(10):
             center = random_interior_dist(rng, B01)
             for kind, c in ((Distance.SUPREMUM, rng.uniform(0.01, 0.6)), (Distance.WASSERSTEIN1, rng.uniform(0.01, 0.4))):
-                sampler = FeasibleSampler(center, BallSpec(kind, c), rng_seed=trial)
-                for cand in random_feasible(sampler, 30):
+                for cand in random_feasible(center, kind, c, 30, seed=trial):
                     assert distance(center, cand, kind) <= c
 
     def test_candidates_never_beat_the_ball_extreme(self):
         # the optimality probe itself, at unit scale
         center = from_samples([1, 2, 3, 4], B05)
         c = 0.25
-        sampler = FeasibleSampler(center, BallSpec(Distance.SUPREMUM, c), rng_seed=3)
         spec = CVaR(0.3)
         best = evaluate(spec, pos_sup(center, c))
-        cands = random_feasible(sampler, 10_000)
+        cands = random_feasible(center, Distance.SUPREMUM, c, 10_000, seed=3)
         vals = np.array([evaluate(spec, cand) for cand in cands])
         assert np.all(vals <= best + 1e-9)
