@@ -18,7 +18,6 @@ from .bandit import (
     TruncNormalArm,
     UniformArm,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     regret_bound,
     run_lcb,
@@ -31,7 +30,6 @@ from .bounds import (
     UnsupportedCombinationError,
     bound_from_samples,
     bound_with_radius,
-    compare_methods,
 )
 from .concentration import (
     RadiusRule,
@@ -44,8 +42,6 @@ from .distributions import (
     DiscreteDistribution,
     Distance,
     SupportBounds,
-    distance,
-    dominates,
     from_samples,
     read_samples_csv,
 )
@@ -72,6 +68,6 @@ from .measures import (
     srm_power,
 )
 from .operators import WaterFillTrace, neg_sup, neg_w1, pos_sup, pos_w1
-from .oracles import QuadratureError, quadrature_risk, random_feasible
+from .oracles import QuadratureError, quadrature_risk
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Union
 
@@ -33,7 +33,7 @@ import scipy  # scipy.special loads on first use, keeping it off `import riskbou
 from .bounds import BoundMethod
 from .distributions import DiscreteDistribution, Distance, SupportBounds, from_samples
 from .lipschitz import glc, llc
-from .measures import CVaR, ERM, RiskMeasure, evaluate, parse_risk
+from .measures import CVaR, RiskMeasure, evaluate, parse_risk
 from .operators import neg_sup
 from .oracles import quadrature_risk
 
@@ -53,7 +53,6 @@ __all__ = [
     "regret_bound",
     "load_instance",
     "instance_from_dict",
-    "instance_to_dict",
 ]
 
 
@@ -494,33 +493,6 @@ def instance_from_dict(obj: dict) -> BanditInstance:
         risk=parse_risk(risk),
         seed=_whole(obj.get("seed", 0), "seed"),
     )
-
-
-def _arm_to_dict(arm: Arm) -> dict:
-    if isinstance(arm, DiscreteArm):
-        return {"family": "discrete", "params": {"atoms": arm.dist.to_json()["atoms"]}}
-    for family, cls in ARM_FAMILIES.items():
-        if isinstance(arm, cls):
-            return {"family": family, "params": asdict(arm)}
-    raise TypeError(f"unknown arm {arm!r}")
-
-
-def instance_to_dict(instance: BanditInstance) -> dict:
-    """The instance-file form of ``instance``. Only ``cvar`` and ``erm``
-    instances have one: the other families carry functions, not numbers."""
-    if isinstance(instance.risk, CVaR):
-        risk_label = f"cvar:{instance.risk.alpha}"
-    elif isinstance(instance.risk, ERM):
-        risk_label = f"erm:{instance.risk.beta}"
-    else:
-        raise ValueError("only cvar and erm instances can be written as instance files")
-    return {
-        "bounds": {"a": instance.bounds.a, "b": instance.bounds.b},
-        "risk": risk_label,
-        "horizon": instance.horizon,
-        "seed": instance.seed,
-        "arms": [_arm_to_dict(arm) for arm in instance.arms],
-    }
 
 
 def load_instance(path: str) -> BanditInstance:

@@ -41,10 +41,7 @@ __all__ = [
     "UnsupportedCombinationError",
     "bound_with_radius",
     "bound_from_samples",
-    "compare_methods",
 ]
-
-_CHAIN_TOL = 1e-9
 
 
 class BoundMethod(Enum):
@@ -157,24 +154,3 @@ def bound_from_samples(
     result.extras["radius_rule"] = rule.value
     result.extras["delta"] = delta
     return result
-
-
-def compare_methods(
-    d: DiscreteDistribution,
-    spec: RiskMeasure,
-    dist_kind: Distance,
-    c: float,
-) -> tuple[ConfidenceResult, ConfidenceResult, ConfidenceResult]:
-    """All three methods at one radius, verified to satisfy the tightness
-    chain dist <= llc <= glc on pre-clamp values."""
-    res_dist = bound_with_radius(d, spec, dist_kind, BoundMethod.DIST, c)
-    res_llc = bound_with_radius(d, spec, dist_kind, BoundMethod.LLC, c)
-    res_glc = bound_with_radius(d, spec, dist_kind, BoundMethod.GLC, c)
-
-    ucbs = (res_dist.ucb, res_llc.extras["raw_ucb"], res_glc.extras["raw_ucb"])
-    lcbs = (res_dist.lcb, res_llc.extras["raw_lcb"], res_glc.extras["raw_lcb"])
-    if not (ucbs[0] <= ucbs[1] + _CHAIN_TOL and ucbs[1] <= ucbs[2] + _CHAIN_TOL):
-        raise RuntimeError(f"tightness chain violated for UCBs: {ucbs}")
-    if not (lcbs[0] >= lcbs[1] - _CHAIN_TOL and lcbs[1] >= lcbs[2] - _CHAIN_TOL):
-        raise RuntimeError(f"tightness chain violated for LCBs: {lcbs}")
-    return res_dist, res_llc, res_glc

@@ -8,7 +8,8 @@ Four subcommands, all emitting plot-ready CSV or JSON:
 - ``coverage`` empirical coverage of the bounds over Monte-Carlo trials
 
 Exit codes: 0 success, 2 usage error, 3 unsupported method/measure
-combination, 4 data error. Reruns with identical arguments and seeds are
+combination, 4 data error, which includes an input or output file that
+cannot be read or written. Reruns with identical arguments and seeds are
 byte-identical.
 """
 
@@ -94,7 +95,7 @@ def cmd_ci(args) -> int:
     bounds, spec, dist_kind, methods, rule = _parse_ball(args)
     try:
         samples = read_samples_csv(args.input, header=args.header)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(str(exc)) from exc
 
     results = []
@@ -179,8 +180,6 @@ def cmd_coverage(args) -> int:
 def cmd_bandit(args) -> int:
     try:
         instance = load_instance(args.instance)
-    except OSError as exc:
-        raise DataError(str(exc)) from exc
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"bad instance file {args.instance}: {exc}") from exc
     if args.seeds < 1:
@@ -300,7 +299,8 @@ def main(argv=None) -> int:
     except UnsupportedCombinationError as exc:
         print(f"unsupported combination: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # A file that cannot be read or written, input or output alike.
         print(f"data error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, QuadratureError) as exc:

@@ -25,8 +25,6 @@ __all__ = [
     "DiscreteDistribution",
     "SampleError",
     "from_samples",
-    "distance",
-    "dominates",
     "read_samples_csv",
 ]
 
@@ -92,8 +90,10 @@ class DiscreteDistribution:
 
     Two kinds of entry point build them:
 
-    - Validating: the public constructor, ``from_json``, and ``dirac`` for an
-      argument that is not a finite float inside the bounds. They accept
+    - Validating: the public constructor (which ``instance_from_dict`` uses
+      for discrete arms), ``from_json`` (the reader of the documented JSON
+      format that ``to_json`` writes), and ``dirac`` for an argument that
+      is not a finite float inside the bounds. They accept
       atoms in any order, coalesce equal positions by summing masses, clip
       masses within ``_NEG_MASS_TOL`` below zero, drop zero masses, and
       renormalize a mass sum within ``MASS_SUM_TOL`` of one; anything else
@@ -215,24 +215,10 @@ class DiscreteDistribution:
     def mean(self) -> float:
         return float(self.xs @ self.ps)
 
-    def shift(self, t: float) -> "DiscreteDistribution":
-        """Translate all atoms (and the support) by t."""
-        return DiscreteDistribution(
-            self.xs + t, self.ps, SupportBounds(self.bounds.a + t, self.bounds.b + t)
-        )
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-CDF sampling."""
         u = rng.random(size)
         return self.xs[np.searchsorted(self.cum, u, side="right").clip(0, self.xs.size - 1)]
-
-    def allclose(self, other: "DiscreteDistribution", tol: float = 1e-12) -> bool:
-        return (
-            self.bounds == other.bounds
-            and self.xs.size == other.xs.size
-            and bool(np.all(np.abs(self.xs - other.xs) <= tol))
-            and bool(np.all(np.abs(self.ps - other.ps) <= tol))
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDistribution):
@@ -286,47 +272,6 @@ def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDis
         )
     xs, counts = np.unique(arr, return_counts=True)
     return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
-
-
-def _check_shared_bounds(d1: DiscreteDistribution, d2: DiscreteDistribution) -> None:
-    if d1.bounds != d2.bounds:
-        raise ValueError(f"support bounds mismatch: {d1.bounds} vs {d2.bounds}")
-
-
-def _merged_cdfs(d1: DiscreteDistribution, d2: DiscreteDistribution):
-    grid = np.union1d(d1.xs, d2.xs)
-    return grid, d1.cdf(grid), d2.cdf(grid)
-
-
-def distance(d1: DiscreteDistribution, d2: DiscreteDistribution, kind: Distance) -> float:
-    """Sup distance sup_x |F - G|, or Wasserstein-1 distance int |F - G| dx.
-
-    Both are exact for step CDFs: the sup is attained at an atom of the
-    merged support, and the W1 integral is a finite sum of rectangle areas
-    between consecutive merged atoms.
-    """
-    _check_shared_bounds(d1, d2)
-    grid, f, g = _merged_cdfs(d1, d2)
-    diff = np.abs(f - g)
-    if kind is Distance.SUPREMUM:
-        return float(diff.max())
-    if kind is Distance.WASSERSTEIN1:
-        if grid.size == 1:
-            return 0.0
-        return float(diff[:-1] @ np.diff(grid))
-    raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def dominates(d1: DiscreteDistribution, d2: DiscreteDistribution, tol: float = 0.0) -> bool:
-    """True iff the CDF of ``d1`` is >= the CDF of ``d2`` everywhere.
-
-    Equivalently: d2 first-order stochastically dominates d1 as a loss
-    (d2 carries at least as much mass on large values), so every monotone
-    risk functional satisfies T(d1) <= T(d2).
-    """
-    _check_shared_bounds(d1, d2)
-    _, f, g = _merged_cdfs(d1, d2)
-    return bool(np.all(f >= g - tol))
 
 
 def read_samples_csv(path: str, header: bool = False) -> np.ndarray:

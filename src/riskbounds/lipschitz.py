@@ -171,7 +171,12 @@ def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c:
         lowered = neg_sup(center, c) if sup else neg_w1(center, c)
         log_den = logsumexp(beta * lowered.xs, lowered.ps)  # log E[exp(beta X)]
         if sup:
-            log_num = beta * b + math.log1p(-math.exp(-beta * (b - a)))
+            # log(1 - e^-x) without cancellation at either end of x
+            # (Maechler 2012, log1mexp): at x below ~1e-16 log1p(-e^-x)
+            # reads log(0), and from ~38 up log(-expm1(-x)) rounds to 0.
+            x = beta * (b - a)
+            log1mexp = math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
+            log_num = beta * b + log1mexp
             log_den += math.log(beta)
         else:
             log_num = beta * b

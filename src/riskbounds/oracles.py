@@ -1,33 +1,22 @@
-"""Independent oracles for tests and ground truth.
+"""Ground-truth risk values by quadrature, independent of the bound paths.
 
-Two services, both deliberately decoupled from the production bound paths:
-
-- ``random_feasible(center, kind, c, count, seed=0)``: ``count`` random
-  distributions inside the ``kind`` ball of radius ``c`` around
-  ``center``, used to probe that the ball-extreme operators really
-  dominate every feasible competitor in risk value. Supremum balls are
-  sampled as random monotone CDFs inside the tube; W1 balls as random
-  partial mass transports with total cost within the radius. Every
-  candidate is checked feasible with the exact distance before it is
-  emitted.
-- ``quadrature_risk``: risk values of parametric (continuous) arm
-  distributions by adaptive Simpson refinement of the defining integral to
-  1e-9: over the loss quantile on (0, 1) for CVaR, SRM, ERM and CE, over
-  the loss CDF on [a, b] for DRM and RDEU. Atomic arms short-circuit to
-  exact evaluation.
+``quadrature_risk`` gives the risk of a parametric (continuous) arm
+distribution by adaptive Simpson refinement (``refining_integral``) of the
+defining integral to 1e-9: over the loss quantile on (0, 1) for CVaR, SRM,
+ERM and CE, over the loss CDF on [a, b] for DRM and RDEU. Atomic arms
+short-circuit to exact evaluation. The bandit's true risks and the true
+risk of ``sweep`` and ``coverage`` come from here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Distance, SupportBounds, distance
+from .distributions import SupportBounds
 from .measures import CE, CVaR, DRM, ERM, RDEU, SRM, RiskMeasure, _apply, evaluate
-from .operators import _require_radius
 
 __all__ = [
     "QuadratureError",
-    "random_feasible",
     "quadrature_risk",
     "refining_integral",
 ]
@@ -36,8 +25,6 @@ QUADRATURE_TOL = 1e-9
 _INITIAL_PANELS = 32
 # Open panels refined per integrand call, and panels refined per integral.
 _BATCH_PANELS, _MAX_PANELS = 1 << 15, 1 << 22
-# Random atoms each supremum-ball candidate adds to the center's interior atoms.
-ATOM_BUDGET = 4
 
 
 class QuadratureError(RuntimeError):
@@ -151,61 +138,3 @@ def quadrature_risk(arm, spec: RiskMeasure, bounds: SupportBounds) -> float:
         expected = refining_integral(lambda y: _apply(spec.u, arm.quantile(y, bounds)), 0.0, 1.0)
         return float(_apply(spec.u_inv, np.array([expected]))[0])
     raise TypeError(f"not a risk measure spec: {spec!r}")
-
-
-def _sup_candidate(center: DiscreteDistribution, c: float, rng) -> DiscreteDistribution:
-    a, b = center.bounds.a, center.bounds.b
-    interior = center.xs[center.xs < b]
-    extra = a + (b - a) * rng.random(ATOM_BUDGET)
-    grid = np.union1d(interior, extra[extra < b])
-    if grid.size == 0:
-        grid = np.array([a])
-    f_vals = center.cdf(grid)
-    margin = c * (1.0 - 1e-9)  # tiny shrink keeps float dust inside the ball
-    lower = np.maximum(f_vals - margin, 0.0)
-    upper = np.minimum(f_vals + margin, 1.0)
-    draws = lower + (upper - lower) * rng.random(grid.size)
-    cdf_vals = np.maximum.accumulate(draws)
-    xs = np.append(grid, b)
-    cdf_vals = np.append(cdf_vals, 1.0)
-    return DiscreteDistribution._from_cdf(xs, cdf_vals, center.bounds)
-
-
-def _w1_candidate(center: DiscreteDistribution, c: float, rng) -> DiscreteDistribution:
-    a, b = center.bounds.a, center.bounds.b
-    budget = c * rng.random() * (1.0 - 1e-9)
-    moved_frac = rng.random(center.xs.size)
-    moved = center.ps * moved_frac
-    offsets = (b - a) * rng.uniform(-1.0, 1.0, center.xs.size)
-    cost = float(moved @ np.abs(offsets))
-    if cost > budget and cost > 0.0:
-        offsets *= budget / cost
-    new_xs = np.clip(center.xs + offsets, a, b)
-    xs = np.concatenate((center.xs, new_xs))
-    ps = np.concatenate((center.ps - moved, moved))
-    return DiscreteDistribution(xs, ps, center.bounds)
-
-
-def random_feasible(
-    center: DiscreteDistribution, kind: Distance, c: float, count: int, seed: int = 0
-) -> list[DiscreteDistribution]:
-    """``count`` random distributions inside the ``kind`` ball of radius
-    ``c`` around ``center``, each verified feasible with the exact distance
-    before emission."""
-    c = _require_radius(c)
-    if c == 0.0:
-        return [center] * count
-    rng = np.random.default_rng(seed)
-    out: list[DiscreteDistribution] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 50 * (count + 1):
-            raise RuntimeError("feasible-candidate sampler stalled; ball too tight?")
-        if kind is Distance.SUPREMUM:
-            cand = _sup_candidate(center, c, rng)
-        else:
-            cand = _w1_candidate(center, c, rng)
-        if distance(center, cand, kind) <= c:
-            out.append(cand)
-    return out

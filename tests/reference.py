@@ -1,0 +1,209 @@
+"""Reference checks for the package's claims, kept out of the package.
+
+Nothing in ``riskbounds`` reads these; the tests use them as independent
+oracles:
+
+- ``distance`` and ``dominates``: exact sup/W1 distance and first-order
+  dominance between step CDFs, on the merged support of two distributions.
+- ``random_feasible(center, kind, c, count, seed=0)``: ``count`` random
+  distributions inside the ``kind`` ball of radius ``c`` around ``center``,
+  used to probe that the ball-extreme operators really dominate every
+  feasible competitor in risk value. Supremum balls are sampled as random
+  monotone CDFs inside the tube; W1 balls as random partial mass transports
+  with total cost within the radius. Every candidate is checked feasible
+  with the exact distance before it is emitted.
+- ``compare_methods``: all three bound methods at one radius, with the
+  dist <= llc <= glc tightness chain enforced on pre-clamp values.
+- ``shift`` and ``allclose``: translation and approximate equality of
+  distributions.
+- ``instance_to_dict``: the instance-file form of a ``cvar`` or ``erm``
+  bandit instance, the inverse of ``instance_from_dict``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict
+
+import numpy as np
+
+from riskbounds import (
+    Arm,
+    BanditInstance,
+    BoundMethod,
+    ConfidenceResult,
+    CVaR,
+    DiscreteArm,
+    DiscreteDistribution,
+    Distance,
+    ERM,
+    RiskMeasure,
+    SupportBounds,
+    bound_with_radius,
+)
+from riskbounds.bandit import ARM_FAMILIES
+from riskbounds.operators import _require_radius
+
+# Random atoms each supremum-ball candidate adds to the center's interior atoms.
+ATOM_BUDGET = 4
+_CHAIN_TOL = 1e-9
+
+
+def _check_shared_bounds(d1: DiscreteDistribution, d2: DiscreteDistribution) -> None:
+    if d1.bounds != d2.bounds:
+        raise ValueError(f"support bounds mismatch: {d1.bounds} vs {d2.bounds}")
+
+
+def _merged_cdfs(d1: DiscreteDistribution, d2: DiscreteDistribution):
+    grid = np.union1d(d1.xs, d2.xs)
+    return grid, d1.cdf(grid), d2.cdf(grid)
+
+
+def distance(d1: DiscreteDistribution, d2: DiscreteDistribution, kind: Distance) -> float:
+    """Sup distance sup_x |F - G|, or Wasserstein-1 distance int |F - G| dx.
+
+    Both are exact for step CDFs: the sup is attained at an atom of the
+    merged support, and the W1 integral is a finite sum of rectangle areas
+    between consecutive merged atoms.
+    """
+    _check_shared_bounds(d1, d2)
+    grid, f, g = _merged_cdfs(d1, d2)
+    diff = np.abs(f - g)
+    if kind is Distance.SUPREMUM:
+        return float(diff.max())
+    if kind is Distance.WASSERSTEIN1:
+        if grid.size == 1:
+            return 0.0
+        return float(diff[:-1] @ np.diff(grid))
+    raise ValueError(f"unknown distance kind {kind!r}")
+
+
+def dominates(d1: DiscreteDistribution, d2: DiscreteDistribution, tol: float = 0.0) -> bool:
+    """True iff the CDF of ``d1`` is >= the CDF of ``d2`` everywhere.
+
+    Equivalently: d2 first-order stochastically dominates d1 as a loss
+    (d2 carries at least as much mass on large values), so every monotone
+    risk functional satisfies T(d1) <= T(d2).
+    """
+    _check_shared_bounds(d1, d2)
+    _, f, g = _merged_cdfs(d1, d2)
+    return bool(np.all(f >= g - tol))
+
+
+def shift(d: DiscreteDistribution, t: float) -> DiscreteDistribution:
+    """Translate all atoms (and the support) by t."""
+    return DiscreteDistribution(d.xs + t, d.ps, SupportBounds(d.bounds.a + t, d.bounds.b + t))
+
+
+def allclose(d1: DiscreteDistribution, d2: DiscreteDistribution, tol: float = 1e-12) -> bool:
+    return (
+        d1.bounds == d2.bounds
+        and d1.xs.size == d2.xs.size
+        and bool(np.all(np.abs(d1.xs - d2.xs) <= tol))
+        and bool(np.all(np.abs(d1.ps - d2.ps) <= tol))
+    )
+
+
+def _sup_candidate(center: DiscreteDistribution, c: float, rng) -> DiscreteDistribution:
+    a, b = center.bounds.a, center.bounds.b
+    interior = center.xs[center.xs < b]
+    extra = a + (b - a) * rng.random(ATOM_BUDGET)
+    grid = np.union1d(interior, extra[extra < b])
+    if grid.size == 0:
+        grid = np.array([a])
+    f_vals = center.cdf(grid)
+    margin = c * (1.0 - 1e-9)  # tiny shrink keeps float dust inside the ball
+    lower = np.maximum(f_vals - margin, 0.0)
+    upper = np.minimum(f_vals + margin, 1.0)
+    draws = lower + (upper - lower) * rng.random(grid.size)
+    cdf_vals = np.maximum.accumulate(draws)
+    xs = np.append(grid, b)
+    cdf_vals = np.append(cdf_vals, 1.0)
+    return DiscreteDistribution._from_cdf(xs, cdf_vals, center.bounds)
+
+
+def _w1_candidate(center: DiscreteDistribution, c: float, rng) -> DiscreteDistribution:
+    a, b = center.bounds.a, center.bounds.b
+    budget = c * rng.random() * (1.0 - 1e-9)
+    moved_frac = rng.random(center.xs.size)
+    moved = center.ps * moved_frac
+    offsets = (b - a) * rng.uniform(-1.0, 1.0, center.xs.size)
+    cost = float(moved @ np.abs(offsets))
+    if cost > budget and cost > 0.0:
+        offsets *= budget / cost
+    new_xs = np.clip(center.xs + offsets, a, b)
+    xs = np.concatenate((center.xs, new_xs))
+    ps = np.concatenate((center.ps - moved, moved))
+    return DiscreteDistribution(xs, ps, center.bounds)
+
+
+def random_feasible(
+    center: DiscreteDistribution, kind: Distance, c: float, count: int, seed: int = 0
+) -> list[DiscreteDistribution]:
+    """``count`` random distributions inside the ``kind`` ball of radius
+    ``c`` around ``center``, each verified feasible with the exact distance
+    before emission."""
+    c = _require_radius(c)
+    if c == 0.0:
+        return [center] * count
+    rng = np.random.default_rng(seed)
+    out: list[DiscreteDistribution] = []
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > 50 * (count + 1):
+            raise RuntimeError("feasible-candidate sampler stalled; ball too tight?")
+        if kind is Distance.SUPREMUM:
+            cand = _sup_candidate(center, c, rng)
+        else:
+            cand = _w1_candidate(center, c, rng)
+        if distance(center, cand, kind) <= c:
+            out.append(cand)
+    return out
+
+
+def compare_methods(
+    d: DiscreteDistribution,
+    spec: RiskMeasure,
+    dist_kind: Distance,
+    c: float,
+) -> tuple[ConfidenceResult, ConfidenceResult, ConfidenceResult]:
+    """All three methods at one radius, verified to satisfy the tightness
+    chain dist <= llc <= glc on pre-clamp values."""
+    res_dist = bound_with_radius(d, spec, dist_kind, BoundMethod.DIST, c)
+    res_llc = bound_with_radius(d, spec, dist_kind, BoundMethod.LLC, c)
+    res_glc = bound_with_radius(d, spec, dist_kind, BoundMethod.GLC, c)
+
+    ucbs = (res_dist.ucb, res_llc.extras["raw_ucb"], res_glc.extras["raw_ucb"])
+    lcbs = (res_dist.lcb, res_llc.extras["raw_lcb"], res_glc.extras["raw_lcb"])
+    if not (ucbs[0] <= ucbs[1] + _CHAIN_TOL and ucbs[1] <= ucbs[2] + _CHAIN_TOL):
+        raise RuntimeError(f"tightness chain violated for UCBs: {ucbs}")
+    if not (lcbs[0] >= lcbs[1] - _CHAIN_TOL and lcbs[1] >= lcbs[2] - _CHAIN_TOL):
+        raise RuntimeError(f"tightness chain violated for LCBs: {lcbs}")
+    return res_dist, res_llc, res_glc
+
+
+def _arm_to_dict(arm: Arm) -> dict:
+    if isinstance(arm, DiscreteArm):
+        return {"family": "discrete", "params": {"atoms": arm.dist.to_json()["atoms"]}}
+    for family, cls in ARM_FAMILIES.items():
+        if isinstance(arm, cls):
+            return {"family": family, "params": asdict(arm)}
+    raise TypeError(f"unknown arm {arm!r}")
+
+
+def instance_to_dict(instance: BanditInstance) -> dict:
+    """The instance-file form of ``instance``. Only ``cvar`` and ``erm``
+    instances have one: the other families carry functions, not numbers."""
+    if isinstance(instance.risk, CVaR):
+        risk_label = f"cvar:{instance.risk.alpha}"
+    elif isinstance(instance.risk, ERM):
+        risk_label = f"erm:{instance.risk.beta}"
+    else:
+        raise ValueError("only cvar and erm instances can be written as instance files")
+    return {
+        "bounds": {"a": instance.bounds.a, "b": instance.bounds.b},
+        "risk": risk_label,
+        "horizon": instance.horizon,
+        "seed": instance.seed,
+        "arms": [_arm_to_dict(arm) for arm in instance.arms],
+    }

@@ -22,10 +22,7 @@ from riskbounds import (
     ERM,
     SupportBounds,
     bound_with_radius,
-    compare_methods,
     dkw_radius,
-    distance,
-    dominates,
     evaluate,
     from_samples,
     glc,
@@ -35,7 +32,6 @@ from riskbounds import (
     neg_w1,
     pos_sup,
     pos_w1,
-    random_feasible,
     regret_bound,
     run_lcb,
     scaled_dkw_radius,
@@ -44,6 +40,7 @@ from riskbounds import (
 )
 from riskbounds.bandit import BetaArm, UniformArm, true_risk
 from riskbounds.measures import RDEU, SRM, DRM
+from reference import compare_methods, distance, dominates, random_feasible
 from conftest import catalog_specs, quad_drm, random_interior_dist
 
 B01 = SupportBounds(0.0, 1.0)

@@ -21,7 +21,6 @@ from riskbounds import (
     from_samples,
     glc,
     instance_from_dict,
-    instance_to_dict,
     llc,
     neg_sup,
     regret_bound,
@@ -40,6 +39,7 @@ from riskbounds.bandit import (
 )
 from riskbounds.cli import main
 from riskbounds.measures import ERM, parse_risk
+from reference import instance_to_dict
 
 B01 = SupportBounds(0.0, 1.0)
 

@@ -13,11 +13,11 @@ from riskbounds import (
     UnsupportedCombinationError,
     bound_from_samples,
     bound_with_radius,
-    compare_methods,
     from_samples,
     llc,
 )
 from riskbounds.measures import rdeu_power
+from reference import compare_methods
 from conftest import catalog_specs, random_interior_dist
 
 B05 = SupportBounds(0.0, 5.0)

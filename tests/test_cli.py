@@ -82,6 +82,20 @@ class TestCi:
             llc_blob = json.loads(captured.out)[1]
             assert (llc_blob["method"], llc_blob["lcb"], llc_blob["ucb"]) == ("llc", 0.0, 5.0)
 
+    @pytest.mark.parametrize("beta", ["1e-20", "1e-200"])
+    def test_erm_llc_at_tiny_beta_width(self, beta, tmp_path, capsys):
+        # beta * (b - a) below the float resolution of 1: log(1 - e^-x) must
+        # not become log(0). The llc interval still nests inside glc.
+        path = tmp_path / "s.csv"
+        path.write_text("0.1\n0.5\n0.9\n")
+        blobs = {}
+        for method in ("llc", "glc"):
+            code = main(["ci", "--input", str(path), "--bounds", "0,1", "--risk", f"erm:{beta}", "--method", method])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            blobs[method] = json.loads(captured.out)
+        assert blobs["glc"]["lcb"] <= blobs["llc"]["lcb"] and blobs["llc"]["ucb"] <= blobs["glc"]["ucb"]
+
     def test_cvar_level_below_float_resolution_usage(self, samples_csv, capsys):
         code = main(["ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "cvar:1e-17", "--method", "all"])
         assert code == 2
@@ -322,6 +336,31 @@ class TestBandit:
             err = capsys.readouterr().err
             assert err.startswith("data error: ")
             assert "Traceback" not in err
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be written is a data error with a one-line
+    message, for every command."""
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("ci", "missing"), ("ci", "directory"), ("sweep", "missing"), ("coverage", "missing"),
+         ("bandit", "file")],
+    )
+    def test_data_error(self, command, target, samples_csv, two_arm_instance, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "directory").mkdir()
+        out = str(tmp_path / {"missing": "no/such/dir/x.out", "directory": "directory", "file": "file"}[target])
+        ball = ["--bounds", "0,5", "--risk", "cvar:0.5", "--out", out]
+        argv = {
+            "ci": ["ci", "--input", samples_csv, *ball],
+            "sweep": ["sweep", "--dist", "uniform:1,4", "--n", "5", "--seeds", "1", *ball],
+            "coverage": ["coverage", "--dist", "uniform:1,4", "--n", "5", "--trials", "1", *ball],
+            "bandit": ["bandit", "--instance", two_arm_instance, "--out", out],
+        }[command]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
 
 
 class TestParser:

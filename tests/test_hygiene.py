@@ -70,3 +70,60 @@ def test_all_lists_and_package_reexports_agree():
     ]
     assert reexports
     assert [(m, n) for m, n in reexports if n not in modules[m].__all__] == []
+
+
+# Public names that no code in src/ or perfbench/ reads but that stay in the
+# package, each with its reason.
+_KEPT_UNREAD = {
+    "distributions.DiscreteDistribution.from_json": "the README documents it as the reader of the distribution JSON format",
+}
+
+
+def _program_reads() -> tuple[set[str], set[str]]:
+    """Names read by the program (src/ and perfbench/), as (module-level
+    names read through ``Name`` and ``ImportFrom`` nodes, attribute names
+    read through ``Attribute`` nodes).
+
+    The package's ``__init__`` only re-exports, and a module-level function
+    or class that names itself inside its own body does not read itself. The
+    check works on names, not bindings: a local variable or an unrelated
+    attribute of the same name also counts as a read, so it can miss a dead
+    name but never flags a live one.
+    """
+    paths = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    names, attrs = set(), set()
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            own = getattr(top, "name", None) if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+                    names.add(node.id)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    attrs.add(node.attr)
+    return names, attrs
+
+
+def test_every_public_name_has_a_reader_in_the_program():
+    # Test oracles and test-only helpers live in tests/reference.py, not in
+    # the package: each module's __all__ and each public method of its
+    # classes must be read by the program itself.
+    names, attrs = _program_reads()
+    public = {}  # qualified name -> read by the program
+    for path in sorted((ROOT / "src" / "riskbounds").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"riskbounds.{path.stem}")
+        public.update((f"{path.stem}.{n}", n in names) for n in module.__all__)
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                public.update(
+                    (f"{path.stem}.{cls.name}.{fn.name}", fn.name in attrs)
+                    for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                )
+    assert public
+    assert [q for q, read in public.items() if not read and q not in _KEPT_UNREAD] == []
+    assert [q for q in _KEPT_UNREAD if q not in public] == []  # no stale entries

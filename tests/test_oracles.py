@@ -10,17 +10,16 @@ from riskbounds import (
     Distance,
     ERM,
     SupportBounds,
-    distance,
     evaluate,
     from_samples,
     pos_sup,
     quadrature_risk,
-    random_feasible,
 )
 from riskbounds.bandit import BetaArm, DiracArm, DiscreteArm, TruncNormalArm, UniformArm, true_risk
 from riskbounds import oracles
 from riskbounds.measures import ce_power, drm_power, parse_risk, rdeu_power, srm_power
 from riskbounds.oracles import QuadratureError, refining_integral
+from reference import distance, random_feasible
 from conftest import random_interior_dist
 
 B01 = SupportBounds(0.0, 1.0)
