@@ -29,6 +29,7 @@ from .bounds import (
     ConfidenceResult,
     UnsupportedCombinationError,
     bound_from_samples,
+    bound_rows,
     bound_with_radius,
 )
 from .concentration import (

@@ -297,8 +297,17 @@ def _sorted_quantile_integral(arr: np.ndarray, lo: float, hi: float) -> float:
     n = arr.size
     k_lo = max(int(math.floor(lo * n)), 0)
     k_hi = min(int(math.ceil(hi * n)) - 1, n - 1)
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-    weights = np.clip(np.minimum((ks + 1.0) / n, hi) - np.maximum(ks / n, lo), 0.0, None)
+    if k_hi < k_lo:
+        return 0.0
+    # Cell k is [k/n, (k+1)/n] clipped to [lo, hi]. Only the two end cells
+    # can reach past lo or hi, so only their edges are clamped and only
+    # their weights floored at 0.
+    edges = np.arange(k_lo, k_hi + 2) / n
+    edges[0] = max(edges[0], lo)
+    edges[-1] = min(edges[-1], hi)
+    weights = np.diff(edges)
+    weights[0] = max(weights[0], 0.0)
+    weights[-1] = max(weights[-1], 0.0)
     return float(weights @ arr[k_lo : k_hi + 1])
 
 

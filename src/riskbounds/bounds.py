@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .concentration import RadiusRule, confidence_radius, resolve_radius_rule
-from .distributions import DiscreteDistribution, Distance, SupportBounds, from_samples
-from .lipschitz import UnsupportedCombinationError, glc, llc
+from .distributions import DiscreteDistribution, Distance, SupportBounds, _check_samples, from_samples
+from .lipschitz import UnsupportedCombinationError, _local_constant, glc
 from .measures import RDEU, RiskMeasure, evaluate
 from .operators import _require_radius, neg_sup, neg_w1, pos_sup, pos_w1
 
@@ -40,6 +40,7 @@ __all__ = [
     "ConfidenceResult",
     "UnsupportedCombinationError",
     "bound_with_radius",
+    "bound_rows",
     "bound_from_samples",
 ]
 
@@ -94,6 +95,82 @@ def _attainable_range(spec: RiskMeasure, bounds: SupportBounds) -> tuple[float, 
     return lo, hi
 
 
+class _Ball:
+    """The spec, distance, support and radius that every row of one call is
+    bounded with, and what depends on them alone: the global constant and
+    the local-constant function, each computed on first use, so the first
+    row raises what it always raised, in the same order."""
+
+    def __init__(self, spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds, c: float):
+        self.spec, self.dist_kind, self.bounds, self.c = spec, dist_kind, bounds, c
+        if dist_kind is Distance.SUPREMUM:
+            self.lower_op, self.upper_op = neg_sup, pos_sup
+        else:
+            self.lower_op, self.upper_op = neg_w1, pos_w1
+
+    @cached_property
+    def global_constant(self) -> float:
+        return glc(self.spec, self.dist_kind, self.bounds)
+
+    @cached_property
+    def local_constant(self):
+        return _local_constant(self.spec, self.dist_kind, self.bounds)
+
+    def bound(self, d: DiscreteDistribution, methods) -> list[ConfidenceResult]:
+        """One result per method for ``d``, with extremes from the operators."""
+        c = self.c
+        return _bound_edf(self, d, lambda: self.lower_op(d, c), lambda: self.upper_op(d, c), methods)
+
+
+def _bound_edf(ball: _Ball, d: DiscreteDistribution, lower, upper, methods) -> list[ConfidenceResult]:
+    """One result per method for the empirical distribution ``d``.
+
+    ``lower()`` and ``upper()`` build the ball's extremes around ``d``. The
+    point is evaluated once and shared by the methods; the lowered extreme
+    is kept for ``llc`` only when ``dist`` built it and ``llc`` follows.
+    """
+    spec, dist_kind, c = ball.spec, ball.dist_kind, ball.c
+    point = lowered = None
+    results = []
+    for i, method in enumerate(methods):
+        if method is BoundMethod.DIST:
+            if dist_kind is not Distance.SUPREMUM and isinstance(spec, RDEU):
+                raise UnsupportedCombinationError(
+                    "W1 ball extremes do not attain the rank-dependent expected "
+                    "utility optimum; use the supremum distance or the glc method"
+                )
+            if point is None:
+                point = evaluate(spec, d)
+            # Each extreme is evaluated as soon as it is built, so the two
+            # are alive together only when llc reads the lowered one.
+            low = lower()
+            lcb = evaluate(spec, low)
+            if BoundMethod.LLC in methods[i + 1 :]:
+                lowered = low
+            del low
+            ucb = evaluate(spec, upper())
+            results.append(ConfidenceResult(lcb, ucb, method, dist_kind, c, point))
+            continue
+        # The constant comes first: an unsupported combination is reported as
+        # such even where evaluating the point would reject the support.
+        if method is BoundMethod.LLC:
+            constant = ball.local_constant(d, c, lower if lowered is None else lambda: lowered)
+        else:
+            constant = ball.global_constant
+        if point is None:
+            point = evaluate(spec, d)
+        delta = constant * c if c > 0.0 else 0.0  # avoid inf * 0 at zero radius
+        raw_lcb, raw_ucb = point - delta, point + delta
+        range_lo, range_hi = _attainable_range(spec, ball.bounds)
+        extras = {"lipschitz_constant": constant, "raw_lcb": raw_lcb, "raw_ucb": raw_ucb}
+        results.append(
+            ConfidenceResult(
+                max(raw_lcb, range_lo), min(raw_ucb, range_hi), method, dist_kind, c, point, extras
+            )
+        )
+    return results
+
+
 def bound_with_radius(
     d: DiscreteDistribution,
     spec: RiskMeasure,
@@ -103,34 +180,104 @@ def bound_with_radius(
 ) -> ConfidenceResult:
     """(LCB, UCB) for the risk of the true distribution, given ball radius c."""
     _require_radius(c)
-    if method is BoundMethod.DIST:
-        if dist_kind is Distance.SUPREMUM:
-            lower, upper = neg_sup, pos_sup
-        elif isinstance(spec, RDEU):
-            raise UnsupportedCombinationError(
-                "W1 ball extremes do not attain the rank-dependent expected "
-                "utility optimum; use the supremum distance or the glc method"
-            )
-        else:
-            lower, upper = neg_w1, pos_w1
-        point = evaluate(spec, d)
-        lcb, ucb = evaluate(spec, lower(d, c)), evaluate(spec, upper(d, c))
-        return ConfidenceResult(lcb, ucb, method, dist_kind, c, point)
+    return _Ball(spec, dist_kind, d.bounds, c).bound(d, [method])[0]
 
-    # The constant comes first: an unsupported combination is reported as
-    # such even where evaluating the point would reject the support.
-    if method is BoundMethod.LLC:
-        constant = llc(spec, dist_kind, d, c)
-    else:
-        constant = glc(spec, dist_kind, d.bounds)
-    point = evaluate(spec, d)
-    delta = constant * c if c > 0.0 else 0.0  # avoid inf * 0 at zero radius
-    raw_lcb, raw_ucb = point - delta, point + delta
-    range_lo, range_hi = _attainable_range(spec, d.bounds)
-    extras = {"lipschitz_constant": constant, "raw_lcb": raw_lcb, "raw_ucb": raw_ucb}
-    return ConfidenceResult(
-        max(raw_lcb, range_lo), min(raw_ucb, range_hi), method, dist_kind, c, point, extras
-    )
+
+class _SharedMasses:
+    """The EDF and supremum-ball extremes of tie-free samples strictly
+    inside (a, b), shared by the rows of one call.
+
+    For n such samples the masses of the EDF and of both extremes depend
+    only on n and the radius: the EDF puts 1/n on each sample, and the
+    extremes shift its CDF by the radius. The first row that needs one
+    builds it through ``from_samples``, ``neg_sup`` or ``pos_sup``; its
+    frozen ``ps``/``cum`` are kept with the run of the padded row (a, sorted
+    samples, b) that holds its atoms, and every later row gets them with its
+    own sorted values as atoms, bit for bit what the builder would return.
+    """
+
+    def __init__(self, ball: _Ball):
+        self.ball = ball
+        self.kept = {}  # builder -> (atom run of the padded row, ps, cum)
+
+    def build(self, builder, padded: np.ndarray, *args) -> DiscreteDistribution:
+        entry = self.kept.get(builder)
+        if entry is not None:
+            run, ps, cum = entry
+            return DiscreteDistribution._trusted(padded[run], ps, self.ball.bounds, cum)
+        out = builder(*args)
+        # The EDF's atoms are the samples; neg_sup's are a and the samples
+        # below its saturation, pos_sup's the samples above it and b: each
+        # a run of consecutive entries of the padded row.
+        start = int(np.searchsorted(padded, out.xs[0]))
+        self.kept[builder] = (slice(start, start + out.n_atoms), out.ps, out.cum)
+        return out
+
+    def row(self, padded: np.ndarray, methods) -> list[ConfidenceResult]:
+        ball = self.ball
+        c = ball.c
+        d = self.build(from_samples, padded, padded[1:-1], ball.bounds)
+        if ball.dist_kind is Distance.SUPREMUM:
+            lower = lambda: self.build(neg_sup, padded, d, c)
+            upper = lambda: self.build(pos_sup, padded, d, c)
+            return _bound_edf(ball, d, lower, upper, methods)
+        return ball.bound(d, methods)  # a W1 extreme's water-fill break depends on the values
+
+
+def bound_rows(
+    samples: np.ndarray,
+    bounds: SupportBounds,
+    spec: RiskMeasure,
+    dist_kind: Distance,
+    methods: Sequence[BoundMethod],
+    delta: float,
+    radius_rule: RadiusRule | None = None,
+) -> list[list[ConfidenceResult]]:
+    """Bound each row of a (T, n) block of samples with each method.
+
+    Every row gets the radius of n samples. The results equal, bit for bit,
+    building each row's empirical distribution with ``from_samples`` and
+    bounding it with ``bound_with_radius`` method by method; the block is
+    validated once, and rows that are tie-free and strictly inside (a, b)
+    share one set of EDF and supremum-ball extreme masses. Rows with ties
+    or with a sample on a or b are bounded on their own, from their samples
+    as given. The caller's array is not modified.
+    """
+    rule = resolve_radius_rule(radius_rule, dist_kind)
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"sample rows must form a 2-D array, got {arr.ndim} dimension(s)")
+    _check_samples(arr, bounds)
+    rows, n = arr.shape
+    c = confidence_radius(rule, n, delta, bounds)
+    ball = _Ball(spec, dist_kind, bounds, c)
+
+    # Each row as (a, sorted samples, b): strictly increasing exactly when
+    # its samples are tie-free and strictly inside (a, b). With fewer than
+    # two such rows there is nothing to share; a single row (``ci``) is not
+    # even copied.
+    shareable = np.zeros(rows, dtype=bool)
+    if rows > 1:
+        padded = np.empty((rows, n + 2))
+        padded[:, 0], padded[:, -1] = bounds.a, bounds.b
+        padded[:, 1:-1] = arr
+        padded[:, 1:-1].sort(axis=1)
+        shareable = np.all(padded[:, 1:] > padded[:, :-1], axis=1)
+        if np.count_nonzero(shareable) < 2:
+            shareable[:] = False
+        shared = _SharedMasses(ball)
+
+    out = []
+    for i, share in enumerate(shareable.tolist()):
+        if share:
+            results = shared.row(padded[i], methods)
+        else:
+            results = ball.bound(from_samples(arr[i], bounds), methods)
+        for res in results:
+            res.extras["radius_rule"] = rule.value
+            res.extras["delta"] = delta
+        out.append(results)
+    return out
 
 
 def bound_from_samples(
@@ -145,12 +292,8 @@ def bound_from_samples(
     """Build the empirical distribution, pick the radius, and bound.
 
     The rule must match the distance: ``dkw`` for the supremum distance,
-    ``scaled-dkw`` (default) or ``fact22`` for W1.
+    ``scaled-dkw`` (default) or ``fact22`` for W1. This is ``bound_rows``
+    on one row.
     """
-    rule = resolve_radius_rule(radius_rule, dist_kind)
-    d = from_samples(samples, bounds)
-    c = confidence_radius(rule, len(np.asarray(samples)), delta, bounds)
-    result = bound_with_radius(d, spec, dist_kind, method, c)
-    result.extras["radius_rule"] = rule.value
-    result.extras["delta"] = delta
-    return result
+    row = np.asarray(samples, dtype=np.float64).reshape(1, -1)
+    return bound_rows(row, bounds, spec, dist_kind, [method], delta, radius_rule)[0][0]

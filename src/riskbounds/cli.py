@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ import sys
 import numpy as np
 
 from .bandit import ARM_FAMILIES, load_instance, regret_bound, run_lcb, true_risk
-from .bounds import BoundMethod, UnsupportedCombinationError, bound_from_samples
+from .bounds import BoundMethod, UnsupportedCombinationError, bound_from_samples, bound_rows
 from .concentration import RadiusRule, resolve_radius_rule
 from .distributions import Distance, SampleError, SupportBounds, read_samples_csv
 from .measures import CVaR, parse_risk
@@ -33,6 +34,8 @@ from .oracles import QuadratureError
 __all__ = ["main"]
 
 _METHOD_CHOICES = [m.value for m in BoundMethod] + ["all"]
+# Samples that sweep and coverage draw and bound at a time.
+_BLOCK_SAMPLES = 1 << 16
 
 
 class DataError(Exception):
@@ -110,6 +113,22 @@ def cmd_ci(args) -> int:
     return 0
 
 
+def _bound_trials(arm, n: int, entropies, bounds, spec, dist_kind, methods, delta, rule):
+    """For each seed entropy in turn, the results of ``methods`` on the n
+    samples ``arm`` draws from ``default_rng(entropy)``.
+
+    Trials are drawn and bounded in blocks of about ``_BLOCK_SAMPLES``
+    samples, so memory does not grow with their number.
+    """
+    per_block = max(_BLOCK_SAMPLES // n, 1)
+    entropies = iter(entropies)
+    while chunk := list(itertools.islice(entropies, per_block)):
+        block = np.empty((len(chunk), n))
+        for row, entropy in zip(block, chunk):
+            row[:] = arm.sample(np.random.default_rng(entropy), n, bounds)
+        yield from bound_rows(block, bounds, spec, dist_kind, methods, delta, rule)
+
+
 def cmd_sweep(args) -> int:
     arm = _parse_arm(args.dist)
     bounds, spec, dist_kind, methods, rule = _parse_ball(args)
@@ -126,13 +145,12 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for n in n_values:
-        for seed_idx in range(args.seeds):
-            rng = np.random.default_rng([args.seed, n, seed_idx])
-            samples = arm.sample(rng, n, bounds)
-            for method in methods:
-                res = bound_from_samples(samples, bounds, spec, dist_kind, method, args.delta, rule)
+        entropies = ([args.seed, n, seed_idx] for seed_idx in range(args.seeds))
+        trials = _bound_trials(arm, n, entropies, bounds, spec, dist_kind, methods, args.delta, rule)
+        for seed_idx, results in enumerate(trials):
+            for res in results:
                 covered = res.lcb <= truth <= res.ucb
-                rows.append((n, seed_idx, method.value, res.lcb, res.ucb, res.point, covered))
+                rows.append((n, seed_idx, res.method.value, res.lcb, res.ucb, res.point, covered))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = ["n,seed,method,lcb,ucb,point,true_risk,covered"]
     for n, s, method, lcb, ucb, point, covered in rows:
@@ -155,10 +173,8 @@ def cmd_coverage(args) -> int:
     truth = true_risk(arm, spec, bounds)
 
     hits = 0
-    for trial in range(args.trials):
-        rng = np.random.default_rng([args.seed, trial])
-        samples = arm.sample(rng, args.n, bounds)
-        res = bound_from_samples(samples, bounds, spec, dist_kind, method, args.delta, rule)
+    entropies = ([args.seed, trial] for trial in range(args.trials))
+    for (res,) in _bound_trials(arm, args.n, entropies, bounds, spec, dist_kind, methods, args.delta, rule):
         hits += res.lcb <= truth <= res.ucb
     payload = {
         "distribution": args.dist,

@@ -257,9 +257,8 @@ class SampleError(ValueError):
     """The samples themselves cannot form an empirical distribution."""
 
 
-def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDistribution:
-    """Empirical distribution: mass multiplicity/n at each distinct value."""
-    arr = np.asarray(samples, dtype=np.float64)
+def _check_samples(arr: np.ndarray, bounds: SupportBounds) -> None:
+    """Reject samples that cannot form an empirical distribution on ``bounds``."""
     if arr.size == 0:
         raise SampleError("cannot build an empirical distribution from zero samples")
     if np.any(~np.isfinite(arr)):
@@ -270,7 +269,20 @@ def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDis
             f"sample {bad} outside declared support [{bounds.a}, {bounds.b}]; "
             "radii and ball operators assume bounded support"
         )
-    xs, counts = np.unique(arr, return_counts=True)
+
+
+def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDistribution:
+    """Empirical distribution: mass multiplicity/n at each distinct value.
+
+    Strictly increasing samples (one sample included) are their own distinct
+    values, each of multiplicity one, so they skip ``np.unique``'s sort.
+    """
+    arr = np.asarray(samples, dtype=np.float64)
+    _check_samples(arr, bounds)
+    if arr.ndim == 1 and np.all(arr[1:] > arr[:-1]):
+        xs, counts = arr.copy(), np.ones(arr.size)
+    else:
+        xs, counts = np.unique(arr, return_counts=True)
     return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
 
 

@@ -153,23 +153,36 @@ def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c:
     nondecreasing in c.
     """
     _require_radius(c)
-    bounds = center.bounds
+    lower = neg_sup if dist_kind is Distance.SUPREMUM else neg_w1
+    return _local_constant(spec, dist_kind, center.bounds)(center, c, lambda: lower(center, c))
+
+
+def _local_constant(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds):
+    """``llc`` as a function of (center, c, lowered), where ``lowered()``
+    returns the ball's lowered extreme: ``neg_sup(center, c)`` for the
+    supremum distance, ``neg_w1(center, c)`` for W1.
+
+    The checks and the work that depend only on (spec, distance, bounds)
+    run here, once, in the order ``llc`` has always run them; the returned
+    function does the rest for each center.
+    """
     a, b = bounds.a, bounds.b
     sup = dist_kind is Distance.SUPREMUM
 
     if not sup and isinstance(spec, (CVaR, SRM, DRM)):
-        return glc(spec, dist_kind, bounds)  # no local improvement for W1
+        constant = glc(spec, dist_kind, bounds)  # no local improvement for W1
+        return lambda center, c, lowered: constant
     if isinstance(spec, CVaR):
-        return (b - _quantile_or_a(center, 1.0 - spec.alpha - c)) / spec.alpha
+        return lambda center, c, lowered: (b - _quantile_or_a(center, 1.0 - spec.alpha - c)) / spec.alpha
     if isinstance(spec, SRM):
-        return _cdf_integral(neg_sup(center, c), spec.phi)
+        return lambda center, c, lowered: _cdf_integral(lowered(), spec.phi)
     if isinstance(spec, DRM):
-        return _cdf_integral(neg_sup(center, c), lambda q: _apply(spec.g_prime, 1.0 - np.asarray(q)))
+        return lambda center, c, lowered: _cdf_integral(
+            lowered(), lambda q: _apply(spec.g_prime, 1.0 - np.asarray(q))
+        )
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
         beta = spec.beta
-        lowered = neg_sup(center, c) if sup else neg_w1(center, c)
-        log_den = logsumexp(beta * lowered.xs, lowered.ps)  # log E[exp(beta X)]
         if sup:
             # log(1 - e^-x) without cancellation at either end of x
             # (Maechler 2012, log1mexp): at x below ~1e-16 log1p(-e^-x)
@@ -177,18 +190,28 @@ def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c:
             x = beta * (b - a)
             log1mexp = math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
             log_num = beta * b + log1mexp
-            log_den += math.log(beta)
         else:
             log_num = beta * b
-        try:
-            return math.exp(log_num - log_den)
-        except OverflowError:  # beyond the largest float: report inf, as glc does
-            return math.inf
+
+        def erm(center, c, lowered):
+            low = lowered()
+            log_den = logsumexp(beta * low.xs, low.ps)  # log E[exp(beta X)]
+            if sup:
+                log_den += math.log(beta)
+            try:
+                return math.exp(log_num - log_den)
+            except OverflowError:  # beyond the largest float: report inf, as glc does
+                return math.inf
+
+        return erm
     if isinstance(spec, CE):
-        lowered = neg_sup(center, c) if sup else neg_w1(center, c)
-        ce_low = evaluate(spec, lowered)  # u^{-1} of the lowered expected utility
-        slope = _deriv_at(spec.u_prime, ce_low)
-        return _ce_u_norm(spec, sup, bounds) / slope if slope > 0.0 else math.inf
+
+        def ce(center, c, lowered):
+            ce_low = evaluate(spec, lowered())  # u^{-1} of the lowered expected utility
+            slope = _deriv_at(spec.u_prime, ce_low)
+            return _ce_u_norm(spec, sup, bounds) / slope if slope > 0.0 else math.inf
+
+        return ce
     if isinstance(spec, RDEU):
         if not sup:
             raise UnsupportedCombinationError(
@@ -201,12 +224,14 @@ def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c:
                 "the local RDEU constant requires a convex weight function "
                 "(nondecreasing w')"
             )
-        lowered = neg_sup(center, c)
-        edges, cdf_seg = _segment_grid(lowered)
-        dv = np.diff(_apply(spec.v, edges))
-        keep = dv > 0.0
-        with np.errstate(divide="ignore", over="ignore"):
-            weights = _apply(spec.w_prime, cdf_seg[keep])
-        return float(weights @ dv[keep])
-    raise TypeError(f"not a risk measure spec: {spec!r}")
 
+        def rdeu(center, c, lowered):
+            edges, cdf_seg = _segment_grid(lowered())
+            dv = np.diff(_apply(spec.v, edges))
+            keep = dv > 0.0
+            with np.errstate(divide="ignore", over="ignore"):
+                weights = _apply(spec.w_prime, cdf_seg[keep])
+            return float(weights @ dv[keep])
+
+        return rdeu
+    raise TypeError(f"not a risk measure spec: {spec!r}")

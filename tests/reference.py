@@ -18,10 +18,17 @@ oracles:
   distributions.
 - ``instance_to_dict``: the instance-file form of a ``cvar`` or ``erm``
   bandit instance, the inverse of ``instance_from_dict``.
+- ``unique_edf``, ``sorted_quantile_integral``, ``bound_one``,
+  ``bound_samples`` and ``trial_results``: the empirical distribution, the
+  bandit's EDF quantile integral, the bound of one distribution, the bound of
+  one sample set, and the per-trial loop of ``sweep`` and ``coverage``, as
+  the package computed them before it shared work between calls, rows and
+  methods. The package must match them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -36,11 +43,22 @@ from riskbounds import (
     DiscreteDistribution,
     Distance,
     ERM,
+    RDEU,
     RiskMeasure,
     SupportBounds,
+    UnsupportedCombinationError,
     bound_with_radius,
+    confidence_radius,
+    evaluate,
+    glc,
+    llc,
+    neg_sup,
+    neg_w1,
+    pos_sup,
+    pos_w1,
 )
 from riskbounds.bandit import ARM_FAMILIES
+from riskbounds.concentration import resolve_radius_rule
 from riskbounds.operators import _require_radius
 
 # Random atoms each supremum-ball candidate adds to the center's interior atoms.
@@ -207,3 +225,80 @@ def instance_to_dict(instance: BanditInstance) -> dict:
         "seed": instance.seed,
         "arms": [_arm_to_dict(arm) for arm in instance.arms],
     }
+
+
+def unique_edf(samples, bounds: SupportBounds) -> DiscreteDistribution:
+    """The empirical distribution through ``np.unique``, whatever the order."""
+    arr = np.asarray(samples, dtype=np.float64)
+    xs, counts = np.unique(arr, return_counts=True)
+    return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
+
+
+def sorted_quantile_integral(arr: np.ndarray, lo: float, hi: float) -> float:
+    """Integral of the EDF quantile function of sorted ``arr`` over [lo, hi],
+    with every cell's edges clamped and every weight floored."""
+    if hi <= lo:
+        return 0.0
+    n = arr.size
+    k_lo = max(int(math.floor(lo * n)), 0)
+    k_hi = min(int(math.ceil(hi * n)) - 1, n - 1)
+    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
+    weights = np.clip(np.minimum((ks + 1.0) / n, hi) - np.maximum(ks / n, lo), 0.0, None)
+    return float(weights @ arr[k_lo : k_hi + 1])
+
+
+def bound_one(
+    d: DiscreteDistribution, spec: RiskMeasure, dist_kind: Distance, method: BoundMethod, c: float
+) -> ConfidenceResult:
+    """(LCB, UCB) of one distribution at radius c, every step on its own:
+    the extremes from the operators, the constants from ``llc``/``glc``."""
+    _require_radius(c)
+    if method is BoundMethod.DIST:
+        if dist_kind is Distance.SUPREMUM:
+            lower, upper = neg_sup, pos_sup
+        elif isinstance(spec, RDEU):
+            raise UnsupportedCombinationError(
+                "W1 ball extremes do not attain the rank-dependent expected "
+                "utility optimum; use the supremum distance or the glc method"
+            )
+        else:
+            lower, upper = neg_w1, pos_w1
+        point = evaluate(spec, d)
+        lcb, ucb = evaluate(spec, lower(d, c)), evaluate(spec, upper(d, c))
+        return ConfidenceResult(lcb, ucb, method, dist_kind, c, point)
+    if method is BoundMethod.LLC:
+        constant = llc(spec, dist_kind, d, c)
+    else:
+        constant = glc(spec, dist_kind, d.bounds)
+    point = evaluate(spec, d)
+    delta = constant * c if c > 0.0 else 0.0
+    raw_lcb, raw_ucb = point - delta, point + delta
+    range_lo = evaluate(spec, DiscreteDistribution.dirac(d.bounds.a, d.bounds))
+    range_hi = evaluate(spec, DiscreteDistribution.dirac(d.bounds.b, d.bounds))
+    extras = {"lipschitz_constant": constant, "raw_lcb": raw_lcb, "raw_ucb": raw_ucb}
+    return ConfidenceResult(
+        max(raw_lcb, range_lo), min(raw_ucb, range_hi), method, dist_kind, c, point, extras
+    )
+
+
+def bound_samples(samples, bounds, spec, dist_kind, method, delta, radius_rule=None) -> ConfidenceResult:
+    """``bound_one`` on the empirical distribution of one sample set, at
+    the radius of its size."""
+    rule = resolve_radius_rule(radius_rule, dist_kind)
+    d = unique_edf(samples, bounds)
+    c = confidence_radius(rule, len(np.asarray(samples)), delta, bounds)
+    result = bound_one(d, spec, dist_kind, method, c)
+    result.extras["radius_rule"] = rule.value
+    result.extras["delta"] = delta
+    return result
+
+
+def trial_results(arm, n, entropies, bounds, spec, dist_kind, methods, delta, rule) -> list:
+    """The per-trial loop of ``sweep`` and ``coverage``: for each seed
+    entropy, n samples from ``default_rng(entropy)`` bounded with each
+    method in turn."""
+    out = []
+    for entropy in entropies:
+        samples = arm.sample(np.random.default_rng(entropy), n, bounds)
+        out.append([bound_samples(samples, bounds, spec, dist_kind, m, delta, rule) for m in methods])
+    return out

@@ -36,10 +36,11 @@ from riskbounds.bandit import (
     _sorted_cvar,
     _sorted_cvar_neg_sup,
     _sorted_quantile,
+    _sorted_quantile_integral,
 )
 from riskbounds.cli import main
 from riskbounds.measures import ERM, parse_risk
-from reference import instance_to_dict
+from reference import instance_to_dict, sorted_quantile_integral
 
 B01 = SupportBounds(0.0, 1.0)
 
@@ -329,6 +330,42 @@ class TestFastPathConsistency:
             )
             y = rng.uniform(1e-6, 1.0)
             assert _sorted_quantile(arr, y) == d.quantile(y)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    lo_k=st.integers(0, 300),
+    hi_k=st.integers(0, 300),
+    lo_free=st.floats(0.0, 1.0),
+    hi_free=st.floats(0.0, 1.0),
+    on_grid=st.sampled_from(["none", "lo", "hi", "both"]),
+)
+def test_sorted_quantile_integral_matches_reference(n, lo_k, hi_k, lo_free, hi_free, on_grid):
+    # Levels on the n-grid k/n (cell edges) and anywhere in [0, 1]: the
+    # weights with only the end cells clamped are bitwise today's.
+    lo = min(lo_k, n) / n if on_grid in ("lo", "both") else lo_free
+    hi = min(hi_k, n) / n if on_grid in ("hi", "both") else hi_free
+    lo, hi = min(lo, hi), max(lo, hi, 1e-300)
+    arr = np.sort(np.random.default_rng(n).random(n))
+    got = _sorted_quantile_integral(arr, lo, hi)
+    assert np.float64(got).tobytes() == np.float64(sorted_quantile_integral(arr, lo, hi)).tobytes()
+
+
+def test_sorted_quantile_integral_at_cvar_levels():
+    # lo * n and hi * n can round to the same integer, leaving no cell
+    arr = np.sort(np.random.default_rng(0).random(6))
+    assert _sorted_quantile_integral(arr, np.nextafter(5 / 6, 0.0), 5 / 6) == 0.0
+    # the levels the CVaR dist index asks for, over many (n, alpha, c)
+    rng = np.random.default_rng(1)
+    for _ in range(3000):
+        n = int(rng.integers(1, 2000))
+        arr = np.sort(rng.random(n))
+        alpha, c = rng.uniform(0.01, 0.99), rng.uniform(0.0, 1.2)
+        cc = min(c, 1.0)
+        lo, hi = max(1.0 - alpha - cc, 0.0), 1.0 - cc
+        got, want = _sorted_quantile_integral(arr, lo, hi), sorted_quantile_integral(arr, lo, hi)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestSolveCstar:

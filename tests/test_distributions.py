@@ -16,7 +16,7 @@ from riskbounds import (
     read_samples_csv,
 )
 from riskbounds import distributions
-from reference import allclose, distance, dominates
+from reference import allclose, distance, dominates, unique_edf
 from conftest import assert_bitwise_equal, assert_invariants, random_interior_dist, validated_builds
 
 B05 = SupportBounds(0.0, 5.0)
@@ -225,6 +225,22 @@ class TestTrustedBuilds:
 
     def test_single_sample(self):
         assert_bitwise_equal(from_samples([5.0], B05), DiscreteDistribution.dirac(5.0, B05))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SAMPLES, st.sampled_from(["as drawn", "sorted", "distinct sorted"]))
+    def test_from_samples_matches_unique_reference(self, samples, order):
+        # Strictly increasing input skips np.unique; sorted input with ties,
+        # unsorted input and one sample must give the same bytes either way.
+        arr = np.asarray(samples, dtype=np.float64)
+        if order == "sorted":
+            arr = np.sort(arr)
+        elif order == "distinct sorted":
+            arr = np.unique(arr)
+        d = from_samples(arr, B05)
+        assert_invariants(d)
+        assert_bitwise_equal(d, unique_edf(arr, B05))
+        assert not np.shares_memory(d.xs, arr)  # the caller's array stays writable
+        assert arr.flags.writeable
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -0.5, 5.5, np.float32(6.0), "7"])
     def test_dirac_rejections_unchanged(self, x):
