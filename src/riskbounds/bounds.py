@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .concentration import RadiusRule, confidence_radius, resolve_radius_rule
 from .distributions import DiscreteDistribution, Distance, SupportBounds, _check_samples, from_samples
-from .lipschitz import UnsupportedCombinationError, _local_constant, glc
+from .lipschitz import UnsupportedCombinationError, glc, llc
 from .measures import RDEU, RiskMeasure, evaluate
 from .operators import _require_radius, neg_sup, neg_w1, pos_sup, pos_w1
 
@@ -69,10 +69,6 @@ class ConfidenceResult:
                 f"inconsistent bounds: lcb={self.lcb}, point={self.point}, ucb={self.ucb}"
             )
 
-    @property
-    def width(self) -> float:
-        return self.ucb - self.lcb
-
     def to_json(self) -> dict:
         return {
             "method": self.method.value,
@@ -95,41 +91,21 @@ def _attainable_range(spec: RiskMeasure, bounds: SupportBounds) -> tuple[float, 
     return lo, hi
 
 
-class _Ball:
-    """The spec, distance, support and radius that every row of one call is
-    bounded with, and what depends on them alone: the global constant and
-    the local-constant function, each computed on first use, so the first
-    row raises what it always raised, in the same order."""
-
-    def __init__(self, spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds, c: float):
-        self.spec, self.dist_kind, self.bounds, self.c = spec, dist_kind, bounds, c
-        if dist_kind is Distance.SUPREMUM:
-            self.lower_op, self.upper_op = neg_sup, pos_sup
-        else:
-            self.lower_op, self.upper_op = neg_w1, pos_w1
-
-    @cached_property
-    def global_constant(self) -> float:
-        return glc(self.spec, self.dist_kind, self.bounds)
-
-    @cached_property
-    def local_constant(self):
-        return _local_constant(self.spec, self.dist_kind, self.bounds)
-
-    def bound(self, d: DiscreteDistribution, methods) -> list[ConfidenceResult]:
-        """One result per method for ``d``, with extremes from the operators."""
-        c = self.c
-        return _bound_edf(self, d, lambda: self.lower_op(d, c), lambda: self.upper_op(d, c), methods)
-
-
-def _bound_edf(ball: _Ball, d: DiscreteDistribution, lower, upper, methods) -> list[ConfidenceResult]:
+def _bound_edf(
+    spec: RiskMeasure, dist_kind: Distance, c: float, d: DiscreteDistribution, methods, lower=None, upper=None
+) -> list[ConfidenceResult]:
     """One result per method for the empirical distribution ``d``.
 
-    ``lower()`` and ``upper()`` build the ball's extremes around ``d``. The
-    point is evaluated once and shared by the methods; the lowered extreme
-    is kept for ``llc`` only when ``dist`` built it and ``llc`` follows.
+    ``lower()`` and ``upper()`` build the ball's extremes around ``d``; by
+    default they apply the distance's operators. The point is evaluated
+    once and shared by the methods; the lowered extreme is kept for ``llc``
+    only when ``dist`` built it and ``llc`` follows.
     """
-    spec, dist_kind, c = ball.spec, ball.dist_kind, ball.c
+    # The operators are read from the module on each call, so a wrapper
+    # installed over them (perfbench's tracer) sees these calls too.
+    lower_op, upper_op = (neg_sup, pos_sup) if dist_kind is Distance.SUPREMUM else (neg_w1, pos_w1)
+    lower = lower or (lambda: lower_op(d, c))
+    upper = upper or (lambda: upper_op(d, c))
     point = lowered = None
     results = []
     for i, method in enumerate(methods):
@@ -154,14 +130,14 @@ def _bound_edf(ball: _Ball, d: DiscreteDistribution, lower, upper, methods) -> l
         # The constant comes first: an unsupported combination is reported as
         # such even where evaluating the point would reject the support.
         if method is BoundMethod.LLC:
-            constant = ball.local_constant(d, c, lower if lowered is None else lambda: lowered)
+            constant = llc(spec, dist_kind, d, c, lower if lowered is None else lambda: lowered)
         else:
-            constant = ball.global_constant
+            constant = glc(spec, dist_kind, d.bounds)
         if point is None:
             point = evaluate(spec, d)
         delta = constant * c if c > 0.0 else 0.0  # avoid inf * 0 at zero radius
         raw_lcb, raw_ucb = point - delta, point + delta
-        range_lo, range_hi = _attainable_range(spec, ball.bounds)
+        range_lo, range_hi = _attainable_range(spec, d.bounds)
         extras = {"lipschitz_constant": constant, "raw_lcb": raw_lcb, "raw_ucb": raw_ucb}
         results.append(
             ConfidenceResult(
@@ -180,7 +156,7 @@ def bound_with_radius(
 ) -> ConfidenceResult:
     """(LCB, UCB) for the risk of the true distribution, given ball radius c."""
     _require_radius(c)
-    return _Ball(spec, dist_kind, d.bounds, c).bound(d, [method])[0]
+    return _bound_edf(spec, dist_kind, c, d, [method])[0]
 
 
 class _SharedMasses:
@@ -196,15 +172,15 @@ class _SharedMasses:
     own sorted values as atoms, bit for bit what the builder would return.
     """
 
-    def __init__(self, ball: _Ball):
-        self.ball = ball
+    def __init__(self, bounds: SupportBounds):
+        self.bounds = bounds
         self.kept = {}  # builder -> (atom run of the padded row, ps, cum)
 
     def build(self, builder, padded: np.ndarray, *args) -> DiscreteDistribution:
         entry = self.kept.get(builder)
         if entry is not None:
             run, ps, cum = entry
-            return DiscreteDistribution._trusted(padded[run], ps, self.ball.bounds, cum)
+            return DiscreteDistribution._trusted(padded[run], ps, self.bounds, cum)
         out = builder(*args)
         # The EDF's atoms are the samples; neg_sup's are a and the samples
         # below its saturation, pos_sup's the samples above it and b: each
@@ -213,15 +189,13 @@ class _SharedMasses:
         self.kept[builder] = (slice(start, start + out.n_atoms), out.ps, out.cum)
         return out
 
-    def row(self, padded: np.ndarray, methods) -> list[ConfidenceResult]:
-        ball = self.ball
-        c = ball.c
-        d = self.build(from_samples, padded, padded[1:-1], ball.bounds)
-        if ball.dist_kind is Distance.SUPREMUM:
-            lower = lambda: self.build(neg_sup, padded, d, c)
-            upper = lambda: self.build(pos_sup, padded, d, c)
-            return _bound_edf(ball, d, lower, upper, methods)
-        return ball.bound(d, methods)  # a W1 extreme's water-fill break depends on the values
+    def row(self, padded: np.ndarray, spec: RiskMeasure, dist_kind: Distance, c: float, methods):
+        d = self.build(from_samples, padded, padded[1:-1], self.bounds)
+        if dist_kind is not Distance.SUPREMUM:
+            return _bound_edf(spec, dist_kind, c, d, methods)  # a W1 extreme's break depends on the values
+        lower = lambda: self.build(neg_sup, padded, d, c)
+        upper = lambda: self.build(pos_sup, padded, d, c)
+        return _bound_edf(spec, dist_kind, c, d, methods, lower, upper)
 
 
 def bound_rows(
@@ -250,12 +224,10 @@ def bound_rows(
     _check_samples(arr, bounds)
     rows, n = arr.shape
     c = confidence_radius(rule, n, delta, bounds)
-    ball = _Ball(spec, dist_kind, bounds, c)
 
     # Each row as (a, sorted samples, b): strictly increasing exactly when
-    # its samples are tie-free and strictly inside (a, b). With fewer than
-    # two such rows there is nothing to share; a single row (``ci``) is not
-    # even copied.
+    # its samples are tie-free and strictly inside (a, b). A single row
+    # (``ci``) has nothing to share and is not even copied.
     shareable = np.zeros(rows, dtype=bool)
     if rows > 1:
         padded = np.empty((rows, n + 2))
@@ -263,16 +235,14 @@ def bound_rows(
         padded[:, 1:-1] = arr
         padded[:, 1:-1].sort(axis=1)
         shareable = np.all(padded[:, 1:] > padded[:, :-1], axis=1)
-        if np.count_nonzero(shareable) < 2:
-            shareable[:] = False
-        shared = _SharedMasses(ball)
+        shared = _SharedMasses(bounds)
 
     out = []
     for i, share in enumerate(shareable.tolist()):
         if share:
-            results = shared.row(padded[i], methods)
+            results = shared.row(padded[i], spec, dist_kind, c, methods)
         else:
-            results = ball.bound(from_samples(arr[i], bounds), methods)
+            results = _bound_edf(spec, dist_kind, c, from_samples(arr[i], bounds), methods)
         for res in results:
             res.extras["radius_rule"] = rule.value
             res.extras["delta"] = delta

@@ -21,6 +21,7 @@ at zero); infinity is reported rather than replaced by a surrogate.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,8 +100,10 @@ def _ce_u_norm(spec: CE, sup: bool, bounds: SupportBounds) -> float:
     return _deriv_at(spec.u_prime, bounds.b)
 
 
+@lru_cache(maxsize=None)
 def glc(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds) -> float:
-    """Tightest known global Lipschitz constant for the family.
+    """Tightest known global Lipschitz constant for the family, computed
+    once per (spec, distance, bounds).
 
     May be ``inf`` when the supplied functions are not Lipschitz over the
     whole space; the value is reported as-is.
@@ -144,45 +147,39 @@ def _quantile_or_a(d: DiscreteDistribution, y: float) -> float:
     return d.bounds.a if y <= 0.0 else float(d.quantile(y))
 
 
-def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c: float) -> float:
+def llc(
+    spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c: float, lowered=None
+) -> float:
     """Local Lipschitz constant over the radius-c ball around ``center``.
 
     Supremum-distance constants exist for every family. Over W1 balls the
     CVaR, SRM and DRM constants gain nothing locally (they are the GLC), and
     RDEU has none (use the GLC). Always <= the matching GLC, and
     nondecreasing in c.
+
+    ``lowered()`` returns the ball's lowered extreme: ``neg_sup(center, c)``
+    for the supremum distance, ``neg_w1(center, c)`` for W1. By default it
+    builds that extreme; a caller that already holds it passes it instead.
     """
     _require_radius(c)
-    lower = neg_sup if dist_kind is Distance.SUPREMUM else neg_w1
-    return _local_constant(spec, dist_kind, center.bounds)(center, c, lambda: lower(center, c))
-
-
-def _local_constant(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds):
-    """``llc`` as a function of (center, c, lowered), where ``lowered()``
-    returns the ball's lowered extreme: ``neg_sup(center, c)`` for the
-    supremum distance, ``neg_w1(center, c)`` for W1.
-
-    The checks and the work that depend only on (spec, distance, bounds)
-    run here, once, in the order ``llc`` has always run them; the returned
-    function does the rest for each center.
-    """
+    bounds = center.bounds
     a, b = bounds.a, bounds.b
     sup = dist_kind is Distance.SUPREMUM
+    lowered = lowered or (lambda: (neg_sup if sup else neg_w1)(center, c))
 
     if not sup and isinstance(spec, (CVaR, SRM, DRM)):
-        constant = glc(spec, dist_kind, bounds)  # no local improvement for W1
-        return lambda center, c, lowered: constant
+        return glc(spec, dist_kind, bounds)  # no local improvement for W1
     if isinstance(spec, CVaR):
-        return lambda center, c, lowered: (b - _quantile_or_a(center, 1.0 - spec.alpha - c)) / spec.alpha
+        return (b - _quantile_or_a(center, 1.0 - spec.alpha - c)) / spec.alpha
     if isinstance(spec, SRM):
-        return lambda center, c, lowered: _cdf_integral(lowered(), spec.phi)
+        return _cdf_integral(lowered(), spec.phi)
     if isinstance(spec, DRM):
-        return lambda center, c, lowered: _cdf_integral(
-            lowered(), lambda q: _apply(spec.g_prime, 1.0 - np.asarray(q))
-        )
+        return _cdf_integral(lowered(), lambda q: _apply(spec.g_prime, 1.0 - np.asarray(q)))
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
         beta = spec.beta
+        low = lowered()
+        log_den = logsumexp(beta * low.xs, low.ps)  # log E[exp(beta X)]
         if sup:
             # log(1 - e^-x) without cancellation at either end of x
             # (Maechler 2012, log1mexp): at x below ~1e-16 log1p(-e^-x)
@@ -190,48 +187,39 @@ def _local_constant(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBound
             x = beta * (b - a)
             log1mexp = math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
             log_num = beta * b + log1mexp
+            log_den += math.log(beta)
         else:
             log_num = beta * b
-
-        def erm(center, c, lowered):
-            low = lowered()
-            log_den = logsumexp(beta * low.xs, low.ps)  # log E[exp(beta X)]
-            if sup:
-                log_den += math.log(beta)
-            try:
-                return math.exp(log_num - log_den)
-            except OverflowError:  # beyond the largest float: report inf, as glc does
-                return math.inf
-
-        return erm
+        try:
+            return math.exp(log_num - log_den)
+        except OverflowError:  # beyond the largest float: report inf, as glc does
+            return math.inf
     if isinstance(spec, CE):
-
-        def ce(center, c, lowered):
-            ce_low = evaluate(spec, lowered())  # u^{-1} of the lowered expected utility
-            slope = _deriv_at(spec.u_prime, ce_low)
-            return _ce_u_norm(spec, sup, bounds) / slope if slope > 0.0 else math.inf
-
-        return ce
+        ce_low = evaluate(spec, lowered())  # u^{-1} of the lowered expected utility
+        slope = _deriv_at(spec.u_prime, ce_low)
+        return _ce_u_norm(spec, sup, bounds) / slope if slope > 0.0 else math.inf
     if isinstance(spec, RDEU):
         if not sup:
             raise UnsupportedCombinationError(
                 "rank-dependent expected utility has no local Lipschitz "
                 "constant over W1 balls; use the glc method"
             )
-        wp = _apply(spec.w_prime, np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS))
-        if np.any(np.diff(wp) < -1e-9):
-            raise ValueError(
-                "the local RDEU constant requires a convex weight function "
-                "(nondecreasing w')"
-            )
-
-        def rdeu(center, c, lowered):
-            edges, cdf_seg = _segment_grid(lowered())
-            dv = np.diff(_apply(spec.v, edges))
-            keep = dv > 0.0
-            with np.errstate(divide="ignore", over="ignore"):
-                weights = _apply(spec.w_prime, cdf_seg[keep])
-            return float(weights @ dv[keep])
-
-        return rdeu
+        _require_convex_weight(spec)
+        edges, cdf_seg = _segment_grid(lowered())
+        dv = np.diff(_apply(spec.v, edges))
+        keep = dv > 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            weights = _apply(spec.w_prime, cdf_seg[keep])
+        return float(weights @ dv[keep])
     raise TypeError(f"not a risk measure spec: {spec!r}")
+
+
+@lru_cache(maxsize=None)
+def _require_convex_weight(spec: RDEU) -> None:
+    """The local RDEU constant's check of w' on the grid, run once per spec."""
+    wp = _apply(spec.w_prime, np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS))
+    if np.any(np.diff(wp) < -1e-9):
+        raise ValueError(
+            "the local RDEU constant requires a convex weight function "
+            "(nondecreasing w')"
+        )

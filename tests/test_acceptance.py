@@ -215,7 +215,7 @@ def test_criterion_4_width_sweep():
                 # dist bounds live inside [a, b]; the baselines are compared
                 # on their raw (pre-clamp) widths so vacuous intervals do not
                 # mask their looseness
-                widths[BoundMethod.DIST].append(res_dist.width)
+                widths[BoundMethod.DIST].append(res_dist.ucb - res_dist.lcb)
                 widths[BoundMethod.LLC].append(res_llc.extras["raw_ucb"] - res_llc.extras["raw_lcb"])
                 widths[BoundMethod.GLC].append(res_glc.extras["raw_ucb"] - res_glc.extras["raw_lcb"])
             for m in BoundMethod:

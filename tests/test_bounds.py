@@ -167,5 +167,5 @@ class TestBoundFromSamples:
         for n in (50, 500, 5000):
             samples = rng.beta(2, 5, n)
             res = bound_from_samples(samples, B01, CVaR(0.25), SUP, BoundMethod.DIST, 0.05)
-            widths.append(res.width)
+            widths.append(res.ucb - res.lcb)
         assert widths[0] > widths[1] > widths[2]

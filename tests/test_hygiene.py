@@ -1,7 +1,10 @@
 """Source hygiene checks that need no tool beyond the standard library."""
 
 import ast
-import importlib
+import contextlib
+import importlib.util
+import io
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +93,14 @@ def _program_reads() -> tuple[set[str], set[str]]:
     check works on names, not bindings: a local variable or an unrelated
     attribute of the same name also counts as a read, so it can miss a dead
     name but never flags a live one.
+
+    The blind spot is a method name that another class shares: a read of
+    one passes them all. ``ConfidenceResult.width`` stayed unread behind
+    ``SupportBounds.width`` that way until it was deleted. The names still
+    shared across unrelated classes are ``validate`` (arms and
+    ``RegretTrace``), ``sample``, ``quantile`` and ``cdf`` (arms and
+    ``DiscreteDistribution``) and ``to_json`` (``ConfidenceResult`` and
+    ``DiscreteDistribution``).
     """
     paths = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
     paths += sorted((ROOT / "perfbench").glob("*.py"))
@@ -128,3 +139,56 @@ def test_every_public_name_has_a_reader_in_the_program():
     assert public
     assert [q for q, read in public.items() if not read and q not in _KEPT_UNREAD] == []
     assert [q for q in _KEPT_UNREAD if q not in public] == []  # no stale entries
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_boundaries_resolve_and_uninstall_restores_them(tmp_path):
+    # perfbench/tracer.py wraps package attributes by name: a renamed or
+    # deleted boundary must fail here, not only in a traced benchmark run.
+    tracer_mod = _load_tracer()
+    cli = importlib.import_module("riskbounds.cli")
+    for _, module, attr in tracer_mod.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    for _, module, cls_name, attr in tracer_mod.CLASS_ATTRS:
+        assert attr in vars(getattr(importlib.import_module(module), cls_name)), (module, cls_name, attr)
+
+    modules = [m for k, m in sys.modules.items() if k == "riskbounds" or k.startswith("riskbounds.")]
+    before = {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+    classes = {
+        (module, cls_name): dict(vars(getattr(importlib.import_module(module), cls_name)))
+        for _, module, cls_name, _ in tracer_mod.CLASS_ATTRS
+    }
+    path = tmp_path / "s.csv"
+    rng = random.Random(0)
+    path.write_text("".join(f"{rng.betavariate(2.0, 5.0)}\n" for _ in range(200)))
+    argv = ["ci", "--input", str(path), "--bounds", "0,1", "--risk", "srm-power:2", "--method", "all"]
+
+    def run() -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        return out.getvalue()
+
+    untraced = run()
+    tracer = tracer_mod.Tracer()
+    with tracer:
+        traced = run()
+    assert traced == untraced
+    after = {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+    for (module, cls_name), attrs in classes.items():
+        now = vars(getattr(importlib.import_module(module), cls_name))
+        assert [k for k, v in attrs.items() if now.get(k) is not v] == [], cls_name
+    calls = dict(zip(tracer_mod.BOUNDARIES, tracer.calls))
+    for name in (
+        "cli.main", "distributions.read_samples_csv", "distributions.from_samples", "operators.neg_sup",
+        "operators.pos_sup", "measures.evaluate", "lipschitz.llc", "lipschitz.glc",
+    ):
+        assert calls[name] > 0, name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from riskbounds import (
+    DEFAULT_GRID_POINTS,
     CVaR,
     DiscreteDistribution,
     Distance,
@@ -13,7 +14,9 @@ from riskbounds import (
     glc,
     llc,
     neg_sup,
+    neg_w1,
 )
+from riskbounds.cli import main
 from riskbounds.measures import ERM, RDEU, ce_power, drm_power, rdeu_power, srm_power
 from conftest import catalog_specs, quad_drm, random_interior_dist
 
@@ -174,7 +177,7 @@ class TestLocalConstants:
     def test_ce_w1_supported(self):
         # ||u'||_inf * (u^{-1})'(lowered expected utility) with u = x^2:
         # 2b / (2 * CE of the W1-lowered transform)
-        from riskbounds import evaluate, neg_w1
+        from riskbounds import evaluate
 
         spec = ce_power(2.0)
         d = from_samples([0.3, 0.6], B01)
@@ -182,3 +185,51 @@ class TestLocalConstants:
         ce_low = evaluate(spec, neg_w1(d, c))
         assert llc(spec, W1, d, c) == pytest.approx(1.0 / ce_low, rel=1e-10)
 
+
+class TestLoweredExtremeAndCaching:
+    @pytest.mark.parametrize("c", [0.0, 0.05, 1.5])
+    def test_passed_lowered_extreme_is_bitwise_the_default(self, c):
+        rng = np.random.default_rng(8)
+        centers = [from_samples(rng.beta(2.0, 5.0, n), B01) for n in (1, 7, 60)]
+        centers.append(DiscreteDistribution([0.0, 0.4, 1.0], [0.2, 0.5, 0.3], B01))
+        ops = {SUP: neg_sup, W1: neg_w1}
+        for d in centers:
+            for _, spec in catalog_specs():
+                for kind, op in ops.items():
+                    if isinstance(spec, RDEU) and kind is W1:
+                        continue
+                    want = llc(spec, kind, d, c)
+                    got = llc(spec, kind, d, c, lowered=lambda: op(d, c))
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_convex_weight_check_runs_once_per_spec(self):
+        grid_calls = []
+
+        def w_prime(y):
+            y = np.asarray(y, dtype=np.float64)
+            if y.size == DEFAULT_GRID_POINTS:
+                grid_calls.append(1)
+            return 2.0 * y
+
+        spec = RDEU(
+            lambda y: np.asarray(y) ** 2, w_prime, lambda x: np.asarray(x), lambda x: np.ones_like(np.asarray(x))
+        )
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            llc(spec, SUP, random_interior_dist(rng, B01), rng.uniform(0.0, 0.5))
+        assert len(grid_calls) == 1
+
+    @pytest.mark.parametrize(
+        "risk, distance, method",
+        [("rdeu-power:2,2", "w1", "llc"), ("erm:-1", "sup", "llc"), ("erm:-1", "sup", "glc"),
+         ("erm:-1", "w1", "llc"), ("erm:-1", "w1", "glc")],
+    )
+    def test_unsupported_constants_exit_3_on_every_call(self, risk, distance, method, tmp_path, capsys):
+        # The caches keep values only: a rejected combination is rejected
+        # again on the next call in the same process.
+        path = tmp_path / "unit.csv"
+        path.write_text("0.25\n0.75\n")
+        argv = ["ci", "--input", str(path), "--bounds", "0,1", "--risk", risk,
+                "--distance", distance, "--method", method]
+        assert [main(argv), main(argv)] == [3, 3]
+        assert capsys.readouterr().err.count("unsupported combination: ") == 2
