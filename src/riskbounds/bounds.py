@@ -32,7 +32,7 @@ import numpy as np
 from .concentration import RadiusRule, confidence_radius, resolve_radius_rule
 from .distributions import DiscreteDistribution, Distance, SupportBounds, _check_samples, from_samples
 from .lipschitz import UnsupportedCombinationError, glc, llc
-from .measures import RDEU, RiskMeasure, evaluate
+from .measures import _SPEC_CACHE_SIZE, RDEU, RiskMeasure, evaluate
 from .operators import _require_radius, neg_sup, neg_w1, pos_sup, pos_w1
 
 __all__ = [
@@ -80,7 +80,7 @@ class ConfidenceResult:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
 def _attainable_range(spec: RiskMeasure, bounds: SupportBounds) -> tuple[float, float]:
     """Range of the risk measure over all distributions on [a, b]: by
     monotonicity it is [T(delta_a), T(delta_b)], which equals [a, b] itself

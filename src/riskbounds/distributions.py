@@ -10,8 +10,10 @@ convention F^{-1}(y) = inf{x : F(x) >= y}, with no interpolation.
 
 from __future__ import annotations
 
-import itertools
+import codecs
+import io
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -33,9 +35,22 @@ __all__ = [
 MASS_SUM_TOL = 1e-9
 # Masses this far below zero are treated as cancellation dust and clipped.
 _NEG_MASS_TOL = 1e-12
-# Lines that read_samples_csv hands numpy at a time: bounds the memory held
-# as line strings and the work redone when a block needs the per-line loop.
-_BLOCK_LINES = 1 << 16
+# Lines that read_samples_csv parses at a time: bounds the memory held as
+# text and arrays and the work redone when a block needs the per-line loop.
+_BLOCK_LINES = 1 << 14
+# Bytes per read, as text-mode file iteration reads them.
+_CHUNK_BYTES = 8192
+# The decimal kernel needs long double to be x87 80-bit extended precision:
+# a 64-bit significand, stored little-endian in 16 bytes, and used as such.
+_EXACT_LONG_DOUBLE = bool(
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+    and np.longdouble(1) + np.longdouble(2) ** -63 != np.longdouble(1)
+)
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+# 10^0 .. 10^27, exact in long double (5^27 < 2^64), built by exact products.
+_POW10_LD = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
 
 
 class Distance(Enum):
@@ -258,9 +273,16 @@ class SampleError(ValueError):
 
 
 def _check_samples(arr: np.ndarray, bounds: SupportBounds) -> None:
-    """Reject samples that cannot form an empirical distribution on ``bounds``."""
+    """Reject samples that cannot form an empirical distribution on ``bounds``.
+
+    The bounds are finite, so one min and one max accept exactly the finite
+    samples inside them (nan and inf fail both tests); the element-wise
+    checks run only to name what failed.
+    """
     if arr.size == 0:
         raise SampleError("cannot build an empirical distribution from zero samples")
+    if bounds.a <= arr.min() and arr.max() <= bounds.b:
+        return
     if np.any(~np.isfinite(arr)):
         raise SampleError("samples must be finite")
     if np.any(arr < bounds.a) or np.any(arr > bounds.b):
@@ -287,52 +309,104 @@ def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDis
 
 
 def read_samples_csv(path: str, header: bool = False) -> np.ndarray:
-    """Read a UTF-8 file of one value per line in Python ``float()`` syntax.
+    r"""Read a UTF-8 file of one value per line in Python ``float()`` syntax.
 
     Whitespace around a value, blank lines and trailing commas are ignored;
     ``header`` skips line 1. Anything else raises ``ValueError`` naming the
     line, as does a file with no values; a file that cannot be opened or
-    decoded raises ``OSError`` or ``UnicodeDecodeError``.
+    decoded raises ``OSError`` or ``UnicodeDecodeError``, after any bad line
+    that comes before the fault.
 
-    The file is read once, front to back, so pipes and FIFOs work, in blocks
-    of ``_BLOCK_LINES`` lines; see ``_parse_lines`` for how a block is
-    parsed. numpy gets the lines, never the path: from a path it would also
-    decompress ``.gz``/``.bz2``/``.xz`` files, open ``x.csv.gz`` in place of
-    a missing ``x.csv`` and download URLs.
+    The file is read once, front to back, so pipes and FIFOs work: in the
+    8 KiB chunks and through the decoder that iterating a text-mode file
+    uses, split only at line feeds after ``\r\n`` and ``\r`` become ``\n``,
+    and parsed in blocks of ``_BLOCK_LINES`` lines. A block of plain
+    decimals, every line ``[0-9]+.[0-9]+``, takes an exact vectorized
+    kernel (``_decimal_block``) whose values are bitwise those of
+    ``float()``. Any other block (signs, exponents, whitespace, commas,
+    blank lines, longer numbers) is split into lines for numpy's reader and
+    the per-line loop; see ``_parse_lines``. numpy gets the text, never the
+    path: from a path it would also decompress ``.gz``/``.bz2``/``.xz``
+    files, open ``x.csv.gz`` in place of a missing ``x.csv`` and download
+    URLs.
     """
-    parts, first = [], 1
-    with open(path, encoding="utf-8") as fh:
-        while True:
-            block, fault = [], None
-            try:
-                for line in itertools.islice(fh, _BLOCK_LINES):
-                    block.append(line)
-            except (OSError, UnicodeDecodeError) as exc:
-                fault = exc  # a bad line read before it is reported first
-            parts.append(_parse_lines(path, block, first, header))
-            if fault is not None:
-                raise fault
-            if len(block) < _BLOCK_LINES:
-                break
-            first += len(block)
-    values = np.concatenate(parts)
-    if not values.size:
+    size = _BLOCK_LINES
+    # One buffer grown in place (realloc) rather than a list of per-block
+    # arrays to concatenate: those would scatter through the heap and keep
+    # it from shrinking. Nothing else refers to the buffer, so resize need
+    # not count references (a debugger holding frame locals would fail it).
+    values, count, first = np.empty(size), 0, 1
+    with open(path, "rb") as fh:
+        for block in _text_blocks(fh, size):
+            part = _parse_lines(path, block, first, header)
+            if count + part.size > values.size:
+                values.resize(2 * values.size, refcheck=False)
+            values[count : count + part.size] = part
+            count += part.size
+            first += size
+    if not count:
         raise ValueError(f"{path}: no samples found")
+    values.resize(count, refcheck=False)
     return values
 
 
-def _parse_lines(path: str, lines: list[str], first: int, header: bool) -> np.ndarray:
-    """The values on ``lines``, which are lines ``first``, ``first + 1``, ...
-    of ``path``.
+def _text_blocks(fh, size: int):
+    r"""The decoded text of binary file ``fh`` in blocks of ``size`` lines,
+    the last one possibly shorter.
 
-    numpy's C reader takes the common case, lines it reads as one column of
-    at least one row; it converts each field as ``float()`` does, so the
-    values are bitwise equal. Any other block (extra columns, trailing
-    commas, ``1_0``, a bad line, no values) goes to the per-line loop, which
-    alone decides acceptance and messages, and costs a second parse of the
-    block only.
+    Iterating a text-mode file reads ``read1(8192)`` chunks through this
+    decoder too, so a ``UnicodeDecodeError`` names the same position. A
+    read or decode error is raised after the block of the whole lines
+    before it, as line iteration returns those lines first.
+    """
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    pieces, need = [], size  # the open block's text, and the line ends it lacks
+    while True:
+        try:
+            chunk = fh.read1(_CHUNK_BYTES)
+            text = decoder.decode(chunk, final=not chunk)
+        except (OSError, UnicodeDecodeError):
+            head = "".join(pieces)
+            head = head[: head.rfind("\n") + 1]
+            if head:
+                yield head
+            raise
+        ends = text.count("\n")
+        while ends >= need:
+            cut = -1
+            for _ in range(need):
+                cut = text.find("\n", cut + 1)
+            pieces.append(text[: cut + 1])
+            yield "".join(pieces)
+            text, pieces, ends, need = text[cut + 1 :], [], ends - need, size
+        if text:
+            pieces.append(text)
+            need -= ends
+        if not chunk:
+            break
+    if pieces:
+        yield "".join(pieces)
+
+
+def _parse_lines(path: str, text: str, first: int, header: bool) -> np.ndarray:
+    """The values on the lines of ``text``, which are lines ``first``,
+    ``first + 1``, ... of ``path``.
+
+    Three tiers, each taking only blocks whose values it gets bitwise equal
+    to ``float()``'s. The decimal kernel takes plain decimal blocks. numpy's
+    C reader takes lines it reads as one column of at least one row; it
+    converts each field as ``float()`` does. Any other block (extra columns,
+    trailing commas, ``1_0``, a bad line, no values) goes to the per-line
+    loop, which alone decides acceptance and messages, and costs a second
+    parse of the block only.
     """
     skip = int(header and first == 1)
+    values = _decimal_block(text.partition("\n")[2] if skip else text)
+    if values is not None:
+        return values
+    # Cut after each "\n" only, as file iteration cuts (str.splitlines
+    # would also cut at "\x0b", "\x85", ...).
+    lines = io.StringIO(text, newline="\n").readlines()
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -352,3 +426,54 @@ def _parse_lines(path: str, lines: list[str], first: int, header: bool) -> np.nd
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
     return np.asarray(values, dtype=np.float64)
+
+
+def _decimal_block(text: str) -> np.ndarray | None:
+    r"""``float()`` of each line of ``text`` when every line is
+    ``[0-9]+.[0-9]+`` ended by ``\n`` (the last line may lack it); ``None``
+    for any other text, or where ``long double`` is not x87 80-bit extended.
+
+    A line is M / 10^k, with M the integer its digits spell and k the digits
+    after the dot; the block is taken only when every line has M < 10^19
+    and k <= 27. Then M and 10^k are exact in the 64-bit significand of
+    ``long double``, so their quotient is the true value rounded once to 64
+    bits. Every float64 midpoint has 54 significant bits, so that rounding
+    cannot carry the value across one: rounding the quotient to float64
+    gives ``float()``'s answer, unless the quotient is itself a midpoint
+    (low 11 significand bits ``0x400``), where the true value may lie just
+    off it. Those lines take ``float()`` one by one.
+    """
+    if not (_EXACT_LONG_DOUBLE and text.isascii()):
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = text.encode("ascii")
+    rest = raw.translate(None, b"0123456789")
+    n = len(rest) // 2
+    if not n or rest != b".\n" * n:
+        return None  # a line that is not digits around one dot
+    # Dots and line ends alternate: dot_i < end_i < dot_{i+1}.
+    marks = np.flatnonzero(np.frombuffer(raw, np.uint8) < 48).reshape(n, 2)
+    dots, ends = marks[:, 0], marks[:, 1]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    k = ends - dots - 1
+    if np.any(dots == starts) or np.any(k == 0):
+        return None  # ".5" or "5."
+    # M < 10^19 keeps M exact in uint64 and in long double, which holds
+    # 10^k exactly up to k = 27. So a line has at most 19 digits, or is "0."
+    # and up to 27 digits that leading zeros cut to 19, as repr writes
+    # 1e-4 <= x < 1e-3.
+    for i in np.flatnonzero(ends - starts > 20).tolist():
+        zeros = int(k[i]) - 19
+        if not (zeros <= 8 and raw[starts[i] : dots[i] + zeros + 1] == b"0." + b"0" * zeros):
+            return None
+    digits = np.fromstring(text.replace(".", "\n"), np.uint64, sep="\n")
+    mantissa = digits[0::2] * _POW10[np.minimum(k, 19)] + digits[1::2]  # the whole part is 0 past k = 19
+    del digits
+    quotient = mantissa.astype(np.longdouble) / _POW10_LD[k]
+    del mantissa
+    values = quotient.astype(np.float64)
+    ties = np.flatnonzero((quotient.view(np.uint64)[::2] & 0x7FF) == 0x400)
+    for i in ties.tolist():
+        values[i] = float(raw[starts[i] : ends[i]])
+    return values

@@ -33,6 +33,7 @@ from .measures import (
     ERM,
     RDEU,
     SRM,
+    _SPEC_CACHE_SIZE,
     RiskMeasure,
     _apply,
     _check_on_support,
@@ -100,7 +101,7 @@ def _ce_u_norm(spec: CE, sup: bool, bounds: SupportBounds) -> float:
     return _deriv_at(spec.u_prime, bounds.b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
 def glc(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds) -> float:
     """Tightest known global Lipschitz constant for the family, computed
     once per (spec, distance, bounds).
@@ -214,7 +215,7 @@ def llc(
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
 def _require_convex_weight(spec: RDEU) -> None:
     """The local RDEU constant's check of w' on the grid, run once per spec."""
     wp = _apply(spec.w_prime, np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS))

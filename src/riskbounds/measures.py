@@ -29,6 +29,11 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 
+# Entries kept by each cache keyed on a spec (support checks here, attainable
+# ranges, global constants, the RDEU weight check): enough for every spec a
+# run names, and a cap for callers that build a fresh spec per call.
+_SPEC_CACHE_SIZE = 128
+
 __all__ = [
     "CVaR",
     "SRM",
@@ -179,7 +184,7 @@ class RDEU:
 RiskMeasure = Union[CVaR, SRM, DRM, ERM, CE, RDEU]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
 def _check_on_support(spec: RiskMeasure, a: float, b: float) -> bool:
     """Support-dependent validity checks, run once per (spec, bounds)."""
     grid = np.linspace(a, b, 1001)

@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,24 @@ class TestConstruction:
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             from_samples([1, 6], B05)
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [([1.0, float("nan")], "samples must be finite"),
+         ([float("inf"), 1.0], "samples must be finite"),
+         ([float("-inf")], "samples must be finite"),
+         ([5.0, 6.0, -1.0], r"sample 6.0 outside declared support \[0.0, 5.0\]"),
+         ([-1e-300, 2.0], r"sample -1e-300 outside declared support")],
+    )
+    def test_sample_check_messages(self, samples, message):
+        # One min and one max accept; the element-wise checks still name
+        # the first fault, finiteness before bounds.
+        with pytest.raises(distributions.SampleError, match=message):
+            from_samples(samples, B05)
+
+    def test_samples_on_the_bounds_accepted(self):
+        d = from_samples([0.0, 5.0, 0.0], B05)
+        assert list(d.xs) == [0.0, 5.0] and list(d.ps) == [2 / 3, 1 / 3]
 
     def test_bounds_need_a_lt_b(self):
         with pytest.raises(ValueError):
@@ -414,3 +433,144 @@ class TestSerialization:
         else:
             assert isinstance(got, np.ndarray) and got.dtype == want.dtype
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _midpoint_strings(rng, count):
+    """Strings of 19 significant digits next to float64 midpoints: for each
+    of ``count`` random doubles in [0.1, 1e17), the decimal truncation M of
+    the midpoint above it and M - 1, M + 1, M + 2 in the last digit."""
+    out = []
+    for y in (10.0 ** rng.uniform(-1.0, 17.0, count)).tolist():
+        mid = (Fraction(y) + Fraction(np.nextafter(y, np.inf))) / 2
+        k = 19 - len(str(int(mid))) if mid >= 1 else 19
+        m = mid.numerator * 10**k // mid.denominator
+        for digits in (str(m + dm).rjust(k + 1, "0") for dm in (-1, 0, 1, 2)):
+            out.append(f"{digits[:-k]}.{digits[-k:]}")
+    return out
+
+
+class TestDecimalKernel:
+    """``_decimal_block``, the first tier of the CSV reader, against ``float()``."""
+
+    @staticmethod
+    def _assert_float_bits(strings):
+        got = distributions._decimal_block("".join(s + "\n" for s in strings))
+        assert got is not None
+        want = np.array([float(s) for s in strings])
+        assert got.dtype == np.float64 and got.shape == want.shape
+        wrong = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert not wrong.size, [strings[i] for i in wrong[:5]]
+
+    @pytest.mark.skipif(not distributions._EXACT_LONG_DOUBLE, reason="needs x87 80-bit long double")
+    def test_bitwise_float(self):
+        rng = np.random.default_rng(20)
+        strings = [repr(x) for x in (10.0 ** rng.uniform(-4.0, 16.0, 40_000)).tolist()]
+        assert not any("e" in s for s in strings)
+        for _ in range(40_000):  # 2-19 digits, leading zeros on both sides
+            d = int(rng.integers(1, 19))
+            digits = "".join(rng.choice(list("0000123456789"), size=int(rng.integers(d + 1, 20))))
+            strings.append(f"{digits[:d]}.{digits[d:]}")
+        strings += ["0.0", "00.000", "0.5", "1.0", "9007199254740993.0", "9007199254740995.0",
+                    "0.00041063966039474797", "0.0021881529262867327", "0." + "0" * 8 + "9" * 19]
+        for d in range(1, 19):  # 18 and 19 digits, up to M = 10^19 - 1
+            for digits in ("9" * 18, "9" * 19, "1" + "0" * 18, "1" * 19, "0" + "9" * 18):
+                if d < len(digits):
+                    strings.append(f"{digits[:d]}.{digits[d:]}")
+        for zeros in range(9):  # "0." and up to 27 digits, 19 after the zeros
+            strings += [f"0.{'0' * zeros}{'9' * 19}", f"0.{'0' * zeros}1{'0' * 18}"]
+        self._assert_float_bits(strings)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["1" + "0" * 18 + ".0", "9" * 10 + "." + "9" * 10, "1." + "0" * 19, "0." + "1" * 20,
+         "0.0" + "1" * 20, "0." + "0" * 9 + "1" * 19, "00." + "1" * 18, "18446744073709551615.0"],
+    )
+    def test_declines_past_19_digits(self, line):
+        # M >= 10^19, or 10^k past 10^27, or leading zeros other than
+        # "0.0...": numpy's reader takes the block.
+        assert distributions._decimal_block(f"0.25\n{line}\n") is None
+
+    @pytest.mark.skipif(not distributions._EXACT_LONG_DOUBLE, reason="needs x87 80-bit long double")
+    def test_midpoints_take_float(self):
+        # Strings within one unit in the 19th digit of a float64 midpoint:
+        # some round to the midpoint in long double, and those must take
+        # float() (the module's float, counted here) to come out right.
+        strings = _midpoint_strings(np.random.default_rng(21), 5_000)
+        calls = []
+
+        def counting_float(x):
+            calls.append(x)
+            return float(x)
+
+        with mock.patch.object(distributions, "float", counting_float, create=True):
+            self._assert_float_bits(strings)
+        assert len(calls) > 50
+
+    @pytest.mark.skipif(distributions._EXACT_LONG_DOUBLE, reason="long double is x87 80-bit here")
+    def test_declines_without_extended_long_double(self):
+        assert distributions._decimal_block("1.5\n2.25\n") is None
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\n", "1.5\n\n2.5\n", "-1.5\n", "+1.5\n", "1e5\n", "1.5e0\n", " 1.5\n", "1.5 \n",
+         "1.5,\n", ".5\n", "5.\n", "5\n", "1.2.3\n", "1.5\t\n", "1_0.5\n", "\uff11.5\n", "1.5\x0b\n",
+         "inf\n", "nan\n"],
+    )
+    def test_declines_other_lines(self, text):
+        assert distributions._decimal_block("0.25\n" + text) is None
+
+    def test_last_line_without_line_end(self):
+        got = distributions._decimal_block("0.25\n1.5")
+        if distributions._EXACT_LONG_DOUBLE:
+            assert got.tolist() == [0.25, 1.5]
+        else:
+            assert got is None
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\xa0"])
+    @pytest.mark.parametrize("block", [1, 3, 1 << 14])
+    def test_reader_cuts_lines_at_line_feeds_only(self, tmp_path, sep, block):
+        # File iteration splits only at "\n" (after "\r" and "\r\n" become
+        # "\n"), so these characters stay inside a line: stripped at its
+        # ends, a bad number in its middle, with the same line numbers.
+        for body in (f"0.5\n{sep}1.5{sep}\n2.5\n", f"0.5\r\n1.5\r2.5{sep}3.5\n4.5\n"):
+            path = tmp_path / "sep.csv"
+            path.write_bytes(body.encode("utf-8"))
+            with mock.patch.object(distributions, "_BLOCK_LINES", block):
+                got = _read_outcome(read_samples_csv, str(path), False)
+            want = _read_outcome(_line_loop_reader, str(path), False)
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad_line", [False, True])
+    @pytest.mark.parametrize("block", [1, 1 << 14])
+    def test_multibyte_decode_error_after_lines(self, tmp_path, bad_line, block):
+        # Multibyte padding makes chunks of 8192 bytes hold fewer
+        # characters; the undecodable byte past them is reported with the
+        # same position, after any bad line before it.
+        lines = ["\u20030.125\u3000"] * 2500 + ["\uff11.5"] * 500
+        if bad_line:
+            lines[1900] = "x\u00e9"
+        path = tmp_path / "multibyte.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8") + b"\n\xff\n")
+        assert len("\n".join(lines).encode("utf-8")) > 3 * 8192
+        with mock.patch.object(distributions, "_BLOCK_LINES", block):
+            got = _read_outcome(read_samples_csv, str(path), False)
+        want = _read_outcome(_line_loop_reader, str(path), False)
+        assert isinstance(want, ValueError if bad_line else UnicodeDecodeError)
+        assert (type(got), str(got)) == (type(want), str(want))
+
+    @pytest.mark.skipif(not distributions._EXACT_LONG_DOUBLE, reason="needs x87 80-bit long double")
+    def test_repr_file_takes_the_kernel(self, tmp_path):
+        # With numpy's reader out of reach, a repr-written file still reads
+        # bitwise: every block took the kernel rather than declining.
+        x = 10.0 ** np.random.default_rng(22).uniform(-4.0, 6.0, 10_000)
+        path = tmp_path / "repr.csv"
+        path.write_text("value\n" + "\n".join(map(repr, x.tolist())) + "\n")
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("numpy reader used")), \
+                mock.patch.object(distributions, "_BLOCK_LINES", 4096):
+            got = read_samples_csv(str(path), header=True)
+        assert got.tobytes() == x.tobytes()
+        with mock.patch.object(distributions, "_EXACT_LONG_DOUBLE", False):
+            assert read_samples_csv(str(path), header=True).tobytes() == x.tobytes()

@@ -5,11 +5,13 @@ import pytest
 
 from riskbounds import (
     DEFAULT_GRID_POINTS,
+    BoundMethod,
     CVaR,
     DiscreteDistribution,
     Distance,
     SupportBounds,
     UnsupportedCombinationError,
+    bound_with_radius,
     from_samples,
     glc,
     llc,
@@ -218,6 +220,36 @@ class TestLoweredExtremeAndCaching:
         for _ in range(50):
             llc(spec, SUP, random_interior_dist(rng, B01), rng.uniform(0.0, 0.5))
         assert len(grid_calls) == 1
+
+    def test_per_spec_caches_stay_bounded(self):
+        # A library caller that builds a fresh spec (new function objects)
+        # for every call fills each per-spec cache to its size, no further,
+        # and a rejected spec is still rejected on every call.
+        from riskbounds import bounds, lipschitz, measures
+
+        caches = [lipschitz.glc, lipschitz._require_convex_weight, measures._check_on_support,
+                  bounds._attainable_range]
+        d = from_samples([0.2, 0.6], B01)
+        for _ in range(2000):
+            spec = RDEU(
+                lambda y: np.asarray(y) ** 2, lambda y: 2.0 * np.asarray(y),
+                lambda x: np.asarray(x), lambda x: np.ones_like(np.asarray(x)),
+            )
+            for method in (BoundMethod.LLC, BoundMethod.GLC):
+                bound_with_radius(d, spec, SUP, method, 0.1)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize == measures._SPEC_CACHE_SIZE
+            assert info.currsize <= info.maxsize
+        concave_w = RDEU(
+            lambda y: np.sqrt(np.asarray(y)),
+            lambda y: 0.5 / np.sqrt(np.maximum(np.asarray(y), 1e-12)),
+            lambda x: np.asarray(x),
+            lambda x: np.ones_like(np.asarray(x)),
+        )
+        for _ in range(3):
+            with pytest.raises(ValueError, match="convex"):
+                llc(concave_w, SUP, d, 0.1)
 
     @pytest.mark.parametrize(
         "risk, distance, method",
