@@ -68,7 +68,7 @@ from .measures import (
     rdeu_power,
     srm_power,
 )
-from .operators import WaterFillTrace, neg_sup, neg_w1, pos_sup, pos_w1
+from .operators import neg_sup, neg_w1, pos_sup, pos_w1
 from .oracles import QuadratureError, quadrature_risk
 
 __version__ = "0.1.0"

@@ -64,7 +64,9 @@ class ConfidenceResult:
     extras: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if not (self.lcb <= self.point + 1e-9 and self.point - 1e-9 <= self.ucb):
+        # The evaluators' rounding grows with the magnitude of the values.
+        slack = 1e-9 * max(1.0, abs(self.point))
+        if not (self.lcb <= self.point + slack and self.point - slack <= self.ucb):
             raise ValueError(
                 f"inconsistent bounds: lcb={self.lcb}, point={self.point}, ucb={self.ucb}"
             )

@@ -107,21 +107,21 @@ class DiscreteDistribution:
 
     - Validating: the public constructor (which ``instance_from_dict`` uses
       for discrete arms), ``from_json`` (the reader of the documented JSON
-      format that ``to_json`` writes), and ``dirac`` for an argument that
-      is not a finite float inside the bounds. They accept
-      atoms in any order, coalesce equal positions by summing masses, clip
-      masses within ``_NEG_MASS_TOL`` below zero, drop zero masses, and
+      format that ``to_json`` writes), and ``dirac``. They accept atoms in
+      any order, coalesce equal positions by summing masses, clip masses
+      within ``_NEG_MASS_TOL`` below zero, drop zero masses, and
       renormalize a mass sum within ``MASS_SUM_TOL`` of one; anything else
       is rejected with ``ValueError``.
     - Trusted: ``_trusted``, used only for distributions the package builds
       itself: ``from_samples`` (after its finiteness and bounds checks),
-      ``dirac`` (after its scalar check) and the Wasserstein operators
-      (whose outputs fall back to the public constructor when an atom ties
-      or a mass is not positive). It checks nothing: callers pass float64
-      arrays they own, with finite, strictly increasing atoms inside [a, b]
-      and positive masses. ``_from_cdf``, for the supremum operators, stores
-      exact CDF values on sorted in-bounds atoms and only drops zero-mass
-      atoms and checks the CDF's monotonicity and terminal value.
+      the masses that ``bounds`` shares across rows, and the Wasserstein
+      operators (whose outputs fall back to the public constructor when an
+      atom ties or a mass is not positive). It checks nothing: callers pass
+      float64 arrays they own, with finite, strictly increasing atoms
+      inside [a, b] and positive masses. ``_from_cdf``, for the supremum
+      operators, stores exact CDF values on sorted in-bounds atoms and only
+      drops zero-mass atoms and checks the CDF's monotonicity and terminal
+      value.
     """
 
     __slots__ = ("xs", "ps", "cum", "bounds")
@@ -202,9 +202,6 @@ class DiscreteDistribution:
 
     @classmethod
     def dirac(cls, x: float, bounds: SupportBounds) -> "DiscreteDistribution":
-        # Finite bounds make the range test reject nan and inf as well.
-        if isinstance(x, (float, int)) and bounds.a <= x <= bounds.b:
-            return cls._trusted(np.array([x], dtype=np.float64), np.ones(1), bounds)
         return cls([x], [1.0], bounds)
 
     @property

@@ -379,6 +379,17 @@ def rdeu_power(s: float, k: float) -> RDEU:
     return RDEU(w, w_prime, v, v_prime)
 
 
+# Risk family name -> (builder, parameter count), the grammar of ``parse_risk``.
+_RISK_FAMILIES = {
+    "cvar": (CVaR, 1),
+    "erm": (ERM, 1),
+    "srm-power": (srm_power, 1),
+    "drm-power": (drm_power, 1),
+    "ce-power": (ce_power, 1),
+    "rdeu-power": (rdeu_power, 2),
+}
+
+
 def parse_risk(text: str) -> RiskMeasure:
     """Parse a catalog string.
 
@@ -393,27 +404,9 @@ def parse_risk(text: str) -> RiskMeasure:
         params = [float(v) for v in payload.split(",")] if payload else []
     except ValueError as exc:
         raise ValueError(f"bad numeric parameters in risk spec {text!r}") from exc
-
-    def need(count: int):
-        if len(params) != count:
-            raise ValueError(f"risk spec {text!r} needs {count} parameter(s)")
-
-    if name == "cvar":
-        need(1)
-        return CVaR(params[0])
-    if name == "erm":
-        need(1)
-        return ERM(params[0])
-    if name == "srm-power":
-        need(1)
-        return srm_power(params[0])
-    if name == "drm-power":
-        need(1)
-        return drm_power(params[0])
-    if name == "ce-power":
-        need(1)
-        return ce_power(params[0])
-    if name == "rdeu-power":
-        need(2)
-        return rdeu_power(params[0], params[1])
-    raise ValueError(f"unknown risk family {name!r} in {text!r}")
+    if name not in _RISK_FAMILIES:
+        raise ValueError(f"unknown risk family {name!r} in {text!r}")
+    build, count = _RISK_FAMILIES[name]
+    if len(params) != count:
+        raise ValueError(f"risk spec {text!r} needs {count} parameter(s)")
+    return build(*params)

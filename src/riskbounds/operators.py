@@ -25,14 +25,11 @@ sizes. Cost is O(m) on the sorted atom arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distributions import DiscreteDistribution
 
 __all__ = [
-    "WaterFillTrace",
     "pos_sup",
     "neg_sup",
     "pos_w1",
@@ -44,23 +41,6 @@ def _require_radius(c: float) -> float:
     if not (np.isfinite(c) and c >= 0.0):
         raise ValueError(f"ball radius must be finite and >= 0, got {c}")
     return float(c)
-
-
-@dataclass(frozen=True)
-class WaterFillTrace:
-    """Diagnostics from a Wasserstein water-fill.
-
-    ``break_index`` counts atoms consumed from the right (1-based) before
-    the cumulative transported area first reached the radius;
-    ``cumulative_areas`` is that strictly increasing area prefix; the last
-    field is the residual mass kept at the break atom (positive operator)
-    or the collapsed level (negative operator). ``break_index`` of 0 with
-    empty areas marks a saturated fill.
-    """
-
-    break_index: int
-    cumulative_areas: np.ndarray
-    residual_mass_or_level: float
 
 
 def pos_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
@@ -100,28 +80,24 @@ def neg_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     return DiscreteDistribution._from_cdf(xs, cdf_vals, d.bounds)
 
 
-def pos_w1(
-    d: DiscreteDistribution, c: float, with_trace: bool = False
-) -> DiscreteDistribution | tuple[DiscreteDistribution, WaterFillTrace]:
+def pos_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     """Wasserstein-ball maximizer via reverse water-filling against b.
 
     Walking atoms right to left, the transported-to-b areas p_i (b - x_i)
     accumulate until they first reach c. Atoms right of the break move to b
     entirely, the break atom keeps mass (accumulated - c) / (b - x_break),
     and atoms left of the break are untouched. The W1 distance moved equals
-    min(c, total transportable area) exactly.
+    min(c, total transportable area) exactly. When the break atom keeps
+    mass, it is the atom just below b in the result.
     """
     c = _require_radius(c)
     if c == 0.0:
-        return (d, WaterFillTrace(0, np.empty(0), 0.0)) if with_trace else d
+        return d
     b = d.bounds.b
     areas = d.ps * (b - d.xs)
     rev_areas = np.cumsum(areas[::-1])
-    total = float(rev_areas[-1]) if rev_areas.size else 0.0
-    if c >= total:
-        out = DiscreteDistribution.dirac(b, d.bounds)
-        trace = WaterFillTrace(0, np.empty(0), 0.0)
-        return (out, trace) if with_trace else out
+    if c >= rev_areas[-1]:
+        return DiscreteDistribution.dirac(b, d.bounds)
 
     i_plus = int(np.searchsorted(rev_areas, c, side="left"))  # 0-based from the right
     k = d.xs.size - 1 - i_plus
@@ -135,31 +111,24 @@ def pos_w1(
     # The break atom lies below b; a break exactly on the radius leaves it
     # zero mass, which the validating constructor drops.
     trusted = keep_mass > 0.0 and mass_at_b > 0.0
-    out = (DiscreteDistribution._trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
-    if not with_trace:
-        return out
-    trace = WaterFillTrace(i_plus + 1, rev_areas[: i_plus + 1].copy(), float(keep_mass))
-    return out, trace
+    return (DiscreteDistribution._trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
 
 
-def neg_w1(
-    d: DiscreteDistribution, c: float, with_trace: bool = False
-) -> DiscreteDistribution | tuple[DiscreteDistribution, WaterFillTrace]:
+def neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     """Wasserstein-ball minimizer: collapse the right tail onto one level.
 
     The level b- solves E[(X - b-)^+] = c, i.e. the area between the CDF
     and 1 to the right of b- equals the radius; every atom above b- moves
-    down onto it. Saturation at c >= mean - a returns the Dirac mass at a.
+    down onto it, so b- is the last atom of the result. Saturation at
+    c >= mean - a returns the Dirac mass at a, and so does a level that
+    rounding puts below a just short of saturation.
     """
     c = _require_radius(c)
     if c == 0.0:
-        return (d, WaterFillTrace(0, np.empty(0), d.bounds.b)) if with_trace else d
+        return d
     a = d.bounds.a
-    total = d.mean() - a
-    if c >= total:
-        out = DiscreteDistribution.dirac(a, d.bounds)
-        trace = WaterFillTrace(0, np.empty(0), a)
-        return (out, trace) if with_trace else out
+    if c >= d.mean() - a:
+        return DiscreteDistribution.dirac(a, d.bounds)
 
     # suffix[j] = E[(X - x_j)^+]; strictly increasing right to left.
     tail = 1.0 - d.cum
@@ -168,27 +137,19 @@ def neg_w1(
     if gaps.size:
         suffix[:-1] = np.cumsum((tail[:-1] * gaps)[::-1])[::-1]
 
-    if c <= suffix[0]:
-        j = int(np.nonzero(suffix >= c)[0][-1])  # deepest atom still above c
-        kept = float(d.cum[j])
-        level = d.xs[j + 1] - (c - suffix[j + 1]) / (1.0 - kept)
-        xs = np.concatenate((d.xs[: j + 1], [level]))
-        ps = np.concatenate((d.ps[: j + 1], [1.0 - kept]))
-        collapsed = int(d.xs.size - (j + 1))
-        areas = suffix[j:][::-1][1:]  # ends at the first area >= c
-        # suffix[j] == c puts the level on atom j: a tie to coalesce.
-        trusted = level > d.xs[j] and kept < 1.0
-    else:
+    if c > suffix[0]:
         # Solution sits below the lowest atom: everything collapses; the
-        # terminal area is measured down to a.
-        level = d.xs[0] - (c - suffix[0])
-        xs = np.array([level])
-        ps = np.array([1.0])
-        collapsed = int(d.xs.size)
-        areas = np.append(suffix[::-1][1:], total)
-        trusted = level >= a
-    out = (DiscreteDistribution._trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
-    if not with_trace:
-        return out
-    trace = WaterFillTrace(collapsed, areas.copy(), float(level))
-    return out, trace
+        # terminal area is measured down to a. Just short of saturation,
+        # rounding can put the level below a, where it is clamped.
+        level = max(d.xs[0] - (c - suffix[0]), a)
+        return DiscreteDistribution._trusted(np.array([level]), np.ones(1), d.bounds)
+    j = int(np.nonzero(suffix >= c)[0][-1])  # deepest atom still above c
+    kept = float(d.cum[j])
+    # The level lies in [x_j, x_{j+1}). Rounding near a tie (suffix[j] == c)
+    # can put it below x_j, and below a when x_j == a; it is clamped at x_j,
+    # so it stays the last atom. A level on atom j is a tie to coalesce.
+    level = max(d.xs[j + 1] - (c - suffix[j + 1]) / (1.0 - kept), d.xs[j])
+    xs = np.concatenate((d.xs[: j + 1], [level]))
+    ps = np.concatenate((d.ps[: j + 1], [1.0 - kept]))
+    trusted = level > d.xs[j] and kept < 1.0
+    return (DiscreteDistribution._trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)

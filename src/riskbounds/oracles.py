@@ -31,10 +31,10 @@ class QuadratureError(RuntimeError):
     """An integral that ``refining_integral`` cannot resolve to its tolerance."""
 
 
-def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> float:
+def refining_integral(fn, lo: float, hi: float) -> float:
     """Adaptive Simpson quadrature: every panel is refined (bisected, with
     its coarse and refined estimates compared) until the refinements agree
-    within the panel's share of ``tol``.
+    within the panel's share of ``QUADRATURE_TOL``.
 
     ``fn`` maps an array of points to an array of the same shape. Each
     refinement level evaluates it once, on the new points of every panel
@@ -45,7 +45,7 @@ def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> 
     per-panel refinement resolves the layer without wasting panels on the
     smooth bulk. Panels narrower than the float grid are accepted as-is;
     the leftover disagreement is tracked and reported if it exceeds the
-    requested tolerance. So is an integrand that needs over 2^22 panels.
+    tolerance. So is an integrand that needs over 2^22 panels.
     """
     if hi <= lo:
         return 0.0
@@ -72,8 +72,8 @@ def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> 
     # One row per open panel: left edge, midpoint, right edge. A batch of rows
     # shares one depth, so its panels share one slice t of the tolerance.
     x = np.stack((grid[:-1], mid, grid[1:]), axis=1)
-    batches = [(x, np.stack((vals[:n], vals[n + 1:], vals[1:n + 1]), axis=1), tol / n)]
-    failed = f"quadrature failed to resolve [{lo}, {hi}] to {tol}"
+    batches = [(x, np.stack((vals[:n], vals[n + 1:], vals[1:n + 1]), axis=1), QUADRATURE_TOL / n)]
+    failed = f"quadrature failed to resolve [{lo}, {hi}] to {QUADRATURE_TOL}"
     edges, parts, refined, unresolved = [], [], 0, 0.0
     while batches:
         x, fx, t = batches.pop()
@@ -104,7 +104,7 @@ def refining_integral(fn, lo: float, hi: float, tol: float = QUADRATURE_TOL) -> 
     # depth-first refinement that splits the right half first.
     order = np.argsort(np.concatenate(edges))[::-1]
     total = float(np.cumsum(np.concatenate(parts)[order])[-1])
-    if unresolved > tol:
+    if unresolved > QUADRATURE_TOL:
         raise QuadratureError(f"{failed}; leftover {unresolved}")
     return total
 

@@ -6,6 +6,7 @@ import warnings
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,31 @@ class TestCi:
         code = main(["ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "cvar:1e-17", "--method", "all"])
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: CVaR level 1e-17 is too small")
+
+    @pytest.mark.parametrize("risk", ["cvar:0.05", "ce-power:2", "rdeu-power:2,2"])
+    def test_offset_support_consistency_slack_scales(self, risk, tmp_path, capsys):
+        # At |x| ~ 1e9 the evaluators' rounding exceeds a fixed 1e-9; the
+        # slack between lcb, point and ucb is relative to the point.
+        path = tmp_path / "off.csv"
+        path.write_text("".join(f"{x!r}\n" for x in (1e9 + np.random.default_rng(0).random(20)).tolist()))
+        code = main(["ci", "--input", str(path), "--bounds", "1e9,1000000001", "--risk", risk,
+                     "--method", "all", "--delta", "1.9999999999999998"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        for blob in json.loads(captured.out):
+            slack = 1e-9 * max(1.0, abs(blob["point"]))
+            assert blob["lcb"] <= blob["point"] + slack and blob["point"] - slack <= blob["ucb"]
+
+    def test_w1_collapse_just_below_saturation(self, tmp_path, capsys):
+        # The radius rounds just short of mean - a: the collapsed level is
+        # clamped at a instead of landing a few ulps below it.
+        path = tmp_path / "s.csv"
+        path.write_text("0.028\n0.754\n0.538\n0.33\n")
+        code = main(["ci", "--input", str(path), "--bounds", "0,1", "--risk", "cvar:0.5", "--distance", "w1",
+                     "--method", "all", "--delta", "0.5126803028301473"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert [blob["lcb"] for blob in json.loads(captured.out)] == [0.0, 0.0, 0.0]
 
     def test_degenerate_delta(self, samples_csv, capsys):
         code = main([

@@ -192,3 +192,75 @@ def test_tracer_boundaries_resolve_and_uninstall_restores_them(tmp_path):
         "operators.pos_sup", "measures.evaluate", "lipschitz.llc", "lipschitz.glc",
     ):
         assert calls[name] > 0, name
+
+
+# Defaulted parameters that no call in src/ or perfbench/ passes but that
+# stay, each with its reason.
+_KEPT_UNPASSED = {}
+
+
+def _program_calls() -> dict[str, list[ast.Call]]:
+    """Calls in src/ and perfbench/, by the called name (a ``Name`` or the
+    last ``Attribute`` of the callee)."""
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
+    """Every defaulted parameter of a function in src/, as qualified name ->
+    (called name, parameter name, position or None for keyword-only). A
+    method's ``__init__`` is called through its class name, and ``self``
+    and ``cls`` take no position."""
+    found = {}
+    for path in sorted((ROOT / "src" / "riskbounds").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owners = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = owners.get(fn)
+            called = owner if fn.name == "__init__" else fn.name
+            qual = ".".join(filter(None, (path.stem, owner, fn.name)))
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                found[f"{qual}.{arg.arg}"] = (called, arg.arg, i)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found[f"{qual}.{arg.arg}"] = (called, arg.arg, None)
+    return found
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    # A starred argument or ``**`` mapping may pass anything.
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(k.arg == name for k in call.keywords)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    # A default that no caller overrides is a knob without a use. The check
+    # works on names, not bindings, like _program_reads: a call to another
+    # function of the same name also counts, so it can miss a dead knob but
+    # never flags a live one.
+    calls = _program_calls()
+    params = _defaulted_parameters()
+    assert params
+    unpassed = [
+        qual
+        for qual, (called, name, position) in params.items()
+        if not any(_passes(call, name, position) for call in calls.get(called, []))
+    ]
+    assert [q for q in unpassed if q not in _KEPT_UNPASSED] == []
+    assert [q for q in _KEPT_UNPASSED if q not in params] == []  # no stale entries

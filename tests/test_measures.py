@@ -348,6 +348,39 @@ class TestParseRisk:
         with pytest.raises(ValueError):
             parse_risk(text)
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("cvar:0.5", CVaR(0.5)),
+            ("erm:-1.5", ERM(-1.5)),
+            ("srm-power:2", srm_power(2.0)),
+            ("drm-power:0.5", drm_power(0.5)),
+            ("ce-power:2", ce_power(2.0)),
+            ("rdeu-power:1.5,2", rdeu_power(1.5, 2.0)),
+            (" CVaR :0.25", CVaR(0.25)),
+        ],
+    )
+    def test_round_trip(self, text, expected):
+        assert parse_risk(text) == expected
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("cvar", "risk spec 'cvar' must look like 'family:params'"),
+            ("cvar:x", "bad numeric parameters in risk spec 'cvar:x'"),
+            ("mystery:x", "bad numeric parameters in risk spec 'mystery:x'"),
+            ("cvar:", "risk spec 'cvar:' needs 1 parameter(s)"),
+            ("erm:1,2", "risk spec 'erm:1,2' needs 1 parameter(s)"),
+            ("rdeu-power:2", "risk spec 'rdeu-power:2' needs 2 parameter(s)"),
+            ("Mystery:1", "unknown risk family 'mystery' in 'Mystery:1'"),
+            ("mystery:", "unknown risk family 'mystery' in 'mystery:'"),
+        ],
+    )
+    def test_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_risk(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", ["srm-power:2", "drm-power:0.5", "ce-power:2", "rdeu-power:2,2"])
     def test_equal_text_parses_to_the_same_spec(self, text):
         # Caches keyed on the spec (quadrature, support checks) hit only then.

@@ -106,28 +106,68 @@ class TestEdgeCases:
         assert np.allclose(out2.ps, [0.25, 0.25, 0.5])
 
 
-class TestTraces:
-    def test_pos_w1_trace(self):
-        out, trace = pos_w1(EDF, 0.3, with_trace=True)
-        assert trace.break_index == 2
-        assert np.allclose(trace.cumulative_areas, [0.25, 0.75])
-        assert trace.residual_mass_or_level == pytest.approx(0.225)
-        assert np.all(np.diff(trace.cumulative_areas) > 0)
+class TestResultCarriesTheWaterFill:
+    # The water-fill's facts are read from the result: the break atom is the
+    # atom just below b in pos_w1, the collapsed level the last atom of neg_w1.
+    def test_pos_w1_break_atom_below_b(self):
+        out = pos_w1(EDF, 0.3)
+        assert out.xs[-2] == 3.0 and out.xs[-1] == 5.0
+        assert out.ps[-2] == pytest.approx(0.225)
 
-    def test_neg_w1_trace(self):
-        out, trace = neg_w1(EDF, 0.3, with_trace=True)
-        assert trace.break_index == 2
-        assert np.allclose(trace.cumulative_areas, [0.25, 0.75])
-        assert trace.residual_mass_or_level == pytest.approx(2.9)
+    def test_neg_w1_level_is_last_atom(self):
+        assert neg_w1(EDF, 0.3).xs[-1] == pytest.approx(2.9)
 
-    def test_saturated_trace(self):
-        _, trace = pos_w1(EDF, 99.0, with_trace=True)
-        assert trace.break_index == 0 and trace.cumulative_areas.size == 0
+    def test_neg_w1_collapses_below_lowest_atom(self):
+        # E[(X - 1)^+] = 1.5 < 2.0: every atom collapses onto 1 - 0.5.
+        assert allclose(neg_w1(EDF, 2.0), DiscreteDistribution.dirac(0.5, B05))
 
-    def test_neg_w1_trace_below_lowest_atom(self):
-        _, trace = neg_w1(EDF, 2.0, with_trace=True)
-        assert trace.break_index == 4
-        assert np.allclose(trace.cumulative_areas, [0.25, 0.75, 1.5, 2.5])
+
+def _ulps_from(t: float, k: int) -> float:
+    """t moved by k ulps, down for negative k."""
+    for _ in range(abs(k)):
+        t = np.nextafter(t, np.inf if k > 0 else -np.inf)
+    return float(t)
+
+
+@pytest.mark.parametrize("a", [0.0, -7.3, 1e3])
+def test_radii_just_below_saturation_give_valid_distributions(a):
+    # One to three ulps below each operator's saturation threshold, rounding
+    # must still land inside [a, b], including for a center with an atom on a.
+    rng = np.random.default_rng(5)
+    for i in range(300):
+        bounds = SupportBounds(a, a + (1.0, 5.0)[i % 2])
+        m = int(rng.integers(1, 7))
+        xs = np.sort(rng.uniform(bounds.a, bounds.b, m))
+        if i % 3 == 0:
+            xs[0] = a
+        ps = rng.random(m) + 0.05
+        d = DiscreteDistribution(xs, ps / ps.sum(), bounds)
+        thresholds = {
+            pos_sup: 1.0,
+            neg_sup: 1.0,
+            pos_w1: float(np.cumsum((d.ps * (bounds.b - d.xs))[::-1])[-1]),
+            neg_w1: d.mean() - a,
+        }
+        for op, t in thresholds.items():
+            for k in (-1, -2, -3):
+                c = _ulps_from(t, k)
+                if c >= 0.0:
+                    assert_invariants(op(d, c))
+
+
+def test_neg_w1_level_stays_last_atom_near_ties():
+    # Radii within three ulps of a tie, where the level meets an atom: the
+    # atoms below the level are atoms of the center, untouched.
+    rng = np.random.default_rng(6)
+    for i in range(200):
+        d = random_interior_dist(rng, B01, margin=0.0) if i % 2 else from_samples(rng.random(5), B01)
+        tail = 1.0 - d.cum
+        suffix = np.append(np.cumsum((tail[:-1] * np.diff(d.xs))[::-1])[::-1], 0.0)
+        for s in suffix[:-1]:
+            for k in range(-3, 4):
+                out = neg_w1(d, _ulps_from(s, k))
+                assert_invariants(out)
+                assert np.isin(out.xs[:-1], d.xs).all()
 
 
 class TestBallFeasibility:
