@@ -119,14 +119,15 @@ def _bound_edf(
                 )
             if point is None:
                 point = evaluate(spec, d)
-            # Each extreme is evaluated as soon as it is built, so the two
-            # are alive together only when llc reads the lowered one.
+            # Each extreme is evaluated as soon as it is built, and the
+            # upper one first, so the two are never alive together, even
+            # when llc goes on to read the lowered one.
+            ucb = evaluate(spec, upper())
             low = lower()
             lcb = evaluate(spec, low)
             if BoundMethod.LLC in methods[i + 1 :]:
                 lowered = low
             del low
-            ucb = evaluate(spec, upper())
             results.append(ConfidenceResult(lcb, ucb, method, dist_kind, c, point))
             continue
         # The constant comes first: an unsupported combination is reported as

@@ -27,7 +27,7 @@ import numpy as np
 from .bandit import ARM_FAMILIES, load_instance, regret_bound, run_lcb, true_risk
 from .bounds import BoundMethod, UnsupportedCombinationError, bound_from_samples, bound_rows
 from .concentration import RadiusRule, resolve_radius_rule
-from .distributions import Distance, SampleError, SupportBounds, read_samples_csv
+from .distributions import Distance, SupportBounds, _check_samples, read_samples_csv
 from .measures import CVaR, parse_risk
 from .oracles import QuadratureError
 
@@ -98,16 +98,18 @@ def cmd_ci(args) -> int:
     bounds, spec, dist_kind, methods, rule = _parse_ball(args)
     try:
         samples = read_samples_csv(args.input, header=args.header)
+        _check_samples(samples, bounds)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    # The EDF depends only on the multiset of samples. Sorted once here,
+    # after the check names the first bad sample in file order, they are
+    # strictly increasing for every method's EDF unless they tie.
+    samples.sort()
 
-    results = []
-    for method in methods:
-        try:
-            res = bound_from_samples(samples, bounds, spec, dist_kind, method, args.delta, rule)
-        except SampleError as exc:
-            raise DataError(str(exc)) from exc
-        results.append(res.to_json())
+    results = [
+        bound_from_samples(samples, bounds, spec, dist_kind, method, args.delta, rule).to_json()
+        for method in methods
+    ]
     payload = results[0] if len(results) == 1 else results
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True))
     return 0

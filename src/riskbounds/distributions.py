@@ -78,13 +78,23 @@ class SupportBounds:
         return self.b - self.a
 
 
+def _positive_entries(arr: np.ndarray) -> slice | np.ndarray:
+    """Index of the entries of ``arr`` above zero: a slice, which takes
+    views instead of copies, when they form one run (zeros only at the
+    ends), else a boolean mask."""
+    positive = arr > 0.0
+    lo = int(positive.argmax())
+    run = slice(lo, lo + int(np.count_nonzero(positive)))
+    return run if positive[run].all() else positive
+
+
 def _store(obj, xs, ps, bounds, cum=None) -> None:
-    """Normalize and cumulate trusted masses (unless ``cum`` is given),
-    freeze the arrays, and set the slots of ``obj``."""
+    """Normalize (in place) and cumulate trusted masses (unless ``cum`` is
+    given), freeze the arrays, and set the slots of ``obj``."""
     if cum is None:
         total = float(ps.sum())
         if total != 1.0:
-            ps = ps / total
+            ps /= total
         cum = np.cumsum(ps)
         cum[-1] = 1.0
     for arr in (xs, ps, cum):
@@ -169,8 +179,8 @@ class DiscreteDistribution:
         """Build from float64 arrays that already hold the class invariants.
 
         Nothing is checked, and the arrays are frozen in place, so the caller
-        must own them. Without ``cum`` the masses are normalized and cumulated
-        exactly as the public constructor does.
+        must own them. Without ``cum`` the masses are normalized in place and
+        cumulated exactly as the public constructor does.
         """
         obj = object.__new__(cls)
         _store(obj, xs, ps, bounds, cum)
@@ -178,26 +188,33 @@ class DiscreteDistribution:
 
     @classmethod
     def _from_cdf(cls, xs: np.ndarray, cdf_vals: np.ndarray, bounds: SupportBounds) -> "DiscreteDistribution":
-        """Build from exact CDF values at sorted atoms (cdf_vals[-1] == 1).
+        """Build from exact CDF values at sorted atoms, keeping ``cdf_vals``
+        (or a slice of it) as ``cum``.
 
         The supplied CDF values are stored verbatim so operator outputs
         reproduce closed-form CDF transforms exactly at their atoms; masses
-        are the first differences. Zero-mass atoms are dropped.
+        are the first differences. Zero-mass atoms are dropped, by slicing
+        when they sit at the ends. The last kept value must be exactly 1,
+        and both callers guarantee it: their values are nondecreasing and
+        end at 1.0 (``pos_sup`` appends 1.0 at b, ``neg_sup``'s
+        min(cum + c, 1) ends at min(1 + c, 1) = 1.0). The atoms after the
+        last kept one have zero mass, so they share its value, and the last
+        of them holds 1.0. That covers ``pos_sup`` at a radius so small
+        that max(1 - c, 0) rounds to 1.0 below b: the atom at b has zero
+        mass and is dropped, and the atom before it ends at 1.0.
         """
-        xs = np.asarray(xs, dtype=np.float64)
         cum = np.asarray(cdf_vals, dtype=np.float64)
-        ps = np.diff(cum, prepend=0.0)
-        if np.any(ps < -_NEG_MASS_TOL):
+        ps = np.empty_like(cum)
+        ps[0] = cum[0]
+        np.subtract(cum[1:], cum[:-1], out=ps[1:])
+        if ps.min() < -_NEG_MASS_TOL:
             raise ValueError("CDF values must be nondecreasing")
-        keep = ps > 0.0
-        if not np.any(keep):
+        keep = _positive_entries(ps)
+        xs, ps, cum = np.asarray(xs, dtype=np.float64)[keep], ps[keep], cum[keep]
+        if not ps.size:
             raise ValueError("distribution has no positive-mass atoms")
-        xs, ps, cum = xs[keep], ps[keep], cum[keep]
         if cum[-1] != 1.0:
-            if abs(cum[-1] - 1.0) > MASS_SUM_TOL:
-                raise ValueError(f"terminal CDF value {cum[-1]} != 1")
-            cum = cum / cum[-1]
-            ps = np.diff(cum, prepend=0.0)
+            raise ValueError(f"terminal CDF value {cum[-1]} != 1")
         return cls._trusted(xs, ps, bounds, cum)
 
     @classmethod
@@ -299,9 +316,8 @@ def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDis
     arr = np.asarray(samples, dtype=np.float64)
     _check_samples(arr, bounds)
     if arr.ndim == 1 and np.all(arr[1:] > arr[:-1]):
-        xs, counts = arr.copy(), np.ones(arr.size)
-    else:
-        xs, counts = np.unique(arr, return_counts=True)
+        return DiscreteDistribution._trusted(arr.copy(), np.full(arr.size, 1.0 / arr.size), bounds)
+    xs, counts = np.unique(arr, return_counts=True)
     return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Distance, SupportBounds
+from .distributions import DiscreteDistribution, Distance, SupportBounds, _positive_entries
 from .measures import (
     CE,
     CVaR,
@@ -37,7 +37,7 @@ from .measures import (
     RiskMeasure,
     _apply,
     _check_on_support,
-    _segment_grid,
+    _widths,
     evaluate,
     logsumexp,
 )
@@ -78,19 +78,21 @@ def _require_positive_beta(beta: float) -> None:
         )
 
 
-def _cdf_integral(d: DiscreteDistribution, fn) -> float:
-    """int_a^b fn(F(x)) dx, exact for the step CDF of d.
+def _cdf_integral(d: DiscreteDistribution, fn, steps: np.ndarray) -> float:
+    """int fn(F(x)) dh(x) over [a, b], exact for the step CDF F of d: the
+    sum of fn(q_j) times the step of h on each segment [x~_j, x~_{j+1}).
+    ``steps`` holds those steps (the widths for h(x) = x). ``fn`` may
+    overwrite the array of CDF values it is given.
 
-    Zero-width segments are dropped before multiplying so an infinite
-    integrand value (e.g. a power distortion's derivative at 0) on an empty
-    segment contributes nothing instead of poisoning the sum with nan.
+    Empty steps are dropped before multiplying so an infinite integrand
+    value (e.g. a power distortion's derivative at 0) on an empty segment
+    contributes nothing instead of poisoning the sum with nan.
     """
-    edges, cdf_seg = _segment_grid(d)
-    widths = np.diff(edges)
-    keep = widths > 0.0
+    keep = _positive_entries(steps)
+    steps = steps[keep]
     with np.errstate(divide="ignore", over="ignore"):
-        vals = _apply(fn, cdf_seg[keep])
-    return float(vals @ widths[keep])
+        vals = _apply(fn, np.concatenate(([0.0], d.cum))[keep])
+    return float(vals @ steps)
 
 
 def _ce_u_norm(spec: CE, sup: bool, bounds: SupportBounds) -> float:
@@ -173,9 +175,11 @@ def llc(
     if isinstance(spec, CVaR):
         return (b - _quantile_or_a(center, 1.0 - spec.alpha - c)) / spec.alpha
     if isinstance(spec, SRM):
-        return _cdf_integral(lowered(), spec.phi)
+        low = lowered()
+        return _cdf_integral(low, spec.phi, _widths(low))
     if isinstance(spec, DRM):
-        return _cdf_integral(lowered(), lambda q: _apply(spec.g_prime, 1.0 - np.asarray(q)))
+        low = lowered()
+        return _cdf_integral(low, lambda q: _apply(spec.g_prime, np.subtract(1.0, q, out=q)), _widths(low))
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
         beta = spec.beta
@@ -206,12 +210,11 @@ def llc(
                 "constant over W1 balls; use the glc method"
             )
         _require_convex_weight(spec)
-        edges, cdf_seg = _segment_grid(lowered())
-        dv = np.diff(_apply(spec.v, edges))
-        keep = dv > 0.0
-        with np.errstate(divide="ignore", over="ignore"):
-            weights = _apply(spec.w_prime, cdf_seg[keep])
-        return float(weights @ dv[keep])
+        low = lowered()
+        v_edges = _apply(spec.v, np.concatenate(([a], low.xs, [b])))
+        dv = v_edges[1:] - v_edges[:-1]
+        del v_edges
+        return _cdf_integral(low, spec.w_prime, dv)
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 

@@ -208,7 +208,8 @@ def _check_on_support(spec: RiskMeasure, a: float, b: float) -> bool:
 def eval_cvar(alpha: float, d: DiscreteDistribution) -> float:
     """Mean of the worst alpha fraction of the loss distribution."""
     _require_cvar_level(alpha)
-    tail = np.clip(d.cum - (1.0 - alpha), 0.0, d.ps)
+    tail = np.subtract(d.cum, 1.0 - alpha)
+    np.clip(tail, 0.0, d.ps, out=tail)
     return float(tail @ d.xs) / alpha
 
 
@@ -219,25 +220,34 @@ def eval_srm(phi, phi_integral, d: DiscreteDistribution) -> float:
     is constant x_i on (q_{i-1}, q_i], so the integral collapses to
     sum_i x_i (Phi(q_i) - Phi(q_{i-1})).
     """
-    q = np.concatenate(([0.0], d.cum))
-    weights = np.diff(_apply(phi_integral, q))
-    return float(weights @ d.xs)
+    return float(_increments(phi_integral, d) @ d.xs)
 
 
-def _segment_grid(d: DiscreteDistribution):
-    """Support partition a = x~_0 <= x_1 < ... < x_m <= b with the CDF value
-    on each segment [x~_j, x~_{j+1})."""
-    edges = np.concatenate(([d.bounds.a], d.xs, [d.bounds.b]))
-    cdf_on_segment = np.concatenate(([0.0], d.cum))
-    return edges, cdf_on_segment
+def _increments(fn, d: DiscreteDistribution) -> np.ndarray:
+    """fn(q_i) - fn(q_{i-1}) for i = 1..m, over the cumulative masses
+    q_0 = 0, q_1, ..., q_m = 1 of ``d``."""
+    q = _apply(fn, np.concatenate(([0.0], d.cum)))
+    return q[1:] - q[:-1]
+
+
+def _widths(d: DiscreteDistribution) -> np.ndarray:
+    """Widths of the segments [x~_j, x~_{j+1}) of the support partition
+    a = x~_0 <= x_1 < ... < x_m <= b = x~_{m+1}, on which the CDF takes the
+    values q_0 = 0, q_1, ..., q_m = 1. Only the first and the last width
+    can be zero: the atoms are strictly increasing."""
+    xs, m = d.xs, d.xs.size
+    widths = np.empty(m + 1)
+    widths[0], widths[m] = xs[0] - d.bounds.a, d.bounds.b - xs[-1]
+    np.subtract(xs[1:], xs[:-1], out=widths[1:m])
+    return widths
 
 
 def eval_drm(g, d: DiscreteDistribution) -> float:
     """a + int_a^b g(1 - F(x)) dx, exact for step CDFs."""
-    edges, cdf_seg = _segment_grid(d)
-    widths = np.diff(edges)
-    vals = _apply(g, 1.0 - cdf_seg)
-    return d.bounds.a + float(vals @ widths)
+    q = np.concatenate(([0.0], d.cum))
+    vals = _apply(g, np.subtract(1.0, q, out=q))
+    del q
+    return d.bounds.a + float(vals @ _widths(d))
 
 
 def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
@@ -253,7 +263,11 @@ def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
         a_max = np.max(a)
         top = a == a_max
         m = np.sum(b * top)
-        s = np.sum(b * np.exp(np.where(top, -np.inf, a) - a_max))
+        terms = np.where(top, -np.inf, a)
+        terms -= a_max
+        np.exp(terms, out=terms)
+        terms *= b
+        s = np.sum(terms)
         if s != 0:
             s /= m
         out = np.log1p(s) + np.log(m) + a_max
@@ -276,8 +290,7 @@ def eval_ce(u, u_inv, d: DiscreteDistribution) -> float:
 
 def eval_rdeu(w, v, d: DiscreteDistribution) -> float:
     """Stieltjes sum sum_i v(x_i) (w(Q_i) - w(Q_{i-1})), exact for step F."""
-    q = np.concatenate(([0.0], d.cum))
-    weights = np.diff(_apply(w, q))
+    weights = _increments(w, d)
     return float(weights @ _apply(v, d.xs))
 
 
@@ -309,6 +322,13 @@ def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_power(x, p: float, scale: float):
+    """scale * x**p, scaled in place: the derivatives of the power families."""
+    out = np.power(x, p)
+    out *= scale
+    return out
+
+
 @lru_cache(maxsize=None)
 def srm_power(k: float) -> SRM:
     """Spectrum phi(y) = k y^(k-1) with antiderivative y^k, k >= 1."""
@@ -316,7 +336,7 @@ def srm_power(k: float) -> SRM:
         raise ValueError(f"power spectrum needs k >= 1, got {k}")
 
     def phi(y):
-        return k * np.power(y, k - 1.0)
+        return _scaled_power(y, k - 1.0, k)
 
     def phi_integral(y):
         return np.power(y, k)
@@ -335,7 +355,7 @@ def drm_power(s: float) -> DRM:
 
     def g_prime(y):
         with np.errstate(divide="ignore"):
-            return s * np.power(y, s - 1.0)
+            return _scaled_power(y, s - 1.0, s)
 
     return DRM(g, g_prime)
 
@@ -350,7 +370,7 @@ def ce_power(k: float) -> CE:
         return np.power(x, k)
 
     def u_prime(x):
-        return k * np.power(x, k - 1.0)
+        return _scaled_power(x, k - 1.0, k)
 
     def u_inv(z):
         return np.power(z, 1.0 / k)
@@ -368,13 +388,13 @@ def rdeu_power(s: float, k: float) -> RDEU:
         return np.power(y, s)
 
     def w_prime(y):
-        return s * np.power(y, s - 1.0)
+        return _scaled_power(y, s - 1.0, s)
 
     def v(x):
         return np.power(x, k)
 
     def v_prime(x):
-        return k * np.power(x, k - 1.0)
+        return _scaled_power(x, k - 1.0, k)
 
     return RDEU(w, w_prime, v, v_prime)
 

@@ -54,9 +54,12 @@ def pos_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
         return d
     cc = min(c, 1.0)
     b = d.bounds.b
-    below = d.xs < b
-    xs = np.concatenate((d.xs[below], [b]))
-    cdf_vals = np.concatenate((np.maximum(d.cum[below] - cc, 0.0), [1.0]))
+    k = int(np.searchsorted(d.xs, b))  # the atoms below b
+    xs = np.concatenate((d.xs[:k], [b]))
+    cdf_vals = np.empty(k + 1)
+    np.subtract(d.cum[:k], cc, out=cdf_vals[:k])
+    np.maximum(cdf_vals[:k], 0.0, out=cdf_vals[:k])
+    cdf_vals[k] = 1.0
     return DiscreteDistribution._from_cdf(xs, cdf_vals, d.bounds)
 
 
@@ -71,12 +74,12 @@ def neg_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
         return d
     cc = min(c, 1.0)
     a = d.bounds.a
-    if d.xs[0] > a:
-        xs = np.concatenate(([a], d.xs))
-        cdf_vals = np.concatenate(([cc], np.minimum(d.cum + cc, 1.0)))
-    else:
-        xs = d.xs
-        cdf_vals = np.minimum(d.cum + cc, 1.0)
+    s = int(d.xs[0] > a)  # 1 when the result gains an atom at a
+    xs = np.concatenate(([a], d.xs)) if s else d.xs
+    cdf_vals = np.empty(d.xs.size + s)
+    cdf_vals[0] = cc
+    np.add(d.cum, cc, out=cdf_vals[s:])
+    np.minimum(cdf_vals, 1.0, out=cdf_vals)
     return DiscreteDistribution._from_cdf(xs, cdf_vals, d.bounds)
 
 
@@ -94,14 +97,17 @@ def pos_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     if c == 0.0:
         return d
     b = d.bounds.b
-    areas = d.ps * (b - d.xs)
+    areas = np.subtract(b, d.xs)
+    areas *= d.ps
     rev_areas = np.cumsum(areas[::-1])
+    del areas
     if c >= rev_areas[-1]:
         return DiscreteDistribution.dirac(b, d.bounds)
 
     i_plus = int(np.searchsorted(rev_areas, c, side="left"))  # 0-based from the right
-    k = d.xs.size - 1 - i_plus
     area_at_break = float(rev_areas[i_plus])
+    del rev_areas
+    k = d.xs.size - 1 - i_plus
     keep_mass = (area_at_break - c) / (b - d.xs[k])
     tail_mass = 1.0 - (float(d.cum[k - 1]) if k > 0 else 0.0)
     mass_at_b = tail_mass - keep_mass
@@ -130,12 +136,14 @@ def neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     if c >= d.mean() - a:
         return DiscreteDistribution.dirac(a, d.bounds)
 
-    # suffix[j] = E[(X - x_j)^+]; strictly increasing right to left.
-    tail = 1.0 - d.cum
-    gaps = np.diff(d.xs)
-    suffix = np.zeros(d.xs.size)
-    if gaps.size:
-        suffix[:-1] = np.cumsum((tail[:-1] * gaps)[::-1])[::-1]
+    # suffix[j] = E[(X - x_j)^+]: the running sum, from the right, of the
+    # areas (1 - F(x_i)) (x_{i+1} - x_i), so nonincreasing in j.
+    suffix = np.empty(d.xs.size)
+    suffix[-1] = 0.0
+    areas = np.subtract(1.0, d.cum[:-1])
+    areas *= np.subtract(d.xs[1:], d.xs[:-1], out=suffix[:-1])  # gaps, then overwritten
+    np.cumsum(areas[::-1], out=suffix[:-1][::-1])
+    del areas
 
     if c > suffix[0]:
         # Solution sits below the lowest atom: everything collapses; the
@@ -143,12 +151,14 @@ def neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
         # rounding can put the level below a, where it is clamped.
         level = max(d.xs[0] - (c - suffix[0]), a)
         return DiscreteDistribution._trusted(np.array([level]), np.ones(1), d.bounds)
-    j = int(np.nonzero(suffix >= c)[0][-1])  # deepest atom still above c
+    j = np.count_nonzero(suffix >= c) - 1  # deepest atom still above c: those form a prefix
+    above = suffix[j + 1]
+    del suffix
     kept = float(d.cum[j])
     # The level lies in [x_j, x_{j+1}). Rounding near a tie (suffix[j] == c)
     # can put it below x_j, and below a when x_j == a; it is clamped at x_j,
     # so it stays the last atom. A level on atom j is a tie to coalesce.
-    level = max(d.xs[j + 1] - (c - suffix[j + 1]) / (1.0 - kept), d.xs[j])
+    level = max(d.xs[j + 1] - (c - above) / (1.0 - kept), d.xs[j])
     xs = np.concatenate((d.xs[: j + 1], [level]))
     ps = np.concatenate((d.ps[: j + 1], [1.0 - kept]))
     trusted = level > d.xs[j] and kept < 1.0

@@ -1,0 +1,172 @@
+"""Peak memory of the layers that ``ci`` runs, from ``tracemalloc``.
+
+    PYTHONPATH=src python tests/memory_table.py [--m 1000000]
+
+Every peak is in units of one m-element float64 array (8m bytes) and
+includes what the layer returns. The layer rows run on m sorted, tie-free
+beta(2, 5) samples on [0, 1], drawn with seed 0, and on their empirical
+distribution. The command rows run the twelve ``ci`` commands of the
+benchmark's ci-large workload on the same samples, written to a file in
+draw order, and count from the end of the read, so each includes the
+sample array itself.
+
+Caches filled on first use (support checks, global constants, the RDEU
+weight check) are filled on a small input first, so no row pays for them.
+tier-1 does not collect this file; ``tests/test_memory.py`` checks its
+rows against the per-layer budgets.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import io
+import os
+import sys
+import tempfile
+import tracemalloc
+
+import numpy as np
+
+from riskbounds import Distance, SupportBounds, cli, evaluate, from_samples, llc, parse_risk
+from riskbounds.concentration import RadiusRule, confidence_radius
+from riskbounds.operators import neg_sup, neg_w1, pos_sup, pos_w1
+
+BOUNDS = SupportBounds(0.0, 1.0)
+DELTA = 0.05
+# The risk specs of the benchmark's ci-large commands.
+FAMILIES = ["cvar:0.05", "srm-power:2", "drm-power:0.5", "erm:1", "ce-power:2", "rdeu-power:2,2"]
+
+
+def beta_samples(m: int) -> np.ndarray:
+    """m tie-free beta(2, 5) draws with seed 0, in draw order."""
+    x = np.random.default_rng(0).beta(2.0, 5.0, m)
+    if np.unique(x).size != m:
+        raise ValueError(f"the draws tie among {m} samples")
+    return x
+
+
+def _peak(fn, *args) -> int:
+    """Bytes that ``fn(*args)`` holds at its peak, its result included."""
+    gc.collect()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    out = fn(*args)
+    peak = tracemalloc.get_traced_memory()[1] - base
+    del out
+    return peak
+
+
+def _layers(sorted_samples: np.ndarray):
+    """(row name, zero-argument call) for each layer."""
+    d = from_samples(sorted_samples, BOUNDS)
+    m = sorted_samples.size
+    c_sup = confidence_radius(RadiusRule.DKW, m, DELTA, BOUNDS)
+    c_w1 = confidence_radius(RadiusRule.SCALED_DKW, m, DELTA, BOUNDS)
+    rows = [
+        ("from_samples", lambda: from_samples(sorted_samples, BOUNDS)),
+        ("pos_sup", lambda: pos_sup(d, c_sup)),
+        ("neg_sup", lambda: neg_sup(d, c_sup)),
+        ("pos_w1", lambda: pos_w1(d, c_w1)),
+        ("neg_w1", lambda: neg_w1(d, c_w1)),
+    ]
+    for text in FAMILIES:
+        spec = parse_risk(text)
+        rows.append((f"evaluate {text}", lambda spec=spec: evaluate(spec, d)))
+    for text in FAMILIES:
+        spec = parse_risk(text)
+        rows.append((f"sup llc {text}", lambda spec=spec: llc(spec, Distance.SUPREMUM, d, c_sup)))
+    return rows
+
+
+def layer_peaks(samples: np.ndarray) -> dict[str, float]:
+    """Peak of each layer, in units of one array of ``samples``' size."""
+    sorted_samples = np.sort(samples)
+    for _, call in _layers(sorted_samples[:: max(sorted_samples.size // 1000, 1)]):
+        call()  # fill the caches
+    unit = 8.0 * samples.size
+    return {name: _peak(call) / unit for name, call in _layers(sorted_samples)}
+
+
+def ci_commands(path: str, out: str) -> list[tuple[str, list[str]]]:
+    """The ci-large commands on the sample file ``path``, as (row name, argv)."""
+    commands = []
+    for risk in FAMILIES:
+        for dist in ("sup", "w1"):
+            method = "glc" if risk.startswith("rdeu") and dist == "w1" else "all"
+            argv = ["ci", "--input", path, "--bounds", "0,1", "--risk", risk, "--distance", dist,
+                    "--method", method, "--delta", str(DELTA), "--out", out]
+            commands.append((f"ci {risk} {dist} {method}", argv))
+    return commands
+
+
+def _write_samples(path: str, samples: np.ndarray) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(map(repr, samples.tolist())) + "\n")
+
+
+def command_peaks(samples: np.ndarray) -> dict[str, float]:
+    """Peak of each ci-large command after its read, in units of one array
+    of ``samples``' size; the samples are written to a file in their order."""
+    real_read = cli.read_samples_csv
+
+    def read_then_reset(*args, **kwargs):
+        values = real_read(*args, **kwargs)
+        tracemalloc.reset_peak()
+        return values
+
+    unit = 8.0 * samples.size
+    peaks = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        small, large, out = (os.path.join(tmp, name) for name in ("small.csv", "large.csv", "out.json"))
+        _write_samples(small, samples[:1000])
+        _write_samples(large, samples)
+        cli.read_samples_csv = read_then_reset
+        try:
+            for _, argv in ci_commands(small, out):
+                cli.main(argv)  # fill the caches
+            for name, argv in ci_commands(large, out):
+                gc.collect()
+                base = tracemalloc.get_traced_memory()[0]
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"{name} failed")
+                peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / unit
+        finally:
+            cli.read_samples_csv = real_read
+    return peaks
+
+
+@contextlib.contextmanager
+def traced():
+    """``tracemalloc`` running, unless it already was."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        yield
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--m", type=int, default=10**6, help="samples (default 10^6)")
+    args = parser.parse_args(argv)
+    samples = beta_samples(args.m)
+    with traced():
+        layers = layer_peaks(samples)
+        commands = command_peaks(samples)
+    out = io.StringIO()
+    out.write(f"m = {args.m}; units of one {8 * args.m}-byte float64 array\n\n")
+    out.write("| layer | peak |\n|---|---|\n")
+    out.writelines(f"| `{name}` | {value:.2f} |\n" for name, value in layers.items())
+    out.write("\n| command, after the read | peak |\n|---|---|\n")
+    out.writelines(f"| `{name}` | {value:.2f} |\n" for name, value in commands.items())
+    sys.stdout.write(out.getvalue())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,6 +24,11 @@ oracles:
   one sample set, and the per-trial loop of ``sweep`` and ``coverage``, as
   the package computed them before it shared work between calls, rows and
   methods. The package must match them bit for bit.
+- ``copying_*``: ``from_samples``, ``_from_cdf``, the four ball operators,
+  the CVaR, SRM, DRM and RDEU evaluators, ``logsumexp``, and the SRM, DRM
+  and RDEU supremum-ball local constants, as the package computed them
+  before it built its results in place: by concatenating, masking and
+  copying. The package must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from riskbounds import (
     Distance,
     ERM,
     RDEU,
+    SRM,
     RiskMeasure,
     SupportBounds,
     UnsupportedCombinationError,
@@ -59,6 +65,8 @@ from riskbounds import (
 )
 from riskbounds.bandit import ARM_FAMILIES
 from riskbounds.concentration import resolve_radius_rule
+from riskbounds.distributions import _NEG_MASS_TOL, MASS_SUM_TOL
+from riskbounds.measures import _apply
 from riskbounds.operators import _require_radius
 
 # Random atoms each supremum-ball candidate adds to the center's interior atoms.
@@ -302,3 +310,183 @@ def trial_results(arm, n, entropies, bounds, spec, dist_kind, methods, delta, ru
         samples = arm.sample(np.random.default_rng(entropy), n, bounds)
         out.append([bound_samples(samples, bounds, spec, dist_kind, m, delta, rule) for m in methods])
     return out
+
+
+def _copying_trusted(xs, ps, bounds: SupportBounds, cum=None) -> DiscreteDistribution:
+    """``DiscreteDistribution._trusted`` with its normalization out of place."""
+    if cum is None:
+        total = float(ps.sum())
+        if total != 1.0:
+            ps = ps / total
+        cum = np.cumsum(ps)
+        cum[-1] = 1.0
+    return DiscreteDistribution._trusted(xs, ps, bounds, cum)
+
+
+def copying_from_samples(samples, bounds: SupportBounds) -> DiscreteDistribution:
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.ndim == 1 and np.all(arr[1:] > arr[:-1]):
+        xs, counts = arr.copy(), np.ones(arr.size)
+    else:
+        xs, counts = np.unique(arr, return_counts=True)
+    return _copying_trusted(xs, counts / arr.size, bounds)
+
+
+def copying_from_cdf(xs, cdf_vals, bounds: SupportBounds) -> DiscreteDistribution:
+    """``_from_cdf`` with its renormalization of a terminal value within
+    ``MASS_SUM_TOL`` of 1, which no operator reaches."""
+    xs = np.asarray(xs, dtype=np.float64)
+    cum = np.asarray(cdf_vals, dtype=np.float64)
+    ps = np.diff(cum, prepend=0.0)
+    if np.any(ps < -_NEG_MASS_TOL):
+        raise ValueError("CDF values must be nondecreasing")
+    keep = ps > 0.0
+    if not np.any(keep):
+        raise ValueError("distribution has no positive-mass atoms")
+    xs, ps, cum = xs[keep], ps[keep], cum[keep]
+    if cum[-1] != 1.0:
+        if abs(cum[-1] - 1.0) > MASS_SUM_TOL:
+            raise ValueError(f"terminal CDF value {cum[-1]} != 1")
+        cum = cum / cum[-1]
+        ps = np.diff(cum, prepend=0.0)
+    return _copying_trusted(xs, ps, bounds, cum)
+
+
+def copying_pos_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
+    c = _require_radius(c)
+    if c == 0.0:
+        return d
+    cc = min(c, 1.0)
+    b = d.bounds.b
+    below = d.xs < b
+    xs = np.concatenate((d.xs[below], [b]))
+    cdf_vals = np.concatenate((np.maximum(d.cum[below] - cc, 0.0), [1.0]))
+    return copying_from_cdf(xs, cdf_vals, d.bounds)
+
+
+def copying_neg_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
+    c = _require_radius(c)
+    if c == 0.0:
+        return d
+    cc = min(c, 1.0)
+    a = d.bounds.a
+    if d.xs[0] > a:
+        xs = np.concatenate(([a], d.xs))
+        cdf_vals = np.concatenate(([cc], np.minimum(d.cum + cc, 1.0)))
+    else:
+        xs = d.xs
+        cdf_vals = np.minimum(d.cum + cc, 1.0)
+    return copying_from_cdf(xs, cdf_vals, d.bounds)
+
+
+def copying_pos_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
+    c = _require_radius(c)
+    if c == 0.0:
+        return d
+    b = d.bounds.b
+    areas = d.ps * (b - d.xs)
+    rev_areas = np.cumsum(areas[::-1])
+    if c >= rev_areas[-1]:
+        return DiscreteDistribution.dirac(b, d.bounds)
+    i_plus = int(np.searchsorted(rev_areas, c, side="left"))
+    k = d.xs.size - 1 - i_plus
+    area_at_break = float(rev_areas[i_plus])
+    keep_mass = (area_at_break - c) / (b - d.xs[k])
+    tail_mass = 1.0 - (float(d.cum[k - 1]) if k > 0 else 0.0)
+    mass_at_b = tail_mass - keep_mass
+    xs = np.concatenate((d.xs[:k], [d.xs[k], b]))
+    ps = np.concatenate((d.ps[:k], [keep_mass, mass_at_b]))
+    trusted = keep_mass > 0.0 and mass_at_b > 0.0
+    return (_copying_trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
+
+
+def copying_neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
+    c = _require_radius(c)
+    if c == 0.0:
+        return d
+    a = d.bounds.a
+    if c >= d.mean() - a:
+        return DiscreteDistribution.dirac(a, d.bounds)
+    tail = 1.0 - d.cum
+    gaps = np.diff(d.xs)
+    suffix = np.zeros(d.xs.size)
+    if gaps.size:
+        suffix[:-1] = np.cumsum((tail[:-1] * gaps)[::-1])[::-1]
+    if c > suffix[0]:
+        level = max(d.xs[0] - (c - suffix[0]), a)
+        return _copying_trusted(np.array([level]), np.ones(1), d.bounds)
+    j = int(np.nonzero(suffix >= c)[0][-1])
+    kept = float(d.cum[j])
+    level = max(d.xs[j + 1] - (c - suffix[j + 1]) / (1.0 - kept), d.xs[j])
+    xs = np.concatenate((d.xs[: j + 1], [level]))
+    ps = np.concatenate((d.ps[: j + 1], [1.0 - kept]))
+    trusted = level > d.xs[j] and kept < 1.0
+    return (_copying_trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
+
+
+def copying_eval_cvar(alpha: float, d: DiscreteDistribution) -> float:
+    tail = np.clip(d.cum - (1.0 - alpha), 0.0, d.ps)
+    return float(tail @ d.xs) / alpha
+
+
+def copying_eval_srm(phi_integral, d: DiscreteDistribution) -> float:
+    q = np.concatenate(([0.0], d.cum))
+    weights = np.diff(_apply(phi_integral, q))
+    return float(weights @ d.xs)
+
+
+def _copying_segment_grid(d: DiscreteDistribution):
+    edges = np.concatenate(([d.bounds.a], d.xs, [d.bounds.b]))
+    cdf_on_segment = np.concatenate(([0.0], d.cum))
+    return edges, cdf_on_segment
+
+
+def copying_eval_drm(g, d: DiscreteDistribution) -> float:
+    edges, cdf_seg = _copying_segment_grid(d)
+    widths = np.diff(edges)
+    vals = _apply(g, 1.0 - cdf_seg)
+    return d.bounds.a + float(vals @ widths)
+
+
+def copying_logsumexp(a: np.ndarray, b: np.ndarray) -> float:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        top = a == a_max
+        m = np.sum(b * top)
+        s = np.sum(b * np.exp(np.where(top, -np.inf, a) - a_max))
+        if s != 0:
+            s /= m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(b * np.exp(a)))
+    return float(out)
+
+
+def copying_eval_rdeu(w, v, d: DiscreteDistribution) -> float:
+    q = np.concatenate(([0.0], d.cum))
+    weights = np.diff(_apply(w, q))
+    return float(weights @ _apply(v, d.xs))
+
+
+def copying_cdf_integral(d: DiscreteDistribution, fn) -> float:
+    edges, cdf_seg = _copying_segment_grid(d)
+    widths = np.diff(edges)
+    keep = widths > 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = _apply(fn, cdf_seg[keep])
+    return float(vals @ widths[keep])
+
+
+def copying_sup_llc(spec: RiskMeasure, center: DiscreteDistribution, c: float) -> float:
+    """The supremum-ball local constant of an SRM, DRM or RDEU spec."""
+    lowered = copying_neg_sup(center, c)
+    if isinstance(spec, RDEU):
+        edges, cdf_seg = _copying_segment_grid(lowered)
+        dv = np.diff(_apply(spec.v, edges))
+        keep = dv > 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            weights = _apply(spec.w_prime, cdf_seg[keep])
+        return float(weights @ dv[keep])
+    if isinstance(spec, SRM):
+        return copying_cdf_integral(lowered, spec.phi)
+    return copying_cdf_integral(lowered, lambda q: _apply(spec.g_prime, 1.0 - np.asarray(q)))

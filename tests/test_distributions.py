@@ -77,6 +77,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="sum"):
             DiscreteDistribution([1, 2], [0.6, 0.5], B05)
 
+    def test_from_cdf_rejects_a_terminal_value_off_one(self):
+        # Both supremum operators end their CDF values at exactly 1.0, so
+        # anything else is a construction bug, however close to 1.
+        with pytest.raises(ValueError, match="terminal CDF value"):
+            DiscreteDistribution._from_cdf(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1 + 1e-13, 1.0]), B05)
+
     def test_unsorted_input_atoms_sorted(self):
         d = DiscreteDistribution([3, 1], [0.5, 0.5], B05)
         assert list(d.xs) == [1.0, 3.0]

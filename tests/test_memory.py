@@ -1,0 +1,238 @@
+"""The memory budget of ``ci``, and the in-place layers against their
+copying references.
+
+Each O(m) layer of ``ci`` builds its result in place. The budget test holds
+every layer and every ci-large command to its peak of temporaries, measured
+with ``tracemalloc`` by ``tests/memory_table.py``. The reference tests hold
+each rewritten layer to the concatenating, masking body it replaced, bit
+for bit, on centers with ties, atoms on a or b, supports on both sides of 0,
+radii near saturation and masses that drop to zero.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import memory_table
+from conftest import assert_bitwise_equal
+from reference import (
+    copying_eval_cvar,
+    copying_eval_drm,
+    copying_eval_rdeu,
+    copying_eval_srm,
+    copying_from_cdf,
+    copying_from_samples,
+    copying_logsumexp,
+    copying_neg_sup,
+    copying_neg_w1,
+    copying_pos_sup,
+    copying_pos_w1,
+    copying_sup_llc,
+)
+from riskbounds import DiscreteDistribution, Distance, SupportBounds, from_samples, llc
+from riskbounds.measures import (
+    ce_power,
+    drm_power,
+    eval_cvar,
+    eval_drm,
+    eval_rdeu,
+    eval_srm,
+    logsumexp,
+    rdeu_power,
+    srm_power,
+)
+from riskbounds.operators import neg_sup, neg_w1, pos_sup, pos_w1
+
+# Peak temporaries, in units of one m-element float64 array, including the
+# layer's result; a command's peak counts from the end of its read and
+# includes the sample array.
+BUDGETS = {
+    "from_samples": 3.2,
+    "pos_sup": 3.3,
+    "neg_sup": 3.3,
+    "pos_w1": 4.1,
+    "neg_w1": 4.1,
+    "evaluate": 3.2,
+    "sup llc": 6.3,
+    "ci": 10.5,
+}
+BUDGET_SAMPLES = 10**5
+
+
+def _budget(row: str) -> float:
+    return next(limit for key, limit in BUDGETS.items() if row == key or row.startswith(key + " "))
+
+
+@pytest.fixture(scope="module")
+def peaks():
+    samples = memory_table.beta_samples(BUDGET_SAMPLES)
+    with memory_table.traced():
+        return memory_table.layer_peaks(samples), memory_table.command_peaks(samples)
+
+
+def test_layers_keep_their_budget(peaks):
+    layers, _ = peaks
+    assert len(layers) == 5 + 2 * len(memory_table.FAMILIES)
+    assert {row: round(peak, 3) for row, peak in layers.items() if peak > _budget(row)} == {}
+
+
+def test_ci_commands_keep_their_budget(peaks):
+    _, commands = peaks
+    assert len(commands) == 2 * len(memory_table.FAMILIES)
+    assert {row: round(peak, 3) for row, peak in commands.items() if peak > _budget(row)} == {}
+
+
+def _same(x: float, y: float) -> bool:
+    return x == y or (x != x and y != y)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type of what it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@st.composite
+def centers(draw):
+    """A distribution on a support with a < 0, a = 0 or a > 0: an EDF
+    (ties likely) or weighted atoms, with atoms on a and b often."""
+    a = draw(st.sampled_from([-1.0, 0.0, 0.5]))
+    bounds = SupportBounds(a, a + draw(st.sampled_from([1.0, 2.5])))
+    fractions = draw(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=30)
+    )
+    xs = np.clip(bounds.a + bounds.width * np.array(fractions), bounds.a, bounds.b)
+    if draw(st.booleans()):
+        return from_samples(xs, bounds)
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=xs.size, max_size=xs.size)))
+    return DiscreteDistribution(xs, weights / weights.sum(), bounds)
+
+
+def _radii(d: DiscreteDistribution, u: float, i: int) -> list[float]:
+    """A free radius, one below half an ulp of 1, one that empties a prefix
+    or suffix of the masses exactly, and radii at and just below each
+    operator's saturation."""
+    a, b = d.bounds.a, d.bounds.b
+    below_mean, above_mean = d.mean() - a, b - d.mean()
+    return [
+        u * d.bounds.width,
+        1e-17,
+        float(d.cum[i % d.n_atoms]),
+        1.0 - float(d.cum[i % d.n_atoms]),
+        float(np.nextafter(1.0, 0.0)),
+        1.0,
+        below_mean,
+        float(np.nextafter(below_mean, 0.0)),
+        below_mean * (1.0 - 1e-12),
+        above_mean,
+        float(np.nextafter(above_mean, 0.0)),
+        above_mean * (1.0 - 1e-12),
+    ]
+
+
+PAIRS = [(pos_sup, copying_pos_sup), (neg_sup, copying_neg_sup), (pos_w1, copying_pos_w1), (neg_w1, copying_neg_w1)]
+SPECTRA = [srm_power(1.0), srm_power(2.0), srm_power(2.5)]
+DISTORTIONS = [drm_power(0.5), drm_power(0.8), drm_power(1.0)]
+RDEUS = [rdeu_power(1.0, 1.0), rdeu_power(1.5, 2.0), rdeu_power(2.0, 2.0)]
+
+
+def _assert_evaluators_match(d: DiscreteDistribution) -> None:
+    with np.errstate(invalid="ignore"):  # x^k on negative atoms
+        for alpha in (0.05, 0.3, 0.9):
+            assert _same(eval_cvar(alpha, d), copying_eval_cvar(alpha, d))
+        for spec in SPECTRA:
+            assert _same(eval_srm(spec.phi, spec.phi_integral, d), copying_eval_srm(spec.phi_integral, d))
+        for spec in DISTORTIONS:
+            assert _same(eval_drm(spec.g, d), copying_eval_drm(spec.g, d))
+        for spec in RDEUS:
+            assert _same(eval_rdeu(spec.w, spec.v, d), copying_eval_rdeu(spec.w, spec.v, d))
+    with np.errstate(over="ignore"):
+        for beta in (-3.0, 1.0, 40.0, 1e-300):
+            a = beta * d.xs
+            assert _same(logsumexp(a, d.ps), copying_logsumexp(a, d.ps))
+
+
+@settings(max_examples=120, deadline=None)
+@given(centers(), st.floats(0.0, 1.2), st.integers(0, 1000))
+def test_operators_and_evaluators_match_copying_bodies(d, u, i):
+    _assert_evaluators_match(d)
+    for c in _radii(d, u, i):
+        for op, ref in PAIRS:
+            got, want = _outcome(op, d, c), _outcome(ref, d, c)
+            if isinstance(want, DiscreteDistribution):
+                assert_bitwise_equal(got, want)
+                _assert_evaluators_match(got)
+            else:
+                assert got is want
+
+
+def test_pos_sup_below_half_an_ulp_drops_the_atom_at_b():
+    # With no atom on b, max(1 - c, 0) rounds to 1.0: the atom at b gets
+    # no mass, and the last kept atom ends the CDF at 1.0.
+    d = from_samples([0.2, 0.5, 0.9], SupportBounds(0.0, 1.0))
+    got = pos_sup(d, 1e-17)
+    assert_bitwise_equal(got, copying_pos_sup(d, 1e-17))
+    assert got.xs.tolist() == [0.2, 0.5, 0.9] and got.cum[-1] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(centers(), st.floats(0.0, 1.2), st.integers(0, 1000))
+def test_sup_llc_matches_copying_bodies(d, u, i):
+    with np.errstate(invalid="ignore"):  # x^k on negative atoms
+        for c in _radii(d, u, i):
+            for spec in SPECTRA + DISTORTIONS + RDEUS:
+                assert _same(llc(spec, Distance.SUPREMUM, d, c), copying_sup_llc(spec, d, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=30),
+    st.sampled_from(["as drawn", "sorted", "distinct sorted"]),
+)
+def test_from_samples_matches_copying_body(fractions, order):
+    arr = -1.0 + 2.0 * np.array(fractions)
+    if order == "sorted":
+        arr = np.sort(arr)
+    elif order == "distinct sorted":
+        arr = np.unique(arr)
+    bounds = SupportBounds(-1.0, 1.0)
+    assert_bitwise_equal(from_samples(arr, bounds), copying_from_samples(arr, bounds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=20),
+    st.integers(0, 3),
+)
+def test_from_cdf_matches_copying_body(levels, ones):
+    # Nondecreasing values ending at 1.0, with zero masses at the start, in
+    # the middle (repeats) and at the end (``ones`` trailing 1.0s).
+    cdf = np.append(np.maximum.accumulate(levels), np.ones(ones + 1))
+    xs = np.arange(cdf.size, dtype=np.float64)
+    bounds = SupportBounds(0.0, float(cdf.size))
+    got = _outcome(DiscreteDistribution._from_cdf, xs, cdf.copy(), bounds)
+    want = _outcome(copying_from_cdf, xs, cdf.copy(), bounds)
+    if isinstance(want, DiscreteDistribution):
+        assert_bitwise_equal(got, want)
+    else:
+        assert got is want
+
+
+@pytest.mark.parametrize(
+    "scaled, reference",
+    [
+        (srm_power(2.5).phi, lambda y: 2.5 * np.power(y, 1.5)),
+        (drm_power(0.5).g_prime, lambda y: 0.5 * np.power(y, -0.5)),
+        (ce_power(3.0).u_prime, lambda y: 3.0 * np.power(y, 2.0)),
+        (rdeu_power(1.5, 2.0).w_prime, lambda y: 1.5 * np.power(y, 0.5)),
+        (rdeu_power(1.5, 2.0).v_prime, lambda y: 2.0 * np.power(y, 1.0)),
+    ],
+)
+def test_catalog_derivatives_scale_in_place_bitwise(scaled, reference):
+    y = np.random.default_rng(0).random(1000)
+    y[:3] = [0.0, 1.0, 0.5]
+    with np.errstate(divide="ignore"):
+        assert scaled(y).tobytes() == reference(y).tobytes()

@@ -59,6 +59,17 @@ class TestHandTraces:
         assert np.allclose(out.ps, [0.25, 0.25, 0.5], atol=1e-12)
         assert distance(EDF, out, Distance.WASSERSTEIN1) == pytest.approx(0.3, abs=1e-12)
 
+    def test_w1_on_a_support_below_zero(self):
+        # On [-1, 1] at c = 0.1: the level l solves (0.9 - l) / 3 = 0.1, so
+        # l = 0.6; moving 0.9 to b costs 1/30, and the break atom 0.5 keeps
+        # (1/6 + 1/30 - 0.1) / 0.5 = 1/5 of its 1/3, the rest going to b.
+        d = from_samples([0.2, 0.5, 0.9], SupportBounds(-1.0, 1.0))
+        low, up = neg_w1(d, 0.1), pos_w1(d, 0.1)
+        assert np.allclose(low.xs, [0.2, 0.5, 0.6], atol=1e-12)
+        assert np.allclose(low.ps, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        assert np.allclose(up.xs, [0.2, 0.5, 1.0], atol=1e-12)
+        assert np.allclose(up.ps, [1 / 3, 1 / 5, 7 / 15], atol=1e-12)
+
 
 class TestEdgeCases:
     @pytest.mark.parametrize("op", [pos_sup, neg_sup, pos_w1, neg_w1])
