@@ -10,7 +10,9 @@ Four subcommands, all emitting plot-ready CSV or JSON:
 Exit codes: 0 success, 2 usage error, 3 unsupported method/measure
 combination, 4 data error, which includes an input or output file that
 cannot be read or written. Reruns with identical arguments and seeds are
-byte-identical.
+byte-identical on the same machine with the same BLAS thread count: numpy
+splits a large dot product across OpenBLAS threads, so that count can move
+the last digit of an output.
 """
 
 from __future__ import annotations
@@ -103,8 +105,10 @@ def cmd_ci(args) -> int:
         raise DataError(str(exc)) from exc
     # The EDF depends only on the multiset of samples. Sorted once here,
     # after the check names the first bad sample in file order, they are
-    # strictly increasing for every method's EDF unless they tie.
+    # strictly increasing for every method's EDF unless they tie. Frozen,
+    # they are that EDF's atoms, with no copy.
     samples.sort()
+    samples.setflags(write=False)
 
     results = [
         bound_from_samples(samples, bounds, spec, dist_kind, method, args.delta, rule).to_json()

@@ -128,10 +128,12 @@ class DiscreteDistribution:
       operators (whose outputs fall back to the public constructor when an
       atom ties or a mass is not positive). It checks nothing: callers pass
       float64 arrays they own, with finite, strictly increasing atoms
-      inside [a, b] and positive masses. ``_from_cdf``, for the supremum
-      operators, stores exact CDF values on sorted in-bounds atoms and only
-      drops zero-mass atoms and checks the CDF's monotonicity and terminal
-      value.
+      inside [a, b] and positive masses. The one exception is
+      ``from_samples``, whose atoms may be the caller's frozen samples:
+      freezing them again changes nothing, and no instance writes them.
+      ``_from_cdf``, for the supremum operators, stores exact CDF values on
+      sorted in-bounds atoms and only drops zero-mass atoms and checks the
+      CDF's monotonicity and terminal value.
     """
 
     __slots__ = ("xs", "ps", "cum", "bounds")
@@ -307,16 +309,29 @@ def _check_samples(arr: np.ndarray, bounds: SupportBounds) -> None:
         )
 
 
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether ``arr`` and every array it views are read-only ndarrays, so
+    nothing can write to its data without first making one writeable."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        arr = arr.base
+    return arr is None
+
+
 def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDistribution:
     """Empirical distribution: mass multiplicity/n at each distinct value.
 
     Strictly increasing samples (one sample included) are their own distinct
     values, each of multiplicity one, so they skip ``np.unique``'s sort.
+    Such samples become the atoms themselves, without a copy, when they are
+    a float64 array that is frozen: it and every array it views are
+    read-only (``cli.cmd_ci`` freezes its sorted samples). The caller must
+    not make them writeable again. Any other input is copied.
     """
     arr = np.asarray(samples, dtype=np.float64)
     _check_samples(arr, bounds)
     if arr.ndim == 1 and np.all(arr[1:] > arr[:-1]):
-        return DiscreteDistribution._trusted(arr.copy(), np.full(arr.size, 1.0 / arr.size), bounds)
+        xs = arr if _frozen(arr) else arr.copy()
+        return DiscreteDistribution._trusted(xs, np.full(arr.size, 1.0 / arr.size), bounds)
     xs, counts = np.unique(arr, return_counts=True)
     return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
 

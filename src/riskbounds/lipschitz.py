@@ -78,11 +78,13 @@ def _require_positive_beta(beta: float) -> None:
         )
 
 
-def _cdf_integral(d: DiscreteDistribution, fn, steps: np.ndarray) -> float:
-    """int fn(F(x)) dh(x) over [a, b], exact for the step CDF F of d: the
-    sum of fn(q_j) times the step of h on each segment [x~_j, x~_{j+1}).
-    ``steps`` holds those steps (the widths for h(x) = x). ``fn`` may
-    overwrite the array of CDF values it is given.
+def _cdf_integral(cum: np.ndarray, fn, steps: np.ndarray) -> float:
+    """int fn(F(x)) dh(x) over [a, b], exact for a step CDF F with values
+    ``cum`` at its atoms: the sum of fn(q_j) times the step of h on each
+    segment [x~_j, x~_{j+1}). ``steps`` holds those steps (the widths for
+    h(x) = x). It takes the CDF values, not the distribution, so a caller
+    can free the atoms and masses first. ``fn`` may overwrite the array of
+    CDF values it is given.
 
     Empty steps are dropped before multiplying so an infinite integrand
     value (e.g. a power distortion's derivative at 0) on an empty segment
@@ -91,7 +93,7 @@ def _cdf_integral(d: DiscreteDistribution, fn, steps: np.ndarray) -> float:
     keep = _positive_entries(steps)
     steps = steps[keep]
     with np.errstate(divide="ignore", over="ignore"):
-        vals = _apply(fn, np.concatenate(([0.0], d.cum))[keep])
+        vals = _apply(fn, np.concatenate(([0.0], cum))[keep])
     return float(vals @ steps)
 
 
@@ -163,6 +165,9 @@ def llc(
     ``lowered()`` returns the ball's lowered extreme: ``neg_sup(center, c)``
     for the supremum distance, ``neg_w1(center, c)`` for W1. By default it
     builds that extreme; a caller that already holds it passes it instead.
+    The SRM, DRM and RDEU constants read the extreme's CDF values and
+    segment steps, then drop it, so its atoms and masses are freed before
+    the integral's work unless the caller keeps it.
     """
     _require_radius(c)
     bounds = center.bounds
@@ -176,10 +181,14 @@ def llc(
         return (b - _quantile_or_a(center, 1.0 - spec.alpha - c)) / spec.alpha
     if isinstance(spec, SRM):
         low = lowered()
-        return _cdf_integral(low, spec.phi, _widths(low))
+        cum, widths = low.cum, _widths(low)
+        del low
+        return _cdf_integral(cum, spec.phi, widths)
     if isinstance(spec, DRM):
         low = lowered()
-        return _cdf_integral(low, lambda q: _apply(spec.g_prime, np.subtract(1.0, q, out=q)), _widths(low))
+        cum, widths = low.cum, _widths(low)
+        del low
+        return _cdf_integral(cum, lambda q: _apply(spec.g_prime, np.subtract(1.0, q, out=q)), widths)
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
         beta = spec.beta
@@ -211,10 +220,11 @@ def llc(
             )
         _require_convex_weight(spec)
         low = lowered()
-        v_edges = _apply(spec.v, np.concatenate(([a], low.xs, [b])))
-        dv = v_edges[1:] - v_edges[:-1]
-        del v_edges
-        return _cdf_integral(low, spec.w_prime, dv)
+        edges, cum = np.concatenate(([a], low.xs, [b])), low.cum
+        del low
+        dv = np.diff(_apply(spec.v, edges))
+        del edges
+        return _cdf_integral(cum, spec.w_prime, dv)
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 

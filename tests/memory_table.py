@@ -5,10 +5,14 @@
 Every peak is in units of one m-element float64 array (8m bytes) and
 includes what the layer returns. The layer rows run on m sorted, tie-free
 beta(2, 5) samples on [0, 1], drawn with seed 0, and on their empirical
-distribution. The command rows run the twelve ``ci`` commands of the
-benchmark's ci-large workload on the same samples, written to a file in
-draw order, and count from the end of the read, so each includes the
-sample array itself.
+distribution; ``from_samples`` runs on a writable copy of them, which it
+copies, and on a read-only one, which it keeps as the atoms. The command
+rows run the twelve ``ci`` commands of the benchmark's ci-large workload on
+the same samples, written to a file in draw order, and count from the end
+of the read, so each includes the sample array itself. Beside each
+command's peak stand its minor page faults and system CPU time
+(``resource.getrusage`` deltas) in a run without ``tracemalloc``, which
+cover the whole command, its read included.
 
 Caches filled on first use (support checks, global constants, the RDEU
 weight check) are filled on a small input first, so no row pays for them.
@@ -23,6 +27,7 @@ import contextlib
 import gc
 import io
 import os
+import resource
 import sys
 import tempfile
 import tracemalloc
@@ -61,11 +66,14 @@ def _peak(fn, *args) -> int:
 def _layers(sorted_samples: np.ndarray):
     """(row name, zero-argument call) for each layer."""
     d = from_samples(sorted_samples, BOUNDS)
+    frozen = sorted_samples.copy()
+    frozen.setflags(write=False)
     m = sorted_samples.size
     c_sup = confidence_radius(RadiusRule.DKW, m, DELTA, BOUNDS)
     c_w1 = confidence_radius(RadiusRule.SCALED_DKW, m, DELTA, BOUNDS)
     rows = [
         ("from_samples", lambda: from_samples(sorted_samples, BOUNDS)),
+        ("from_samples (read-only input)", lambda: from_samples(frozen, BOUNDS)),
         ("pos_sup", lambda: pos_sup(d, c_sup)),
         ("neg_sup", lambda: neg_sup(d, c_sup)),
         ("pos_w1", lambda: pos_w1(d, c_w1)),
@@ -106,9 +114,30 @@ def _write_samples(path: str, samples: np.ndarray) -> None:
         fh.write("\n".join(map(repr, samples.tolist())) + "\n")
 
 
+def _run_commands(samples: np.ndarray, measure) -> dict:
+    """``measure(run)`` of each ci-large command by row name, where ``run()``
+    runs the command on ``samples``, written to a file in their order. Each
+    command runs once on 1000 of the samples first, to fill the caches."""
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        small, large, out = (os.path.join(tmp, name) for name in ("small.csv", "large.csv", "out.json"))
+        _write_samples(small, samples[:1000])
+        _write_samples(large, samples)
+        for _, argv in ci_commands(small, out):
+            cli.main(argv)
+        for name, argv in ci_commands(large, out):
+
+            def run(name=name, argv=argv):
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"{name} failed")
+
+            rows[name] = measure(run)
+    return rows
+
+
 def command_peaks(samples: np.ndarray) -> dict[str, float]:
     """Peak of each ci-large command after its read, in units of one array
-    of ``samples``' size; the samples are written to a file in their order."""
+    of ``samples``' size."""
     real_read = cli.read_samples_csv
 
     def read_then_reset(*args, **kwargs):
@@ -116,25 +145,35 @@ def command_peaks(samples: np.ndarray) -> dict[str, float]:
         tracemalloc.reset_peak()
         return values
 
-    unit = 8.0 * samples.size
-    peaks = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        small, large, out = (os.path.join(tmp, name) for name in ("small.csv", "large.csv", "out.json"))
-        _write_samples(small, samples[:1000])
-        _write_samples(large, samples)
-        cli.read_samples_csv = read_then_reset
-        try:
-            for _, argv in ci_commands(small, out):
-                cli.main(argv)  # fill the caches
-            for name, argv in ci_commands(large, out):
-                gc.collect()
-                base = tracemalloc.get_traced_memory()[0]
-                if cli.main(argv) != 0:
-                    raise RuntimeError(f"{name} failed")
-                peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / unit
-        finally:
-            cli.read_samples_csv = real_read
-    return peaks
+    def peak(run) -> float:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / (8.0 * samples.size)
+
+    cli.read_samples_csv = read_then_reset
+    try:
+        return _run_commands(samples, peak)
+    finally:
+        cli.read_samples_csv = real_read
+
+
+def command_churn(samples: np.ndarray) -> dict[str, tuple[int, float]]:
+    """Minor page faults and system CPU seconds of each ci-large command,
+    its read included, from ``resource.getrusage``.
+
+    Run it before ``tracemalloc`` starts: under tracing the same commands
+    take almost no faults (12 in all at m = 10^6, against about 100000
+    untraced), so a traced run would hide the churn.
+    """
+
+    def churn(run) -> tuple[int, float]:
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        run()
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        return after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime
+
+    return _run_commands(samples, churn)
 
 
 @contextlib.contextmanager
@@ -155,6 +194,7 @@ def main(argv=None) -> int:
     parser.add_argument("--m", type=int, default=10**6, help="samples (default 10^6)")
     args = parser.parse_args(argv)
     samples = beta_samples(args.m)
+    churn = command_churn(samples)
     with traced():
         layers = layer_peaks(samples)
         commands = command_peaks(samples)
@@ -162,8 +202,13 @@ def main(argv=None) -> int:
     out.write(f"m = {args.m}; units of one {8 * args.m}-byte float64 array\n\n")
     out.write("| layer | peak |\n|---|---|\n")
     out.writelines(f"| `{name}` | {value:.2f} |\n" for name, value in layers.items())
-    out.write("\n| command, after the read | peak |\n|---|---|\n")
-    out.writelines(f"| `{name}` | {value:.2f} |\n" for name, value in commands.items())
+    out.write("\n| command | peak after the read | minor faults | system s |\n|---|---|---|---|\n")
+    out.writelines(
+        f"| `{name}` | {value:.2f} | {churn[name][0]} | {churn[name][1]:.3f} |\n"
+        for name, value in commands.items()
+    )
+    faults, system_s = (sum(column) for column in zip(*churn.values()))
+    out.write(f"| all | | {faults} | {system_s:.3f} |\n")
     sys.stdout.write(out.getvalue())
     return 0
 

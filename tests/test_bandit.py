@@ -405,6 +405,18 @@ class TestRegretBound:
         assert regret_bound(inst) == pytest.approx(expected, abs=1e-9)
         assert regret_bound(inst) == pytest.approx(42.57616623895959, abs=1e-9)
 
+    def test_two_discrete_arms_closed_form(self):
+        # CVaR_0.25 is 0.5 and 0.9, a gap of 0.4. The second arm's radius
+        # sits at its quantile's jump, where 1 - alpha - 2c falls to 1/2, so
+        # the quantile there is its lower atom 0.3.
+        arms = tuple(
+            DiscreteArm(DiscreteDistribution(xs, [0.5, 0.5], B01)) for xs in ([0.1, 0.5], [0.3, 0.9])
+        )
+        inst = BanditInstance(B01, arms, 100, CVaR(0.25))
+        expected = 1.2 + 4 * math.log(math.sqrt(2.0) * 100) / 0.25**2 * 0.7**2 / 0.4
+        assert regret_bound(inst) == pytest.approx(expected, abs=1e-9)
+        assert regret_bound(inst) == pytest.approx(389.4167, abs=1e-4)
+
     def test_non_cvar_rejected(self):
         inst = BanditInstance(B01, (DiracArm(0.2),), 10, ERM(1.0))
         with pytest.raises(ValueError):
@@ -430,6 +442,20 @@ class TestInstanceIO:
         assert len(inst.arms) == 5 and inst.horizon == 500
         back = instance_to_dict(inst)
         assert instance_from_dict(back) == inst
+
+    def test_whole_float_horizon_and_seed(self):
+        obj = {
+            "bounds": {"a": 0.0, "b": 1.0},
+            "risk": "cvar:0.25",
+            "horizon": 10000.0,
+            "seed": 3.0,
+            "arms": [{"family": "dirac", "params": {"x": 0.2}}],
+        }
+        inst = instance_from_dict(obj)
+        assert (inst.horizon, inst.seed) == (10000, 3)
+        assert type(inst.horizon) is int and type(inst.seed) is int
+        with pytest.raises(ValueError, match="horizon must be a whole number"):
+            instance_from_dict({**obj, "horizon": 10000.5})
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):

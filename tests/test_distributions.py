@@ -267,6 +267,38 @@ class TestTrustedBuilds:
         assert not np.shares_memory(d.xs, arr)  # the caller's array stays writable
         assert arr.flags.writeable
 
+    def test_from_samples_shares_only_a_frozen_input(self):
+        # A read-only, strictly increasing float64 array that views only
+        # read-only arrays becomes the atoms; the EDF is the copying one.
+        values = np.array([0.5, 1.0, 2.5, 4.0])
+        want = from_samples(values, B05)
+        frozen = values.copy()
+        frozen.setflags(write=False)
+        d = from_samples(frozen, B05)
+        assert d.xs is frozen
+        assert_bitwise_equal(d, want)
+        assert np.shares_memory(from_samples(frozen[1:], B05).xs, frozen)
+        # Anything that can still be written is copied: writing to it
+        # afterwards leaves the EDF as built.
+        writable = values.copy()
+        base = values.copy()
+        view = base[:]
+        view.setflags(write=False)
+        raw = bytearray(values.tobytes())
+        over_bytes = np.frombuffer(raw, dtype=np.float64)
+        over_bytes.setflags(write=False)
+        bufs, fill = [np.concatenate((values, np.empty(4)))], 4
+        for arr, write in [
+            (writable, lambda: writable.fill(3.0)),
+            (view, lambda: base.fill(3.0)),
+            (over_bytes, lambda: raw.__setitem__(slice(None), bytes(len(raw)))),
+            (bufs[0][:fill], lambda: bufs[0].fill(3.0)),
+        ]:
+            d = from_samples(arr, B05)
+            assert not np.shares_memory(d.xs, arr)
+            write()
+            assert_bitwise_equal(d, want)
+
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -0.5, 5.5, np.float32(6.0), "7"])
     def test_dirac_rejections_unchanged(self, x):
         with pytest.raises(ValueError):
