@@ -58,11 +58,7 @@ from .measures import (
     ce_power,
     drm_power,
     eval_ce,
-    eval_cvar,
-    eval_drm,
     eval_erm,
-    eval_rdeu,
-    eval_srm,
     evaluate,
     parse_risk,
     rdeu_power,

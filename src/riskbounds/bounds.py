@@ -17,7 +17,9 @@ the raw values are kept in ``extras`` for the chain diagnostics.
 
 W1 balls do not support ``dist``/``llc`` for rank-dependent expected
 utility: the W1 ball extremes do not attain that family's optimum and no
-local constant exists, so only ``glc`` applies there.
+local constant exists, so only ``glc`` applies there. CVaR, SRM and DRM
+share RDEU's evaluator and constants but have the value function
+v(x) = x, for which the W1 extremes are optimal, so they keep all three.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ class ConfidenceResult:
 def _attainable_range(spec: RiskMeasure, bounds: SupportBounds) -> tuple[float, float]:
     """Range of the risk measure over all distributions on [a, b]: by
     monotonicity it is [T(delta_a), T(delta_b)], which equals [a, b] itself
-    for every family except rank-dependent expected utility (whose value
-    function rescales the support). Computed once per (spec, bounds)."""
+    for every family except rank-dependent expected utility (whose
+    nonlinear value function rescales the support). Computed once per
+    (spec, bounds)."""
     lo = evaluate(spec, DiscreteDistribution.dirac(bounds.a, bounds))
     hi = evaluate(spec, DiscreteDistribution.dirac(bounds.b, bounds))
     return lo, hi

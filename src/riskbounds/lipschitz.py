@@ -8,10 +8,12 @@ the closed form obtained by pushing the center down to the ball's minimal
 element (the negative-operator transform): the constants below are those
 exact expressions, not a numerical search.
 
-Derivative sup-norms are taken analytically where monotonicity pins the
-maximizer (spectra, concave distortions, convex utilities) and on a dense
-grid of ``DEFAULT_GRID_POINTS`` (10001) points for free-form weight/value
-functions.
+CVaR, SRM, DRM and RDEU share one formula each: the sup of the weight's
+derivative w' (on a grid of ``DEFAULT_GRID_POINTS`` (10001) points) times a
+norm of the value function v for the GLC, and the integral of w' over the
+lowered extreme's CDF against dv for the supremum-distance LLC, with
+v(x) = x for all but RDEU. The CE constants take u' analytically where
+convexity pins the maximizer.
 
 Constants can be infinite when the supplied functions are not Lipschitz
 (e.g. a power distortion with exponent below one has unbounded derivative
@@ -28,16 +30,13 @@ import numpy as np
 from .distributions import DiscreteDistribution, Distance, SupportBounds, _positive_entries
 from .measures import (
     CE,
-    CVaR,
-    DRM,
     ERM,
     RDEU,
-    SRM,
+    _RANK_DEPENDENT,
     _SPEC_CACHE_SIZE,
     RiskMeasure,
     _apply,
     _check_on_support,
-    _widths,
     evaluate,
     logsumexp,
 )
@@ -78,6 +77,18 @@ def _require_positive_beta(beta: float) -> None:
         )
 
 
+def _widths(d: DiscreteDistribution) -> np.ndarray:
+    """Widths of the segments [x~_j, x~_{j+1}) of the support partition
+    a = x~_0 <= x_1 < ... < x_m <= b = x~_{m+1}, on which the CDF takes the
+    values q_0 = 0, q_1, ..., q_m = 1. Only the first and the last width
+    can be zero: the atoms are strictly increasing."""
+    xs, m = d.xs, d.xs.size
+    widths = np.empty(m + 1)
+    widths[0], widths[m] = xs[0] - d.bounds.a, d.bounds.b - xs[-1]
+    np.subtract(xs[1:], xs[:-1], out=widths[1:m])
+    return widths
+
+
 def _cdf_integral(cum: np.ndarray, fn, steps: np.ndarray) -> float:
     """int fn(F(x)) dh(x) over [a, b], exact for a step CDF F with values
     ``cum`` at its atoms: the sum of fn(q_j) times the step of h on each
@@ -116,14 +127,6 @@ def glc(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds) -> float:
     a, b, width = bounds.a, bounds.b, bounds.width
     sup = dist_kind is Distance.SUPREMUM
 
-    if isinstance(spec, CVaR):
-        return width / spec.alpha if sup else 1.0 / spec.alpha
-    if isinstance(spec, SRM):
-        phi_top = _deriv_at(spec.phi, 1.0)
-        return width * phi_top if sup else phi_top
-    if isinstance(spec, DRM):
-        gp0 = _deriv_at(spec.g_prime, 0.0)  # concave g: sup of g' sits at 0+
-        return width * gp0 if sup else gp0
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
         arg = spec.beta * width
@@ -138,18 +141,18 @@ def glc(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds) -> float:
         _check_on_support(spec, a, b)
         slope_at_a = _deriv_at(spec.u_prime, a)
         return _ce_u_norm(spec, sup, bounds) / slope_at_a if slope_at_a > 0.0 else math.inf
-    if isinstance(spec, RDEU):
-        _check_on_support(spec, a, b)
+    if isinstance(spec, _RANK_DEPENDENT):
+        # sup of w' times the dual norm of v': v(b) - v(a) for the supremum
+        # distance, sup v' for W1; b - a and 1 for a linear v.
         w_max = _grid_max(spec.w_prime, 0.0, 1.0)
+        if not isinstance(spec, RDEU):
+            return w_max * width if sup else w_max
+        _check_on_support(spec, a, b)
         if sup:
             v_l1 = float(_apply(spec.v, np.array([b]))[0] - _apply(spec.v, np.array([a]))[0])
             return w_max * v_l1
         return w_max * _grid_max(spec.v_prime, a, b)
     raise TypeError(f"not a risk measure spec: {spec!r}")
-
-
-def _quantile_or_a(d: DiscreteDistribution, y: float) -> float:
-    return d.bounds.a if y <= 0.0 else float(d.quantile(y))
 
 
 def llc(
@@ -162,12 +165,16 @@ def llc(
     RDEU has none (use the GLC). Always <= the matching GLC, and
     nondecreasing in c.
 
+    Over the supremum ball, CVaR, SRM, DRM and RDEU take
+    int w'(F_low(x)) dv(x) on the lowered extreme F_low; for CVaR that is
+    (b - F^{-1}(1 - alpha - c)) / alpha on a tie-free center.
+
     ``lowered()`` returns the ball's lowered extreme: ``neg_sup(center, c)``
     for the supremum distance, ``neg_w1(center, c)`` for W1. By default it
     builds that extreme; a caller that already holds it passes it instead.
-    The SRM, DRM and RDEU constants read the extreme's CDF values and
-    segment steps, then drop it, so its atoms and masses are freed before
-    the integral's work unless the caller keeps it.
+    The rank-dependent constants read the extreme's CDF values and segment
+    steps, then drop it, so its atoms and masses are freed before the
+    integral's work unless the caller keeps it.
     """
     _require_radius(c)
     bounds = center.bounds
@@ -175,20 +182,6 @@ def llc(
     sup = dist_kind is Distance.SUPREMUM
     lowered = lowered or (lambda: (neg_sup if sup else neg_w1)(center, c))
 
-    if not sup and isinstance(spec, (CVaR, SRM, DRM)):
-        return glc(spec, dist_kind, bounds)  # no local improvement for W1
-    if isinstance(spec, CVaR):
-        return (b - _quantile_or_a(center, 1.0 - spec.alpha - c)) / spec.alpha
-    if isinstance(spec, SRM):
-        low = lowered()
-        cum, widths = low.cum, _widths(low)
-        del low
-        return _cdf_integral(cum, spec.phi, widths)
-    if isinstance(spec, DRM):
-        low = lowered()
-        cum, widths = low.cum, _widths(low)
-        del low
-        return _cdf_integral(cum, lambda q: _apply(spec.g_prime, np.subtract(1.0, q, out=q)), widths)
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
         beta = spec.beta
@@ -212,19 +205,30 @@ def llc(
         ce_low = evaluate(spec, lowered())  # u^{-1} of the lowered expected utility
         slope = _deriv_at(spec.u_prime, ce_low)
         return _ce_u_norm(spec, sup, bounds) / slope if slope > 0.0 else math.inf
-    if isinstance(spec, RDEU):
+    if isinstance(spec, _RANK_DEPENDENT):
+        linear = not isinstance(spec, RDEU)
         if not sup:
+            if linear:
+                return glc(spec, dist_kind, bounds)  # no local improvement for W1
             raise UnsupportedCombinationError(
                 "rank-dependent expected utility has no local Lipschitz "
                 "constant over W1 balls; use the glc method"
             )
-        _require_convex_weight(spec)
+        if not linear:
+            _require_convex_weight(spec)
+        # int w'(F_low(x)) dv(x): the steps of v on the lowered extreme's
+        # segments are their widths for a linear v.
         low = lowered()
-        edges, cum = np.concatenate(([a], low.xs, [b])), low.cum
-        del low
-        dv = np.diff(_apply(spec.v, edges))
-        del edges
-        return _cdf_integral(cum, spec.w_prime, dv)
+        cum = low.cum
+        if linear:
+            steps = _widths(low)
+            del low
+        else:
+            edges = np.concatenate(([a], low.xs, [b]))
+            del low
+            steps = np.diff(_apply(spec.v, edges))
+            del edges
+        return _cdf_integral(cum, spec.w_prime, steps)
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 

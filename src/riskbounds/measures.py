@@ -15,6 +15,11 @@ Six families, each evaluated exactly on weighted atoms (no quadrature):
 - RDEU(w, v): int v(x) dw(F(x)) for an increasing weight w on [0,1] and an
   increasing value function v with v(0)=0.
 
+CVaR, SRM and DRM are RDEU with the value function v(x) = x (Acerbi 2002,
+Quiggin 1982): each spec supplies its rank-dependent weight ``w`` and its
+derivative ``w_prime``, and the four families share one evaluator and one
+set of Lipschitz constants.
+
 Losses, not rewards: larger values are worse, and every family is monotone
 under first-order stochastic dominance of losses.
 """
@@ -42,12 +47,8 @@ __all__ = [
     "CE",
     "RDEU",
     "RiskMeasure",
-    "eval_cvar",
-    "eval_srm",
-    "eval_drm",
     "eval_erm",
     "eval_ce",
-    "eval_rdeu",
     "evaluate",
     "parse_risk",
     "srm_power",
@@ -71,28 +72,44 @@ def _apply(fn: Callable, arr: np.ndarray) -> np.ndarray:
     return np.asarray([fn(float(v)) for v in arr], dtype=np.float64)
 
 
-def _require_cvar_level(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"CVaR level must lie in (0, 1), got {alpha}")
-    if 1.0 - alpha == 1.0:
-        # The tail starts at cumulative mass 1 - alpha; if that rounds to 1,
-        # eval_cvar's tail is empty and every value would read 0.
-        raise ValueError(f"CVaR level {alpha} is too small: 1 - alpha rounds to 1")
-
-
 @dataclass(frozen=True)
 class CVaR:
-    """Conditional value at risk at tail level alpha in (0, 1)."""
+    """Conditional value at risk at tail level alpha in (0, 1), with the
+    weight w(q) = max(q - (1 - alpha), 0) / alpha.
+
+    ``w`` and ``w_prime`` overwrite the float array they are given: pass a
+    fresh one, never a shared array such as ``_GRID``.
+    """
 
     alpha: float
 
     def __post_init__(self):
-        _require_cvar_level(self.alpha)
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"CVaR level must lie in (0, 1), got {self.alpha}")
+        if 1.0 - self.alpha == 1.0:
+            # The tail starts at cumulative mass 1 - alpha; if that rounds to
+            # 1, the weight is 0 on [0, 1] and every value would read 0.
+            raise ValueError(f"CVaR level {self.alpha} is too small: 1 - alpha rounds to 1")
+
+    def w(self, q: np.ndarray) -> np.ndarray:
+        q -= 1.0 - self.alpha
+        np.maximum(q, 0.0, out=q)
+        q /= self.alpha
+        return q
+
+    def w_prime(self, q: np.ndarray) -> np.ndarray:
+        """[q >= 1 - alpha] / alpha: the right-hand derivative at the kink,
+        so the supremum-ball ``llc`` is b - F^{-1}(1 - alpha - c) over alpha."""
+        np.greater_equal(q, 1.0 - self.alpha, out=q)
+        q /= self.alpha
+        return q
 
 
 @dataclass(frozen=True)
 class SRM:
-    """Spectral risk measure: quantile integral weighted by a spectrum.
+    """Spectral risk measure: quantile integral weighted by a spectrum, with
+    the weight w = phi_integral and w' = phi. ``w`` and ``w_prime`` may
+    overwrite the array they are given, as CVaR's do.
 
     ``phi`` must be nondecreasing, nonnegative, and integrate to one over
     [0, 1]; ``phi_integral`` is its antiderivative with phi_integral(0)=0.
@@ -115,10 +132,18 @@ class SRM:
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"SRM spectrum must integrate to 1, got {total}")
 
+    def w(self, q: np.ndarray) -> np.ndarray:
+        return self.phi_integral(q)
+
+    def w_prime(self, q: np.ndarray) -> np.ndarray:
+        return self.phi(q)
+
 
 @dataclass(frozen=True)
 class DRM:
-    """Distortion risk measure with concave increasing distortion g."""
+    """Distortion risk measure with concave increasing distortion g, and
+    the weight w(q) = 1 - g(1 - q), w'(q) = g'(1 - q). ``w`` and ``w_prime``
+    overwrite the array they are given, as CVaR's do."""
 
     g: Callable[[np.ndarray], np.ndarray]
     g_prime: Callable[[np.ndarray], np.ndarray]
@@ -135,6 +160,13 @@ class DRM:
             raise ValueError("distortion derivative must be nonnegative")
         if np.any(np.diff(deriv) > 1e-9):
             raise ValueError("distortion must be concave (g' nonincreasing)")
+
+    def w(self, q: np.ndarray) -> np.ndarray:
+        vals = _apply(self.g, np.subtract(1.0, q, out=q))
+        return np.subtract(1.0, vals, out=vals)
+
+    def w_prime(self, q: np.ndarray) -> np.ndarray:
+        return _apply(self.g_prime, np.subtract(1.0, q, out=q))
 
 
 @dataclass(frozen=True)
@@ -182,6 +214,8 @@ class RDEU:
 
 
 RiskMeasure = Union[CVaR, SRM, DRM, ERM, CE, RDEU]
+# The families with a rank-dependent weight w: all but RDEU have v(x) = x.
+_RANK_DEPENDENT = (CVaR, SRM, DRM, RDEU)
 
 
 @lru_cache(maxsize=_SPEC_CACHE_SIZE)
@@ -203,51 +237,6 @@ def _check_on_support(spec: RiskMeasure, a: float, b: float) -> bool:
         if np.any(np.diff(v_vals) < -1e-12):
             raise ValueError(f"RDEU value function must be increasing on [{a}, {b}]")
     return True
-
-
-def eval_cvar(alpha: float, d: DiscreteDistribution) -> float:
-    """Mean of the worst alpha fraction of the loss distribution."""
-    _require_cvar_level(alpha)
-    tail = np.subtract(d.cum, 1.0 - alpha)
-    np.clip(tail, 0.0, d.ps, out=tail)
-    return float(tail @ d.xs) / alpha
-
-
-def eval_srm(phi, phi_integral, d: DiscreteDistribution) -> float:
-    """Exact spectrum-weighted quantile integral for a step CDF.
-
-    With cumulative masses q_0=0 < q_1 < ... < q_m = 1 the quantile function
-    is constant x_i on (q_{i-1}, q_i], so the integral collapses to
-    sum_i x_i (Phi(q_i) - Phi(q_{i-1})).
-    """
-    return float(_increments(phi_integral, d) @ d.xs)
-
-
-def _increments(fn, d: DiscreteDistribution) -> np.ndarray:
-    """fn(q_i) - fn(q_{i-1}) for i = 1..m, over the cumulative masses
-    q_0 = 0, q_1, ..., q_m = 1 of ``d``."""
-    q = _apply(fn, np.concatenate(([0.0], d.cum)))
-    return q[1:] - q[:-1]
-
-
-def _widths(d: DiscreteDistribution) -> np.ndarray:
-    """Widths of the segments [x~_j, x~_{j+1}) of the support partition
-    a = x~_0 <= x_1 < ... < x_m <= b = x~_{m+1}, on which the CDF takes the
-    values q_0 = 0, q_1, ..., q_m = 1. Only the first and the last width
-    can be zero: the atoms are strictly increasing."""
-    xs, m = d.xs, d.xs.size
-    widths = np.empty(m + 1)
-    widths[0], widths[m] = xs[0] - d.bounds.a, d.bounds.b - xs[-1]
-    np.subtract(xs[1:], xs[:-1], out=widths[1:m])
-    return widths
-
-
-def eval_drm(g, d: DiscreteDistribution) -> float:
-    """a + int_a^b g(1 - F(x)) dx, exact for step CDFs."""
-    q = np.concatenate(([0.0], d.cum))
-    vals = _apply(g, np.subtract(1.0, q, out=q))
-    del q
-    return d.bounds.a + float(vals @ _widths(d))
 
 
 def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
@@ -288,28 +277,24 @@ def eval_ce(u, u_inv, d: DiscreteDistribution) -> float:
     return float(_apply(u_inv, np.array([expected]))[0])
 
 
-def eval_rdeu(w, v, d: DiscreteDistribution) -> float:
-    """Stieltjes sum sum_i v(x_i) (w(Q_i) - w(Q_{i-1})), exact for step F."""
-    weights = _increments(w, d)
-    return float(weights @ _apply(v, d.xs))
-
-
 def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
-    """Dispatch to the family evaluator."""
-    if isinstance(spec, CVaR):
-        return eval_cvar(spec.alpha, d)
-    if isinstance(spec, SRM):
-        return eval_srm(spec.phi, spec.phi_integral, d)
-    if isinstance(spec, DRM):
-        return eval_drm(spec.g, d)
+    """The risk of ``d``. CVaR, SRM, DRM and RDEU take the Stieltjes sum
+    sum_i v(x_i) (w(q_i) - w(q_{i-1})) over the cumulative masses
+    q_0 = 0, q_1, ..., q_m = 1, exact for a step CDF, with v(x) = x for all
+    but RDEU."""
     if isinstance(spec, ERM):
         return eval_erm(spec.beta, d)
     if isinstance(spec, CE):
         _check_on_support(spec, d.bounds.a, d.bounds.b)
         return eval_ce(spec.u, spec.u_inv, d)
-    if isinstance(spec, RDEU):
-        _check_on_support(spec, d.bounds.a, d.bounds.b)
-        return eval_rdeu(spec.w, spec.v, d)
+    if isinstance(spec, _RANK_DEPENDENT):
+        linear = not isinstance(spec, RDEU)
+        if not linear:
+            _check_on_support(spec, d.bounds.a, d.bounds.b)
+        w = _apply(spec.w, np.concatenate(([0.0], d.cum)))
+        weights = w[1:] - w[:-1]
+        del w
+        return float(weights @ (d.xs if linear else _apply(spec.v, d.xs)))
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 

@@ -25,10 +25,14 @@ oracles:
   the package computed them before it shared work between calls, rows and
   methods. The package must match them bit for bit.
 - ``copying_*``: ``from_samples``, ``_from_cdf``, the four ball operators,
-  the CVaR, SRM, DRM and RDEU evaluators, ``logsumexp``, and the SRM, DRM
-  and RDEU supremum-ball local constants, as the package computed them
-  before it built its results in place: by concatenating, masking and
-  copying. The package must match them bit for bit.
+  the rank-dependent evaluator (CVaR, SRM and DRM with v(x) = x),
+  ``logsumexp``, and the CVaR, SRM, DRM and RDEU supremum-ball local
+  constants, as the package computed them before it built its results in
+  place: by concatenating, masking and copying. The package must match them
+  bit for bit.
+- ``cvar_sup_llc_closed_form``: the CVaR supremum-ball local constant from
+  the center's quantile function, the closed form the package computed
+  before CVaR took the rank-dependent integral.
 """
 
 from __future__ import annotations
@@ -424,28 +428,10 @@ def copying_neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     return (_copying_trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
 
 
-def copying_eval_cvar(alpha: float, d: DiscreteDistribution) -> float:
-    tail = np.clip(d.cum - (1.0 - alpha), 0.0, d.ps)
-    return float(tail @ d.xs) / alpha
-
-
-def copying_eval_srm(phi_integral, d: DiscreteDistribution) -> float:
-    q = np.concatenate(([0.0], d.cum))
-    weights = np.diff(_apply(phi_integral, q))
-    return float(weights @ d.xs)
-
-
 def _copying_segment_grid(d: DiscreteDistribution):
     edges = np.concatenate(([d.bounds.a], d.xs, [d.bounds.b]))
     cdf_on_segment = np.concatenate(([0.0], d.cum))
     return edges, cdf_on_segment
-
-
-def copying_eval_drm(g, d: DiscreteDistribution) -> float:
-    edges, cdf_seg = _copying_segment_grid(d)
-    widths = np.diff(edges)
-    vals = _apply(g, 1.0 - cdf_seg)
-    return d.bounds.a + float(vals @ widths)
 
 
 def copying_logsumexp(a: np.ndarray, b: np.ndarray) -> float:
@@ -478,7 +464,7 @@ def copying_cdf_integral(d: DiscreteDistribution, fn) -> float:
 
 
 def copying_sup_llc(spec: RiskMeasure, center: DiscreteDistribution, c: float) -> float:
-    """The supremum-ball local constant of an SRM, DRM or RDEU spec."""
+    """The supremum-ball local constant of a CVaR, SRM, DRM or RDEU spec."""
     lowered = copying_neg_sup(center, c)
     if isinstance(spec, RDEU):
         edges, cdf_seg = _copying_segment_grid(lowered)
@@ -487,6 +473,17 @@ def copying_sup_llc(spec: RiskMeasure, center: DiscreteDistribution, c: float) -
         with np.errstate(divide="ignore", over="ignore"):
             weights = _apply(spec.w_prime, cdf_seg[keep])
         return float(weights @ dv[keep])
+    if isinstance(spec, CVaR):
+        return copying_cdf_integral(lowered, lambda q: (np.asarray(q) >= 1.0 - spec.alpha) / spec.alpha)
     if isinstance(spec, SRM):
         return copying_cdf_integral(lowered, spec.phi)
     return copying_cdf_integral(lowered, lambda q: _apply(spec.g_prime, 1.0 - np.asarray(q)))
+
+
+def cvar_sup_llc_closed_form(alpha: float, center: DiscreteDistribution, c: float) -> float:
+    """(b - F^{-1}(1 - alpha - c)) / alpha, with F^{-1}(y) = a for y <= 0:
+    the supremum-ball local constant of CVaR(alpha), read off the center's
+    quantile function instead of integrated over the lowered extreme."""
+    a, b = center.bounds.a, center.bounds.b
+    y = 1.0 - alpha - c
+    return (b - (a if y <= 0.0 else float(center.quantile(y)))) / alpha

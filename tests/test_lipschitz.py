@@ -21,6 +21,7 @@ from riskbounds import (
 from riskbounds.cli import main
 from riskbounds.measures import ERM, RDEU, ce_power, drm_power, rdeu_power, srm_power
 from conftest import catalog_specs, quad_drm, random_interior_dist
+from reference import compare_methods, cvar_sup_llc_closed_form
 
 B05 = SupportBounds(0.0, 5.0)
 B01 = SupportBounds(0.0, 1.0)
@@ -186,6 +187,44 @@ class TestLocalConstants:
         c = 0.05
         ce_low = evaluate(spec, neg_w1(d, c))
         assert llc(spec, W1, d, c) == pytest.approx(1.0 / ce_low, rel=1e-10)
+
+
+class TestCVaRClosedForm:
+    """CVaR's supremum-ball constant is the rank-dependent integral of
+    w' = [q >= 1 - alpha] / alpha over the lowered extreme. The closed form
+    it replaced, (b - F^{-1}(1 - alpha - c)) / alpha, is the oracle."""
+
+    ALPHAS = (0.013, 0.05, 0.3, 0.5, 0.9)
+    SUPPORTS = (B01, B05, SupportBounds(-1.0, 1.5))
+
+    def test_matches_on_tie_free_centers(self):
+        rng = np.random.default_rng(11)
+        for bounds in self.SUPPORTS:
+            for n in (1, 2, 7, 60, 500):
+                d = from_samples(bounds.a + bounds.width * rng.random(n), bounds)
+                assert d.n_atoms == n
+                for alpha in self.ALPHAS:
+                    for c in (0.0, rng.uniform(0.0, 0.5), 1.0 - alpha, 1.2):
+                        want = cvar_sup_llc_closed_form(alpha, d, c)
+                        assert llc(CVaR(alpha), SUP, d, c) == pytest.approx(want, rel=1e-12)
+
+    def test_never_below_on_tied_centers(self):
+        # Rounded samples tie. Where F + c meets 1 - alpha in floating
+        # point, the integral may take one more segment than the quantile
+        # (a larger, still valid constant), never one fewer; the radii
+        # 1 - alpha - F(x_j) and the next float above aim at those ties.
+        rng = np.random.default_rng(12)
+        for trial in range(150):
+            bounds = self.SUPPORTS[trial % 3]
+            n = int(rng.integers(1, 60))
+            samples = np.round(rng.beta(2.0, 5.0, n), int(rng.integers(1, 3)))
+            d = from_samples(bounds.a + bounds.width * samples, bounds)
+            for alpha in self.ALPHAS:
+                at = 1.0 - alpha - d.cum[int(rng.integers(0, d.n_atoms))]
+                for c in (rng.uniform(0.0, 0.6), max(at, 0.0), max(float(np.nextafter(at, 1.0)), 0.0)):
+                    want = cvar_sup_llc_closed_form(alpha, d, c)
+                    assert llc(CVaR(alpha), SUP, d, c) >= want - 1e-13 * want
+                    compare_methods(d, CVaR(alpha), SUP, c)  # dist <= llc <= glc
 
 
 class TestLoweredExtremeAndCaching:

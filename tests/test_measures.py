@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,15 +14,14 @@ from riskbounds import (
     ERM,
     RDEU,
     SRM,
+    Distance,
     SupportBounds,
     eval_ce,
-    eval_cvar,
-    eval_drm,
     eval_erm,
-    eval_rdeu,
-    eval_srm,
     evaluate,
     from_samples,
+    glc,
+    llc,
     parse_risk,
 )
 from riskbounds.measures import ce_power, drm_power, logsumexp, rdeu_power, srm_power
@@ -31,6 +31,11 @@ from conftest import catalog_specs, cvar_distortion, cvar_spectrum, random_inter
 B05 = SupportBounds(0.0, 5.0)
 B01 = SupportBounds(0.0, 1.0)
 TWO_POINT = DiscreteDistribution([0.0, 1.0], [0.5, 0.5], B01)
+
+
+def wavy(y):
+    """0 at 0 and 1 at 1, but decreasing on part of [0, 1]."""
+    return np.asarray(y) + 0.5 * np.sin(2.0 * np.pi * np.asarray(y))
 
 
 def brute_force_cvar(d: DiscreteDistribution, alpha: float) -> float:
@@ -49,29 +54,29 @@ def brute_force_cvar(d: DiscreteDistribution, alpha: float) -> float:
 class TestCVaR:
     def test_top_half(self):
         d = DiscreteDistribution([2, 3, 4, 5], [0.25] * 4, B05)
-        assert eval_cvar(0.5, d) == pytest.approx(4.5, abs=1e-12)
-        assert eval_cvar(0.5, d) == pytest.approx(brute_force_cvar(d, 0.5), abs=1e-12)
+        assert evaluate(CVaR(0.5), d) == pytest.approx(4.5, abs=1e-12)
+        assert evaluate(CVaR(0.5), d) == pytest.approx(brute_force_cvar(d, 0.5), abs=1e-12)
 
     def test_dirac(self):
-        assert eval_cvar(0.3, DiscreteDistribution.dirac(2.0, B05)) == pytest.approx(2.0)
+        assert evaluate(CVaR(0.3), DiscreteDistribution.dirac(2.0, B05)) == pytest.approx(2.0)
 
     def test_fractional_tail_split(self):
         d = from_samples([1, 2, 3, 4], B05)
         expected = (0.25 * 4 + 0.05 * 3) / 0.3
-        assert eval_cvar(0.3, d) == pytest.approx(expected, abs=1e-12)
+        assert evaluate(CVaR(0.3), d) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force_on_random(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = random_interior_dist(rng, B05)
             alpha = rng.uniform(0.02, 0.98)
-            assert eval_cvar(alpha, d) == pytest.approx(brute_force_cvar(d, alpha), abs=1e-11)
+            assert evaluate(CVaR(alpha), d) == pytest.approx(brute_force_cvar(d, alpha), abs=1e-11)
 
     def test_alpha_domain(self):
         d = from_samples([1], B05)
         for alpha in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
-                eval_cvar(alpha, d)
+                evaluate(CVaR(alpha), d)
 
     def test_level_below_float_resolution_rejected(self):
         # 1 - alpha rounds to 1 below alpha = 2**-54: the tail would be
@@ -81,19 +86,31 @@ class TestCVaR:
                 CVaR(alpha)
             with pytest.raises(ValueError, match="too small"):
                 parse_risk(f"cvar:{alpha!r}")
-            with pytest.raises(ValueError, match="too small"):
-                eval_cvar(alpha, from_samples([1, 2], B05))
         assert evaluate(CVaR(1e-16), from_samples([1, 2], B05)) > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.013, 0.05, 0.25])
+    def test_tail_average_at_scale(self, alpha):
+        # The weights read the EDF's cumulative masses, a running sum whose
+        # rounding grows with n; n * eps / alpha bounds the error against
+        # the exact tail average of n atoms of mass 1/n.
+        n = 10**5
+        xs = np.sort(np.random.default_rng(0).beta(2.0, 5.0, n))
+        assert np.all(np.diff(xs) > 0.0)
+        tail = Fraction(alpha) * n  # k whole atoms and a share of the next
+        k = int(tail)
+        exact = (math.fsum(xs[n - k :]) + float(tail - k) * xs[n - k - 1]) / (n * alpha)
+        got = evaluate(CVaR(alpha), from_samples(xs, B01))
+        assert abs(got - exact) <= n * np.finfo(np.float64).eps / alpha
 
 
 class TestSRM:
     def test_uniform_spectrum_is_mean(self):
         d = from_samples([1, 2, 3, 4], B05)
-        assert eval_srm(lambda y: np.ones_like(np.asarray(y)), lambda y: np.asarray(y), d) == pytest.approx(2.5)
+        assert evaluate(SRM(lambda y: np.ones_like(np.asarray(y)), lambda y: np.asarray(y)), d) == pytest.approx(2.5)
 
     def test_linear_spectrum_closed_form(self):
         d = from_samples([1, 2, 3, 4], B05)
-        got = eval_srm(lambda y: 2 * np.asarray(y), lambda y: np.asarray(y) ** 2, d)
+        got = evaluate(SRM(lambda y: 2 * np.asarray(y), lambda y: np.asarray(y) ** 2), d)
         assert got == pytest.approx(1 * 0.0625 + 2 * 0.1875 + 3 * 0.3125 + 4 * 0.4375, abs=1e-12)
 
     def test_cvar_as_srm(self):
@@ -102,13 +119,17 @@ class TestSRM:
             d = random_interior_dist(rng, B05)
             alpha = rng.uniform(0.05, 0.95)
             phi, phi_int = cvar_spectrum(alpha)
-            assert eval_srm(phi, phi_int, d) == pytest.approx(eval_cvar(alpha, d), abs=1e-10)
+            assert evaluate(SRM(phi, phi_int), d) == pytest.approx(evaluate(CVaR(alpha), d), abs=1e-10)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="integrate"):
             SRM(lambda y: 2 * np.asarray(y), lambda y: 2 * np.asarray(y) ** 2)
         with pytest.raises(ValueError, match="nondecreasing"):
             SRM(lambda y: 2 - 2 * np.asarray(y), lambda y: 2 * np.asarray(y) - np.asarray(y) ** 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            SRM(lambda y: 3 * np.asarray(y) - 0.5, lambda y: 1.5 * np.asarray(y) ** 2 - 0.5 * np.asarray(y))
+        with pytest.raises(ValueError, match="vanish at 0"):
+            SRM(lambda y: np.ones_like(np.asarray(y)), lambda y: np.asarray(y) + 0.1)
 
 
 class TestDRM:
@@ -116,43 +137,48 @@ class TestDRM:
         rng = np.random.default_rng(2)
         for _ in range(10):
             d = random_interior_dist(rng, B05)
-            assert eval_drm(lambda y: np.asarray(y), d) == pytest.approx(d.mean(), abs=1e-12)
+            identity = DRM(lambda y: np.asarray(y), lambda y: np.ones_like(np.asarray(y)))
+            assert evaluate(identity, d) == pytest.approx(d.mean(), abs=1e-12)
 
     def test_sqrt_distortion_two_point(self):
-        got = eval_drm(np.sqrt, TWO_POINT)
+        got = evaluate(drm_power(0.5), TWO_POINT)
         assert got == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_matches_distorted_expectation_form(self):
         # distorted-probability Stieltjes oracle, equal to the CDF-segment
         # form for any support offset: sum_i x_i (g(1-Q_{i-1}) - g(1-Q_i))
         rng = np.random.default_rng(3)
-        g = drm_power(0.5).g
+        spec = drm_power(0.5)
+        g = spec.g
         for bounds in (B05, SupportBounds(-2.0, 5.0)):
             for _ in range(15):
                 d = random_interior_dist(rng, bounds)
                 q = np.concatenate(([0.0], d.cum))
                 stieltjes = float(np.sum(d.xs * (g(1 - q[:-1]) - g(1 - q[1:]))))
-                assert eval_drm(g, d) == pytest.approx(stieltjes, abs=1e-10)
+                assert evaluate(spec, d) == pytest.approx(stieltjes, abs=1e-10)
 
     def test_cvar_as_drm(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             d = random_interior_dist(rng, B05)
             alpha = rng.uniform(0.05, 0.95)
-            g, _ = cvar_distortion(alpha)
-            assert eval_drm(g, d) == pytest.approx(eval_cvar(alpha, d), abs=1e-10)
+            assert evaluate(DRM(*cvar_distortion(alpha)), d) == pytest.approx(evaluate(CVaR(alpha), d), abs=1e-10)
 
     def test_translation_offset_on_shifted_support(self):
         d = DiscreteDistribution([1.0, 2.0], [0.5, 0.5], SupportBounds(-1.0, 5.0))
-        g = drm_power(0.5).g
+        spec = drm_power(0.5)
         shifted = shift(d, 2.0)
-        assert eval_drm(g, shifted) == pytest.approx(eval_drm(g, d) + 2.0, abs=1e-10)
+        assert evaluate(spec, shifted) == pytest.approx(evaluate(spec, d) + 2.0, abs=1e-10)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="concave"):
             DRM(lambda y: np.asarray(y) ** 2, lambda y: 2 * np.asarray(y))
         with pytest.raises(ValueError, match="g\\(0\\)=0"):
             DRM(lambda y: np.asarray(y) * 0.5 + 0.5, lambda y: np.full_like(np.asarray(y), 0.5))
+        with pytest.raises(ValueError, match="distortion must be increasing"):
+            DRM(wavy, lambda y: np.ones_like(np.asarray(y)))
+        with pytest.raises(ValueError, match="derivative must be nonnegative"):
+            DRM(lambda y: np.asarray(y), lambda y: 1.0 - 2.0 * np.asarray(y))
 
 
 class TestERM:
@@ -226,6 +252,13 @@ class TestCE:
             )
             assert got == pytest.approx(eval_erm(beta, d), abs=1e-10)
 
+    def test_utility_checked_on_the_support(self):
+        with pytest.raises(ValueError, match=r"strictly increasing on \[-1.0, 1.0\]"):
+            evaluate(ce_power(2.0), from_samples([-0.5, 0.5], SupportBounds(-1.0, 1.0)))
+        concave = CE(np.sqrt, lambda x: 0.5 / np.sqrt(np.asarray(x)), lambda z: np.asarray(z) ** 2)
+        with pytest.raises(ValueError, match=r"convex on \[1.0, 2.0\]"):
+            evaluate(concave, from_samples([1.5], SupportBounds(1.0, 2.0)))
+
     def test_inverse_mismatch_rejected(self):
         spec = CE(lambda x: np.asarray(x) ** 2, lambda x: 2 * np.asarray(x), lambda z: np.asarray(z))
         with pytest.raises(ValueError, match="inverse"):
@@ -234,11 +267,18 @@ class TestCE:
 
 class TestRDEU:
     def test_identity_weight_value_is_mean(self):
-        got = eval_rdeu(lambda y: np.asarray(y), lambda x: np.asarray(x), TWO_POINT)
+        one = lambda t: np.ones_like(np.asarray(t))
+        got = evaluate(RDEU(lambda y: np.asarray(y), one, lambda x: np.asarray(x), one), TWO_POINT)
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_square_weight_two_point(self):
-        got = eval_rdeu(lambda y: np.asarray(y) ** 2, lambda x: np.asarray(x), TWO_POINT)
+        spec = RDEU(
+            lambda y: np.asarray(y) ** 2,
+            lambda y: 2 * np.asarray(y),
+            lambda x: np.asarray(x),
+            lambda x: np.ones_like(np.asarray(x)),
+        )
+        got = evaluate(spec, TWO_POINT)
         assert got == pytest.approx(0.75, abs=1e-12)
 
     def test_dirac_gives_value_function(self):
@@ -254,12 +294,21 @@ class TestRDEU:
                 lambda x: np.asarray(x),
                 lambda x: np.ones_like(np.asarray(x)),
             )
+        one = lambda t: np.ones_like(np.asarray(t))
+        with pytest.raises(ValueError, match="RDEU weight must be increasing"):
+            RDEU(wavy, one, lambda x: np.asarray(x), one)
+        with pytest.raises(ValueError, match="v\\(0\\)=0"):
+            RDEU(lambda y: np.asarray(y), one, lambda x: np.asarray(x) + 1.0, one)
+
+    def test_value_function_checked_on_the_support(self):
+        with pytest.raises(ValueError, match=r"RDEU value function must be increasing on \[-1.0, 1.0\]"):
+            evaluate(rdeu_power(2.0, 2.0), from_samples([-0.5, 0.5], SupportBounds(-1.0, 1.0)))
 
 
 class TestEvaluateProperties:
     def test_dispatch_matches_family_evaluators(self):
         d = from_samples([1, 2, 3, 4], B05)
-        assert evaluate(CVaR(0.3), d) == eval_cvar(0.3, d)
+        assert evaluate(CVaR(0.3), d) == pytest.approx(brute_force_cvar(d, 0.3), abs=1e-12)
         assert evaluate(ERM(1.2), d) == eval_erm(1.2, d)
 
     def test_monotone_under_dominance(self):
@@ -307,16 +356,40 @@ class TestEvaluateProperties:
             d = random_interior_dist(rng, B01)
             alpha = rng.uniform(0.05, 0.9)
             phi, phi_int = cvar_spectrum(alpha)
-            g, _ = cvar_distortion(alpha)
-            cv = eval_cvar(alpha, d)
-            assert eval_srm(phi, phi_int, d) == pytest.approx(cv, abs=1e-10)
-            assert eval_drm(g, d) == pytest.approx(cv, abs=1e-10)
+            cv = evaluate(CVaR(alpha), d)
+            assert evaluate(SRM(phi, phi_int), d) == pytest.approx(cv, abs=1e-10)
+            assert evaluate(DRM(*cvar_distortion(alpha)), d) == pytest.approx(cv, abs=1e-10)
             beta = rng.uniform(0.2, 4.0)
             ce = eval_ce(lambda x: np.exp(beta * np.asarray(x)), lambda z: np.log(z) / beta, d)
             assert ce == pytest.approx(eval_erm(beta, d), abs=1e-10)
 
 
 class TestCatalog:
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (srm_power, (0.5,), "power spectrum needs k >= 1"),
+            (ce_power, (0.5,), "power utility needs k >= 1"),
+            (rdeu_power, (0.5, 2.0), "power RDEU needs s >= 1 and k >= 1"),
+            (rdeu_power, (2.0, 0.5), "power RDEU needs s >= 1 and k >= 1"),
+        ],
+    )
+    def test_builders_reject_exponents_below_one(self, build, args, message):
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
+    def test_scalar_only_functions_take_the_python_loop(self):
+        # math.pow and float() reject arrays, so every call of phi and Phi
+        # falls back to one call per element; the products are those of the
+        # array catalog (np.power(y, 2.0) squares, as y * y does).
+        spec = SRM(lambda y: 2.0 * math.pow(y, 1.0), lambda y: float(y) * float(y))
+        ref = srm_power(2.0)
+        d = from_samples(np.random.default_rng(13).beta(2.0, 5.0, 40), B01)
+        assert evaluate(spec, d) == evaluate(ref, d)
+        for kind in (Distance.SUPREMUM, Distance.WASSERSTEIN1):
+            assert llc(spec, kind, d, 0.05) == llc(ref, kind, d, 0.05)
+            assert glc(spec, kind, B01) == glc(ref, kind, B01)
+
     def test_unit_exponent_derivatives_are_exactly_one(self):
         y = np.array([0.0, 0.5, 1.0])
         rdeu = rdeu_power(1.0, 1.0)

@@ -17,10 +17,7 @@ from hypothesis import strategies as st
 import memory_table
 from conftest import assert_bitwise_equal
 from reference import (
-    copying_eval_cvar,
-    copying_eval_drm,
     copying_eval_rdeu,
-    copying_eval_srm,
     copying_from_cdf,
     copying_from_samples,
     copying_logsumexp,
@@ -30,14 +27,10 @@ from reference import (
     copying_pos_w1,
     copying_sup_llc,
 )
-from riskbounds import DiscreteDistribution, Distance, SupportBounds, from_samples, llc
+from riskbounds import CVaR, DiscreteDistribution, Distance, RDEU, SupportBounds, evaluate, from_samples, llc
 from riskbounds.measures import (
     ce_power,
     drm_power,
-    eval_cvar,
-    eval_drm,
-    eval_rdeu,
-    eval_srm,
     logsumexp,
     rdeu_power,
     srm_power,
@@ -136,6 +129,7 @@ def _radii(d: DiscreteDistribution, u: float, i: int) -> list[float]:
 
 
 PAIRS = [(pos_sup, copying_pos_sup), (neg_sup, copying_neg_sup), (pos_w1, copying_pos_w1), (neg_w1, copying_neg_w1)]
+LEVELS = [CVaR(0.05), CVaR(0.3), CVaR(0.9)]
 SPECTRA = [srm_power(1.0), srm_power(2.0), srm_power(2.5)]
 DISTORTIONS = [drm_power(0.5), drm_power(0.8), drm_power(1.0)]
 RDEUS = [rdeu_power(1.0, 1.0), rdeu_power(1.5, 2.0), rdeu_power(2.0, 2.0)]
@@ -143,14 +137,13 @@ RDEUS = [rdeu_power(1.0, 1.0), rdeu_power(1.5, 2.0), rdeu_power(2.0, 2.0)]
 
 def _assert_evaluators_match(d: DiscreteDistribution) -> None:
     with np.errstate(invalid="ignore"):  # x^k on negative atoms
-        for alpha in (0.05, 0.3, 0.9):
-            assert _same(eval_cvar(alpha, d), copying_eval_cvar(alpha, d))
-        for spec in SPECTRA:
-            assert _same(eval_srm(spec.phi, spec.phi_integral, d), copying_eval_srm(spec.phi_integral, d))
-        for spec in DISTORTIONS:
-            assert _same(eval_drm(spec.g, d), copying_eval_drm(spec.g, d))
-        for spec in RDEUS:
-            assert _same(eval_rdeu(spec.w, spec.v, d), copying_eval_rdeu(spec.w, spec.v, d))
+        for spec in LEVELS + SPECTRA + DISTORTIONS + RDEUS:
+            v = spec.v if isinstance(spec, RDEU) else (lambda x: x)
+            got = _outcome(evaluate, spec, d)
+            if got is ValueError:  # v = x^k decreases below 0
+                assert isinstance(spec, RDEU) and d.bounds.a < 0.0
+            else:
+                assert _same(got, copying_eval_rdeu(spec.w, v, d))
     with np.errstate(over="ignore"):
         for beta in (-3.0, 1.0, 40.0, 1e-300):
             a = beta * d.xs
@@ -185,7 +178,7 @@ def test_pos_sup_below_half_an_ulp_drops_the_atom_at_b():
 def test_sup_llc_matches_copying_bodies(d, u, i):
     with np.errstate(invalid="ignore"):  # x^k on negative atoms
         for c in _radii(d, u, i):
-            for spec in SPECTRA + DISTORTIONS + RDEUS:
+            for spec in LEVELS + SPECTRA + DISTORTIONS + RDEUS:
                 assert _same(llc(spec, Distance.SUPREMUM, d, c), copying_sup_llc(spec, d, c))
 
 
