@@ -57,8 +57,6 @@ from .measures import (
     RiskMeasure,
     ce_power,
     drm_power,
-    eval_ce,
-    eval_erm,
     evaluate,
     parse_risk,
     rdeu_power,

@@ -103,17 +103,18 @@ def _bound_edf(
 
     ``lower()`` and ``upper()`` build the ball's extremes around ``d``; by
     default they apply the distance's operators. The point is evaluated
-    once and shared by the methods; the lowered extreme is kept for ``llc``
-    only when ``dist`` built it and ``llc`` follows.
+    once and shared by the methods. Each method builds the extremes it
+    reads and drops each as soon as it is read, so no two are ever alive
+    together: ``llc`` builds its own lowered extreme through ``lower``.
     """
     # The operators are read from the module on each call, so a wrapper
     # installed over them (perfbench's tracer) sees these calls too.
     lower_op, upper_op = (neg_sup, pos_sup) if dist_kind is Distance.SUPREMUM else (neg_w1, pos_w1)
     lower = lower or (lambda: lower_op(d, c))
     upper = upper or (lambda: upper_op(d, c))
-    point = lowered = None
+    point = None
     results = []
-    for i, method in enumerate(methods):
+    for method in methods:
         if method is BoundMethod.DIST:
             if dist_kind is not Distance.SUPREMUM and isinstance(spec, RDEU):
                 raise UnsupportedCombinationError(
@@ -122,21 +123,14 @@ def _bound_edf(
                 )
             if point is None:
                 point = evaluate(spec, d)
-            # Each extreme is evaluated as soon as it is built, and the
-            # upper one first, so the two are never alive together, even
-            # when llc goes on to read the lowered one.
             ucb = evaluate(spec, upper())
-            low = lower()
-            lcb = evaluate(spec, low)
-            if BoundMethod.LLC in methods[i + 1 :]:
-                lowered = low
-            del low
+            lcb = evaluate(spec, lower())
             results.append(ConfidenceResult(lcb, ucb, method, dist_kind, c, point))
             continue
         # The constant comes first: an unsupported combination is reported as
         # such even where evaluating the point would reject the support.
         if method is BoundMethod.LLC:
-            constant = llc(spec, dist_kind, d, c, lower if lowered is None else lambda: lowered)
+            constant = llc(spec, dist_kind, d, c, lower)
         else:
             constant = glc(spec, dist_kind, d.bounds)
         if point is None:

@@ -169,12 +169,13 @@ def llc(
     int w'(F_low(x)) dv(x) on the lowered extreme F_low; for CVaR that is
     (b - F^{-1}(1 - alpha - c)) / alpha on a tie-free center.
 
-    ``lowered()`` returns the ball's lowered extreme: ``neg_sup(center, c)``
-    for the supremum distance, ``neg_w1(center, c)`` for W1. By default it
-    builds that extreme; a caller that already holds it passes it instead.
-    The rank-dependent constants read the extreme's CDF values and segment
-    steps, then drop it, so its atoms and masses are freed before the
-    integral's work unless the caller keeps it.
+    ``lowered()`` builds the ball's lowered extreme. By default it applies
+    ``neg_sup(center, c)`` for the supremum distance and ``neg_w1(center, c)``
+    for W1; a caller with a cheaper build of the same extreme (masses shared
+    across rows) passes that instead. The rank-dependent constants read the
+    extreme's CDF values and segment steps, then drop it, so its atoms and
+    masses are freed before the integral's work unless the builder keeps
+    them.
     """
     _require_radius(c)
     bounds = center.bounds
@@ -215,6 +216,7 @@ def llc(
                 "constant over W1 balls; use the glc method"
             )
         if not linear:
+            _check_on_support(spec, a, b)
             _require_convex_weight(spec)
         # int w'(F_low(x)) dv(x): the steps of v on the lowered extreme's
         # segments are their widths for a linear v.

@@ -47,8 +47,6 @@ __all__ = [
     "CE",
     "RDEU",
     "RiskMeasure",
-    "eval_erm",
-    "eval_ce",
     "evaluate",
     "parse_risk",
     "srm_power",
@@ -265,28 +263,18 @@ def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
     return float(out)
 
 
-def eval_erm(beta: float, d: DiscreteDistribution) -> float:
-    """(1/beta) log sum_i p_i exp(beta x_i), via shifted log-sum-exp."""
-    if beta == 0.0:
-        raise ValueError("ERM coefficient must be nonzero; use the mean instead")
-    return logsumexp(beta * d.xs, d.ps) / beta
-
-
-def eval_ce(u, u_inv, d: DiscreteDistribution) -> float:
-    expected = float(_apply(u, d.xs) @ d.ps)
-    return float(_apply(u_inv, np.array([expected]))[0])
-
-
 def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
-    """The risk of ``d``. CVaR, SRM, DRM and RDEU take the Stieltjes sum
-    sum_i v(x_i) (w(q_i) - w(q_{i-1})) over the cumulative masses
-    q_0 = 0, q_1, ..., q_m = 1, exact for a step CDF, with v(x) = x for all
-    but RDEU."""
+    """The risk of ``d``. ERM takes (1/beta) log sum_i p_i exp(beta x_i)
+    by a shifted log-sum-exp, and CE u^{-1}(sum_i p_i u(x_i)). CVaR, SRM,
+    DRM and RDEU take the Stieltjes sum sum_i v(x_i) (w(q_i) - w(q_{i-1}))
+    over the cumulative masses q_0 = 0, q_1, ..., q_m = 1, exact for a step
+    CDF, with v(x) = x for all but RDEU."""
     if isinstance(spec, ERM):
-        return eval_erm(spec.beta, d)
+        return logsumexp(spec.beta * d.xs, d.ps) / spec.beta
     if isinstance(spec, CE):
         _check_on_support(spec, d.bounds.a, d.bounds.b)
-        return eval_ce(spec.u, spec.u_inv, d)
+        expected = float(_apply(spec.u, d.xs) @ d.ps)
+        return float(_apply(spec.u_inv, np.array([expected]))[0])
     if isinstance(spec, _RANK_DEPENDENT):
         linear = not isinstance(spec, RDEU)
         if not linear:

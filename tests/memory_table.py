@@ -6,7 +6,10 @@ Every peak is in units of one m-element float64 array (8m bytes) and
 includes what the layer returns. The layer rows run on m sorted, tie-free
 beta(2, 5) samples on [0, 1], drawn with seed 0, and on their empirical
 distribution; ``from_samples`` runs on a writable copy of them, which it
-copies, and on a read-only one, which it keeps as the atoms. The command
+copies, and on a read-only one, which it keeps as the atoms. The
+``bound_rows`` rows bound the read-only samples in one call with every
+method each family and distance supports, as one ``ci --method all`` call
+would, and count the sample array, as the command rows do. The command
 rows run the twelve ``ci`` commands of the benchmark's ci-large workload on
 the same samples, written to a file in draw order, and count from the end
 of the read, so each includes the sample array itself. Beside each
@@ -34,7 +37,17 @@ import tracemalloc
 
 import numpy as np
 
-from riskbounds import Distance, SupportBounds, cli, evaluate, from_samples, llc, parse_risk
+from riskbounds import (
+    BoundMethod,
+    Distance,
+    SupportBounds,
+    bound_rows,
+    cli,
+    evaluate,
+    from_samples,
+    llc,
+    parse_risk,
+)
 from riskbounds.concentration import RadiusRule, confidence_radius
 from riskbounds.operators import neg_sup, neg_w1, pos_sup, pos_w1
 
@@ -95,6 +108,40 @@ def layer_peaks(samples: np.ndarray) -> dict[str, float]:
         call()  # fill the caches
     unit = 8.0 * samples.size
     return {name: _peak(call) / unit for name, call in _layers(sorted_samples)}
+
+
+def _bound_rows_calls(frozen: np.ndarray):
+    """(row name, zero-argument call) of one ``bound_rows`` call per family
+    and distance on the read-only sorted samples ``frozen``, with every
+    supported method: all three but over W1 for RDEU, which has only glc."""
+    row = frozen.reshape(1, -1)
+    calls = []
+    for text in FAMILIES:
+        spec = parse_risk(text)
+        for dist_kind in Distance:
+            methods = list(BoundMethod)
+            if text.startswith("rdeu") and dist_kind is not Distance.SUPREMUM:
+                methods = [BoundMethod.GLC]
+            calls.append((
+                f"bound_rows all {text} {dist_kind.value}",
+                lambda spec=spec, dist_kind=dist_kind, methods=methods: bound_rows(
+                    row, BOUNDS, spec, dist_kind, methods, DELTA
+                ),
+            ))
+    return calls
+
+
+def bound_rows_peaks(samples: np.ndarray) -> dict[str, float]:
+    """Peak of each one-call ``bound_rows`` row, in units of one array of
+    ``samples``' size, the read-only sorted sample array included."""
+    frozen = np.sort(samples)
+    frozen.setflags(write=False)
+    small = frozen[:: max(frozen.size // 1000, 1)].copy()
+    small.setflags(write=False)
+    for _, call in _bound_rows_calls(small):
+        call()  # fill the caches
+    unit = 8.0 * samples.size
+    return {name: (_peak(call) + frozen.nbytes) / unit for name, call in _bound_rows_calls(frozen)}
 
 
 def ci_commands(path: str, out: str) -> list[tuple[str, list[str]]]:
@@ -197,11 +244,14 @@ def main(argv=None) -> int:
     churn = command_churn(samples)
     with traced():
         layers = layer_peaks(samples)
+        calls = bound_rows_peaks(samples)
         commands = command_peaks(samples)
     out = io.StringIO()
     out.write(f"m = {args.m}; units of one {8 * args.m}-byte float64 array\n\n")
     out.write("| layer | peak |\n|---|---|\n")
     out.writelines(f"| `{name}` | {value:.2f} |\n" for name, value in layers.items())
+    out.write("\n| one call, sample array included | peak |\n|---|---|\n")
+    out.writelines(f"| `{name}` | {value:.2f} |\n" for name, value in calls.items())
     out.write("\n| command | peak after the read | minor faults | system s |\n|---|---|---|---|\n")
     out.writelines(
         f"| `{name}` | {value:.2f} | {churn[name][0]} | {churn[name][1]:.3f} |\n"

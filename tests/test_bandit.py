@@ -15,6 +15,7 @@ from riskbounds import (
     DiscreteArm,
     DiscreteDistribution,
     Distance,
+    RegretTrace,
     SupportBounds,
     UniformArm,
     evaluate,
@@ -135,6 +136,22 @@ class TestRunLcb:
         # Both normal probabilities at 0 and 1 round to 1, both complements to 0.
         with pytest.raises(ValueError, match="no probability mass"):
             BanditInstance(B01, (TruncNormalArm(-50, 0.1),), 10, CVaR(0.25))
+        wider = DiscreteArm(DiscreteDistribution([0.5], [1.0], SupportBounds(0.0, 2.0)))
+        with pytest.raises(ValueError, match="discrete arm bounds disagree with the instance bounds"):
+            BanditInstance(B01, (wider,), 10, CVaR(0.25))
+
+    @pytest.mark.parametrize(
+        "chosen, pulls, cum_regret, message",
+        [
+            ([0, 1, 0], [2, 2], [0.0, 0.1, 0.1], "pull counts do not sum to the horizon"),
+            ([0, 1, 0], [1, 2], [0.0, 0.1, 0.1], "pull counts disagree with the chosen-arm sequence"),
+            ([0, 1, 0], [2, 1], [0.0, 0.1, 0.05], "cumulative regret must be nondecreasing"),
+        ],
+    )
+    def test_inconsistent_traces_rejected(self, chosen, pulls, cum_regret, message):
+        trace = RegretTrace(np.array(chosen), np.zeros(len(chosen)), np.array(cum_regret), np.array(pulls))
+        with pytest.raises(ValueError, match=message):
+            trace.validate()
 
     def test_far_tail_truncnormal_accepted(self):
         # ndtr rounds both endpoints to 1, but their complements keep the mass.
@@ -390,6 +407,9 @@ class TestSolveCstar:
             solve_cstar(UniformArm(0, 1), 0.0, 0.25, B01)
         with pytest.raises(ValueError):
             solve_cstar(UniformArm(0, 1), 0.1, 0.75, B01)
+        # The correction peaks at 2 c (b - a) / alpha = 3 at c = (1 - alpha) / 2.
+        with pytest.raises(ValueError, match="gap 3.5 exceeds the confidence correction's range"):
+            solve_cstar(UniformArm(0, 1), 3.5, 0.25, B01)
 
 
 class TestRegretBound:
@@ -420,6 +440,11 @@ class TestRegretBound:
     def test_non_cvar_rejected(self):
         inst = BanditInstance(B01, (DiracArm(0.2),), 10, ERM(1.0))
         with pytest.raises(ValueError):
+            regret_bound(inst)
+
+    def test_level_above_half_rejected(self):
+        inst = BanditInstance(B01, (DiracArm(0.2),), 10, CVaR(0.6))
+        with pytest.raises(ValueError, match=r"derived for alpha in \(0, 0.5\], got 0.6"):
             regret_bound(inst)
 
 

@@ -191,6 +191,21 @@ class TestValidation:
             assert_same_results([[got]], [[want]])
 
 
+@pytest.mark.parametrize("risk", FAMILIES)
+@pytest.mark.parametrize("dist_kind", [SUP, W1])
+@pytest.mark.parametrize("ties", [False, True])
+def test_one_call_with_every_method_is_one_call_per_method(risk, dist_kind, ties):
+    # ci's samples: sorted and read-only, tie-free or not.
+    samples = np.random.default_rng(3).beta(2.0, 5.0, 2000)
+    samples = np.sort(np.round(samples, 2) if ties else samples)
+    samples.setflags(write=False)
+    spec = parse_risk(risk)
+    methods = [method for r, d, method in COMBOS if r == risk and d is dist_kind]
+    got = bound_rows(samples.reshape(1, -1), B01, spec, dist_kind, methods, 0.05)
+    want = [[bound_from_samples(samples, B01, spec, dist_kind, method, 0.05) for method in methods]]
+    assert_same_results(got, want)
+
+
 class TestUnsupportedCombinations:
     @pytest.mark.parametrize("command", ["coverage", "sweep"])
     @pytest.mark.parametrize(

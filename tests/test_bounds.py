@@ -7,6 +7,7 @@ import pytest
 from riskbounds import (
     BoundMethod,
     CVaR,
+    ConfidenceResult,
     Distance,
     RadiusRule,
     SupportBounds,
@@ -85,6 +86,14 @@ class TestBoundWithRadius:
         assert res.lcb <= res.point <= res.ucb
         with pytest.raises(UnsupportedCombinationError, match="use the glc method"):
             bound_with_radius(d, spec, W1, BoundMethod.LLC, 0.1)
+
+    def test_inconsistent_bounds_rejected(self):
+        # The slack is relative to the point: 1e-9 * max(1, |point|).
+        ConfidenceResult(0.5 + 9e-10, 0.9, BoundMethod.DIST, SUP, 0.1, 0.5)
+        with pytest.raises(ValueError, match="inconsistent bounds: lcb=0.6, point=0.5, ucb=0.9"):
+            ConfidenceResult(0.6, 0.9, BoundMethod.DIST, SUP, 0.1, 0.5)
+        with pytest.raises(ValueError, match="inconsistent bounds"):
+            ConfidenceResult(0.1, 0.4, BoundMethod.DIST, SUP, 0.1, 0.5)
 
     def test_json_schema(self):
         res = bound_with_radius(EDF, CVaR(0.5), SUP, BoundMethod.DIST, 0.25)

@@ -444,6 +444,39 @@ class TestDomainErrors:
         assert "Traceback" not in err
 
 
+_SWEEP = ["sweep", "--bounds", "0,1", "--risk", "cvar:0.25", "--seeds", "2"]
+_COVERAGE = ["coverage", "--bounds", "0,1", "--risk", "cvar:0.25", "--trials", "2"]
+
+
+class TestArgumentMessages:
+    """Argument faults that the grammar test reaches only on some draws, or
+    never: each exits 2 with its own message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (_SWEEP + ["--dist", "beta:2,5", "--n", "x"], "--n expects integers like '100,1000', got 'x'"),
+            (_COVERAGE + ["--dist", "beta:2,5", "--n", "5", "--method", "all"],
+             "coverage runs one method at a time"),
+            (_SWEEP + ["--dist", "beta:2,5", "--n", "5", "--seeds", "0"], "--seeds must be >= 1"),
+            (["bandit", "--instance", "INSTANCE", "--out", "OUT", "--seeds", "0"], "--seeds must be >= 1"),
+            (_COVERAGE + ["--dist", "beta:2,5", "--n", "0"], "--n and --trials must be positive"),
+            (_COVERAGE + ["--dist", "beta:2,5", "--n", "5", "--trials", "0"], "--n and --trials must be positive"),
+            (_SWEEP + ["--dist", "beta", "--n", "5"], "distribution spec 'beta' must look like 'family:params'"),
+            (_COVERAGE + ["--dist", "beta:x,1", "--n", "5"], "bad numeric parameters in 'beta:x,1'"),
+            (_SWEEP + ["--dist", "poisson:3", "--n", "5"], "unknown distribution spec 'poisson:3'"),
+            (_SWEEP + ["--dist", "beta:0,1", "--n", "5"], "beta shapes must be positive"),
+            (_COVERAGE + ["--dist", "truncnormal:0.5,0", "--n", "5"], "truncated normal needs sigma > 0"),
+        ],
+        ids=["sweep-n", "coverage-all", "sweep-seeds", "bandit-seeds", "coverage-n", "coverage-trials",
+             "dist-no-colon", "dist-not-numeric", "dist-unknown", "beta-shape", "truncnormal-sigma"],
+    )
+    def test_usage_error(self, argv, message, two_arm_instance, tmp_path, capsys):
+        places = {"INSTANCE": two_arm_instance, "OUT": str(tmp_path / "out")}
+        assert main([places.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 class TestQuadratureFailure:
     """A true risk the quadrature cannot resolve is a fault of the arguments
     (sweep, coverage) or of the instance file (bandit), never a traceback."""

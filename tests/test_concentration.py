@@ -118,3 +118,5 @@ class TestMonotonicityAndDispatch:
     def test_radius_spec(self):
         with pytest.raises(ValueError, match="bounds"):
             confidence_radius(RadiusRule.SCALED_DKW, 50, 0.05)
+        with pytest.raises(ValueError, match="unknown radius rule 'dkw'"):
+            confidence_radius("dkw", 50, 0.05, B01)

@@ -77,6 +77,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match="sum"):
             DiscreteDistribution([1, 2], [0.6, 0.5], B05)
 
+    @pytest.mark.parametrize(
+        "xs, ps, message",
+        [
+            ([1.0, 2.0], [1.0], "matching non-empty 1-D"),
+            ([[1.0]], [[1.0]], "matching non-empty 1-D"),
+            ([], [], "matching non-empty 1-D"),
+            ([1.0, 2.0], [1.5, -0.5], "negative atom mass -0.5"),
+            ([1.0, 2.0], [0.0, 0.0], "no positive-mass atoms"),
+        ],
+        ids=["lengths", "2-D", "empty", "negative", "all-zero"],
+    )
+    def test_constructor_rejects(self, xs, ps, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteDistribution(xs, ps, B05)
+
+    @pytest.mark.parametrize(
+        "cdf, message",
+        [([0.5, 0.4, 1.0], "CDF values must be nondecreasing"), ([0.0, 0.0, 0.0], "no positive-mass atoms")],
+    )
+    def test_from_cdf_rejects(self, cdf, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteDistribution._from_cdf(np.array([1.0, 2.0, 3.0]), np.array(cdf), B05)
+
     def test_from_cdf_rejects_a_terminal_value_off_one(self):
         # Both supremum operators end their CDF values at exactly 1.0, so
         # anything else is a construction bug, however close to 1.
@@ -86,6 +109,18 @@ class TestConstruction:
     def test_unsorted_input_atoms_sorted(self):
         d = DiscreteDistribution([3, 1], [0.5, 0.5], B05)
         assert list(d.xs) == [1.0, 3.0]
+
+    def test_equality_with_other_types(self):
+        d = from_samples([1, 2], B05)
+        assert d.__eq__(1) is NotImplemented
+        assert (d == 1) is False
+
+    def test_repr(self):
+        assert repr(from_samples([1, 2, 2, 4], B05)) == "DiscreteDistribution({1:0.25, 2:0.5, 4:0.25} on [0, 5])"
+        assert repr(from_samples(range(1, 8), SupportBounds(0.0, 10.0))) == (
+            "DiscreteDistribution({1:0.1429, 2:0.1429, 3:0.1429, 4:0.1429, 5:0.1429, 6:0.1429, ... (7 atoms)} "
+            "on [0, 10])"
+        )
 
     def test_immutability(self):
         d = from_samples([1, 2], B05)

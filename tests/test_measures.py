@@ -16,13 +16,14 @@ from riskbounds import (
     SRM,
     Distance,
     SupportBounds,
-    eval_ce,
-    eval_erm,
+    UnsupportedCombinationError,
     evaluate,
     from_samples,
     glc,
     llc,
+    UniformArm,
     parse_risk,
+    quadrature_risk,
 )
 from riskbounds.measures import ce_power, drm_power, logsumexp, rdeu_power, srm_power
 from reference import dominates, shift
@@ -31,6 +32,15 @@ from conftest import catalog_specs, cvar_distortion, cvar_spectrum, random_inter
 B05 = SupportBounds(0.0, 5.0)
 B01 = SupportBounds(0.0, 1.0)
 TWO_POINT = DiscreteDistribution([0.0, 1.0], [0.5, 0.5], B01)
+
+
+def exponential_utility(beta: float) -> CE:
+    """u(x) = exp(beta x), whose certainty equivalent is ERM(beta)."""
+    return CE(
+        lambda x: np.exp(beta * np.asarray(x)),
+        lambda x: beta * np.exp(beta * np.asarray(x)),
+        lambda z: np.log(z) / beta,
+    )
 
 
 def wavy(y):
@@ -183,30 +193,28 @@ class TestDRM:
 
 class TestERM:
     def test_dirac(self):
-        assert eval_erm(2.5, DiscreteDistribution.dirac(1.5, B05)) == pytest.approx(1.5, abs=1e-12)
+        assert evaluate(ERM(2.5), DiscreteDistribution.dirac(1.5, B05)) == pytest.approx(1.5, abs=1e-12)
 
     def test_two_point_closed_form(self):
-        assert eval_erm(1.0, TWO_POINT) == pytest.approx(0.6201145069582775, abs=1e-12)
+        assert evaluate(ERM(1.0), TWO_POINT) == pytest.approx(0.6201145069582775, abs=1e-12)
 
     def test_small_beta_limit_is_mean(self):
-        assert eval_erm(1e-8, TWO_POINT) == pytest.approx(0.5, abs=1e-6)
+        assert evaluate(ERM(1e-8), TWO_POINT) == pytest.approx(0.5, abs=1e-6)
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             d = random_interior_dist(rng, B01)
             betas = [-3.0, -1.0, -1e-6, 1e-6, 1.0, 3.0, 10.0]
-            vals = [eval_erm(b, d) for b in betas]
+            vals = [evaluate(ERM(b), d) for b in betas]
             assert np.all(np.diff(vals) >= -1e-12)
 
     def test_large_beta_stable(self):
-        assert np.isfinite(eval_erm(600.0, TWO_POINT))
-        assert eval_erm(600.0, TWO_POINT) == pytest.approx(1.0, abs=0.01)
+        assert np.isfinite(evaluate(ERM(600.0), TWO_POINT))
+        assert evaluate(ERM(600.0), TWO_POINT) == pytest.approx(1.0, abs=0.01)
 
     def test_beta_zero_rejected(self):
-        with pytest.raises(ValueError):
-            eval_erm(0.0, TWO_POINT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzero"):
             ERM(0.0)
 
     @settings(max_examples=300, deadline=None)
@@ -235,11 +243,12 @@ class TestERM:
 
 class TestCE:
     def test_identity_utility_is_mean(self):
-        got = eval_ce(lambda x: np.asarray(x), lambda z: np.asarray(z), TWO_POINT)
+        got = evaluate(CE(lambda x: np.asarray(x), np.ones_like, lambda z: np.asarray(z)), TWO_POINT)
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_square_utility(self):
-        got = eval_ce(lambda x: np.asarray(x) ** 2, np.sqrt, TWO_POINT)
+        square = CE(lambda x: np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x), np.sqrt)
+        got = evaluate(square, TWO_POINT)
         assert got == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_erm_as_ce(self):
@@ -247,10 +256,8 @@ class TestCE:
         beta = 1.7
         for _ in range(15):
             d = random_interior_dist(rng, B01)
-            got = eval_ce(
-                lambda x: np.exp(beta * np.asarray(x)), lambda z: np.log(z) / beta, d
-            )
-            assert got == pytest.approx(eval_erm(beta, d), abs=1e-10)
+            got = evaluate(exponential_utility(beta), d)
+            assert got == pytest.approx(evaluate(ERM(beta), d), abs=1e-10)
 
     def test_utility_checked_on_the_support(self):
         with pytest.raises(ValueError, match=r"strictly increasing on \[-1.0, 1.0\]"):
@@ -301,15 +308,39 @@ class TestRDEU:
             RDEU(lambda y: np.asarray(y), one, lambda x: np.asarray(x) + 1.0, one)
 
     def test_value_function_checked_on_the_support(self):
-        with pytest.raises(ValueError, match=r"RDEU value function must be increasing on \[-1.0, 1.0\]"):
-            evaluate(rdeu_power(2.0, 2.0), from_samples([-0.5, 0.5], SupportBounds(-1.0, 1.0)))
+        spec, d = rdeu_power(2.0, 2.0), from_samples([-0.5, 0.5], SupportBounds(-1.0, 1.0))
+        for check in (
+            lambda: evaluate(spec, d),
+            lambda: glc(spec, Distance.SUPREMUM, d.bounds),
+            lambda: llc(spec, Distance.SUPREMUM, d, 0.1),
+        ):
+            with pytest.raises(ValueError, match=r"RDEU value function must be increasing on \[-1.0, 1.0\]"):
+                check()
+        # Over W1 balls the missing local constant is reported first.
+        with pytest.raises(UnsupportedCombinationError, match="no local Lipschitz"):
+            llc(spec, Distance.WASSERSTEIN1, d, 0.1)
 
 
 class TestEvaluateProperties:
+    @pytest.mark.parametrize(
+        "dispatch",
+        [
+            lambda spec: evaluate(spec, TWO_POINT),
+            lambda spec: glc(spec, Distance.SUPREMUM, B01),
+            lambda spec: llc(spec, Distance.SUPREMUM, TWO_POINT, 0.1),
+            lambda spec: quadrature_risk(UniformArm(0.0, 1.0), spec, B01),
+        ],
+        ids=["evaluate", "glc", "llc", "quadrature_risk"],
+    )
+    def test_non_spec_rejected(self, dispatch):
+        with pytest.raises(TypeError, match="not a risk measure spec: 'cvar:0.25'"):
+            dispatch("cvar:0.25")
+
     def test_dispatch_matches_family_evaluators(self):
         d = from_samples([1, 2, 3, 4], B05)
         assert evaluate(CVaR(0.3), d) == pytest.approx(brute_force_cvar(d, 0.3), abs=1e-12)
-        assert evaluate(ERM(1.2), d) == eval_erm(1.2, d)
+        erm = math.log(np.mean(np.exp(1.2 * np.arange(1.0, 5.0)))) / 1.2
+        assert evaluate(ERM(1.2), d) == pytest.approx(erm, abs=1e-12)
 
     def test_monotone_under_dominance(self):
         rng = np.random.default_rng(7)
@@ -360,8 +391,8 @@ class TestEvaluateProperties:
             assert evaluate(SRM(phi, phi_int), d) == pytest.approx(cv, abs=1e-10)
             assert evaluate(DRM(*cvar_distortion(alpha)), d) == pytest.approx(cv, abs=1e-10)
             beta = rng.uniform(0.2, 4.0)
-            ce = eval_ce(lambda x: np.exp(beta * np.asarray(x)), lambda z: np.log(z) / beta, d)
-            assert ce == pytest.approx(eval_erm(beta, d), abs=1e-10)
+            ce = evaluate(exponential_utility(beta), d)
+            assert ce == pytest.approx(evaluate(ERM(beta), d), abs=1e-10)
 
 
 class TestCatalog:

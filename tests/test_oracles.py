@@ -117,6 +117,7 @@ class TestQuadrature:
             assert 0.0 <= val <= 1.0
 
     def test_refining_integral_polynomial(self):
+        assert refining_integral(lambda x: x**3, 2.0, 0.0) == 0.0  # an empty or reversed range
         got = refining_integral(lambda x: x**3, 0.0, 2.0)
         assert got == pytest.approx(4.0, abs=1e-12)
 
