@@ -163,30 +163,30 @@ class _SharedMasses:
     """The EDF and supremum-ball extremes of tie-free samples strictly
     inside (a, b), shared by the rows of one call.
 
-    For n such samples the masses of the EDF and of both extremes depend
-    only on n and the radius: the EDF puts 1/n on each sample, and the
-    extremes shift its CDF by the radius. The first row that needs one
-    builds it through ``from_samples``, ``neg_sup`` or ``pos_sup``; its
-    frozen ``ps``/``cum`` are kept with the run of the padded row (a, sorted
-    samples, b) that holds its atoms, and every later row gets them with its
-    own sorted values as atoms, bit for bit what the builder would return.
+    For n such samples the CDF values of the EDF and of both extremes
+    depend only on n and the radius: the EDF's are k/n, and the extremes
+    shift them by the radius. The first row that needs one builds it
+    through ``from_samples``, ``neg_sup`` or ``pos_sup``; its frozen ``cum``
+    is kept with the run of the padded row (a, sorted samples, b) that
+    holds its atoms, and every later row gets it with its own sorted values
+    as atoms, bit for bit what the builder would return.
     """
 
     def __init__(self, bounds: SupportBounds):
         self.bounds = bounds
-        self.kept = {}  # builder -> (atom run of the padded row, ps, cum)
+        self.kept = {}  # builder -> (atom run of the padded row, cum)
 
     def build(self, builder, padded: np.ndarray, *args) -> DiscreteDistribution:
         entry = self.kept.get(builder)
         if entry is not None:
-            run, ps, cum = entry
-            return DiscreteDistribution._trusted(padded[run], ps, self.bounds, cum)
+            run, cum = entry
+            return DiscreteDistribution._trusted(padded[run], cum, self.bounds)
         out = builder(*args)
         # The EDF's atoms are the samples; neg_sup's are a and the samples
         # below its saturation, pos_sup's the samples above it and b: each
         # a run of consecutive entries of the padded row.
         start = int(np.searchsorted(padded, out.xs[0]))
-        self.kept[builder] = (slice(start, start + out.n_atoms), out.ps, out.cum)
+        self.kept[builder] = (slice(start, start + out.n_atoms), out.cum)
         return out
 
     def row(self, padded: np.ndarray, spec: RiskMeasure, dist_kind: Distance, c: float, methods):
@@ -213,7 +213,7 @@ def bound_rows(
     building each row's empirical distribution with ``from_samples`` and
     bounding it with ``bound_with_radius`` method by method; the block is
     validated once, and rows that are tie-free and strictly inside (a, b)
-    share one set of EDF and supremum-ball extreme masses. Rows with ties
+    share one set of EDF and supremum-ball extreme CDF values. Rows with ties
     or with a sample on a or b are bounded on their own, from their samples
     as given. The caller's array is not modified.
     """

@@ -94,12 +94,12 @@ def resolve_radius_rule(rule: RadiusRule | None, dist_kind: Distance) -> RadiusR
 def confidence_radius(
     rule: RadiusRule, n: int, delta: float, bounds: SupportBounds | None = None
 ) -> float:
+    if not isinstance(rule, RadiusRule):
+        raise ValueError(f"unknown radius rule {rule!r}")
     if rule is RadiusRule.DKW:
         return dkw_radius(n, delta)
     if bounds is None:
         raise ValueError(f"radius rule {rule.value!r} needs support bounds")
     if rule is RadiusRule.W1_DIRECT:
         return w1_radius(n, delta, bounds)
-    if rule is RadiusRule.SCALED_DKW:
-        return scaled_dkw_radius(n, delta, bounds)
-    raise ValueError(f"unknown radius rule {rule!r}")
+    return scaled_dkw_radius(n, delta, bounds)

@@ -88,55 +88,50 @@ def _positive_entries(arr: np.ndarray) -> slice | np.ndarray:
     return run if positive[run].all() else positive
 
 
-def _store(obj, xs, ps, bounds, cum=None) -> None:
-    """Normalize (in place) and cumulate trusted masses (unless ``cum`` is
-    given), freeze the arrays, and set the slots of ``obj``."""
-    if cum is None:
-        total = float(ps.sum())
-        if total != 1.0:
-            ps /= total
-        cum = np.cumsum(ps)
-        cum[-1] = 1.0
-    for arr in (xs, ps, cum):
-        arr.setflags(write=False)
+def _store(obj, xs, cum, bounds) -> None:
+    """Freeze the arrays and set the slots of ``obj``."""
+    xs.setflags(write=False)
+    cum.setflags(write=False)
     object.__setattr__(obj, "xs", xs)
-    object.__setattr__(obj, "ps", ps)
     object.__setattr__(obj, "cum", cum)
     object.__setattr__(obj, "bounds", bounds)
 
 
+def _steps(cum: np.ndarray) -> np.ndarray:
+    """First differences of CDF values from 0: the masses at their atoms."""
+    steps = np.empty_like(cum)
+    steps[:1] = cum[:1]
+    np.subtract(cum[1:], cum[:-1], out=steps[1:])
+    return steps
+
+
 class DiscreteDistribution:
-    """Sorted weighted atoms with declared support bounds.
+    """Sorted atoms ``xs`` and the CDF at them, ``cum``, on declared bounds.
 
-    Every instance holds these invariants: atoms are finite, strictly
-    increasing and inside [a, b]; masses are positive; ``cum`` is their
-    running sum with ``cum[-1] == 1.0`` exactly. Instances are immutable
-    after construction (read-only arrays) and safe to share across threads.
+    Invariants: atoms are finite, strictly increasing and inside [a, b];
+    ``cum`` is strictly increasing and ends at exactly 1.0. The masses
+    ``ps`` are derived, as its first differences. Instances are immutable
+    (read-only arrays) and safe to share across threads.
 
-    Two kinds of entry point build them:
-
-    - Validating: the public constructor (which ``instance_from_dict`` uses
-      for discrete arms), ``from_json`` (the reader of the documented JSON
-      format that ``to_json`` writes), and ``dirac``. They accept atoms in
-      any order, coalesce equal positions by summing masses, clip masses
-      within ``_NEG_MASS_TOL`` below zero, drop zero masses, and
-      renormalize a mass sum within ``MASS_SUM_TOL`` of one; anything else
-      is rejected with ``ValueError``.
-    - Trusted: ``_trusted``, used only for distributions the package builds
-      itself: ``from_samples`` (after its finiteness and bounds checks),
-      the masses that ``bounds`` shares across rows, and the Wasserstein
-      operators (whose outputs fall back to the public constructor when an
-      atom ties or a mass is not positive). It checks nothing: callers pass
-      float64 arrays they own, with finite, strictly increasing atoms
-      inside [a, b] and positive masses. The one exception is
-      ``from_samples``, whose atoms may be the caller's frozen samples:
-      freezing them again changes nothing, and no instance writes them.
-      ``_from_cdf``, for the supremum operators, stores exact CDF values on
-      sorted in-bounds atoms and only drops zero-mass atoms and checks the
-      CDF's monotonicity and terminal value.
+    - Validating entry points: the public constructor (which
+      ``instance_from_dict`` uses for discrete arms), ``from_json`` (the
+      reader of the JSON that ``to_json`` writes) and ``dirac``. They take
+      masses in any atom order, coalesce equal positions, clip masses
+      within ``_NEG_MASS_TOL`` below zero, drop zero masses and renormalize
+      a sum within ``MASS_SUM_TOL`` of one, and reject anything else with
+      ``ValueError``. The CDF is the running sum of the masses, capped at 1
+      and ending at 1.0; an atom whose mass is too small to move it (1e-20
+      beside 0.5) is dropped.
+    - Trusted, for what the package builds itself: ``_trusted`` checks
+      nothing, and its callers (``from_samples``, after its sample checks,
+      and the CDF values that ``bounds`` shares across rows) pass float64
+      arrays they own. The one exception is ``from_samples``, whose atoms
+      may be the caller's frozen samples: freezing them again changes
+      nothing, and no instance writes them. ``_from_cdf``, for the four ball
+      operators, also drops zero-mass atoms and checks the CDF values.
     """
 
-    __slots__ = ("xs", "ps", "cum", "bounds")
+    __slots__ = ("xs", "cum", "bounds")
 
     def __init__(self, xs: Sequence[float], ps: Sequence[float], bounds: SupportBounds):
         xs = np.asarray(xs, dtype=np.float64)
@@ -169,59 +164,64 @@ class DiscreteDistribution:
         total = float(ps.sum())
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"atom masses sum to {total}, outside 1 +/- {MASS_SUM_TOL}")
-        _store(self, xs, ps, bounds)
+        if total != 1.0:
+            ps /= total
+        # The running sum may pass 1 by rounding before its last atom.
+        cum = np.minimum(np.cumsum(ps), 1.0)
+        cum[-1] = 1.0
+        keep = _steps(cum) > 0.0
+        _store(self, xs[keep], cum[keep], bounds)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDistribution is immutable")
 
     @classmethod
-    def _trusted(
-        cls, xs: np.ndarray, ps: np.ndarray, bounds: SupportBounds, cum: np.ndarray | None = None
-    ) -> "DiscreteDistribution":
-        """Build from float64 arrays that already hold the class invariants.
-
-        Nothing is checked, and the arrays are frozen in place, so the caller
-        must own them. Without ``cum`` the masses are normalized in place and
-        cumulated exactly as the public constructor does.
-        """
+    def _trusted(cls, xs: np.ndarray, cum: np.ndarray, bounds: SupportBounds) -> "DiscreteDistribution":
+        """Build from float64 atoms and CDF values that already hold the
+        class invariants. Nothing is checked, and the arrays are frozen in
+        place, so the caller must own them."""
         obj = object.__new__(cls)
-        _store(obj, xs, ps, bounds, cum)
+        _store(obj, xs, cum, bounds)
         return obj
 
     @classmethod
     def _from_cdf(cls, xs: np.ndarray, cdf_vals: np.ndarray, bounds: SupportBounds) -> "DiscreteDistribution":
         """Build from exact CDF values at sorted atoms, keeping ``cdf_vals``
-        (or a slice of it) as ``cum``.
+        (or a slice of it) as ``cum``, so operator outputs reproduce
+        closed-form CDF transforms exactly at their atoms.
 
-        The supplied CDF values are stored verbatim so operator outputs
-        reproduce closed-form CDF transforms exactly at their atoms; masses
-        are the first differences. Zero-mass atoms are dropped, by slicing
-        when they sit at the ends. The last kept value must be exactly 1,
-        and both callers guarantee it: their values are nondecreasing and
-        end at 1.0 (``pos_sup`` appends 1.0 at b, ``neg_sup``'s
-        min(cum + c, 1) ends at min(1 + c, 1) = 1.0). The atoms after the
-        last kept one have zero mass, so they share its value, and the last
-        of them holds 1.0. That covers ``pos_sup`` at a radius so small
-        that max(1 - c, 0) rounds to 1.0 below b: the atom at b has zero
-        mass and is dropped, and the atom before it ends at 1.0.
+        Atoms whose value does not rise above the one before have zero mass
+        and are dropped, by slicing when they sit at the ends. The values
+        must be nondecreasing and the last kept one exactly 1. Every caller
+        ends its values at 1.0: ``pos_sup`` and ``pos_w1`` at b, ``neg_w1``
+        at its level, and ``neg_sup``'s min(cum + c, 1) at min(1 + c, 1).
+        The atoms after the last kept one share its value, so it is 1.0.
+        At a radius so small that max(1 - c, 0) rounds to 1.0 below b,
+        ``pos_sup`` drops the atom at b and ends at the atom before it.
         """
         cum = np.asarray(cdf_vals, dtype=np.float64)
-        ps = np.empty_like(cum)
-        ps[0] = cum[0]
-        np.subtract(cum[1:], cum[:-1], out=ps[1:])
-        if ps.min() < -_NEG_MASS_TOL:
+        steps = _steps(cum)
+        if steps.min() < 0.0:
             raise ValueError("CDF values must be nondecreasing")
-        keep = _positive_entries(ps)
-        xs, ps, cum = np.asarray(xs, dtype=np.float64)[keep], ps[keep], cum[keep]
-        if not ps.size:
+        keep = _positive_entries(steps)
+        del steps
+        xs, cum = np.asarray(xs, dtype=np.float64)[keep], cum[keep]
+        if not cum.size:
             raise ValueError("distribution has no positive-mass atoms")
         if cum[-1] != 1.0:
             raise ValueError(f"terminal CDF value {cum[-1]} != 1")
-        return cls._trusted(xs, ps, bounds, cum)
+        return cls._trusted(xs, cum, bounds)
 
     @classmethod
     def dirac(cls, x: float, bounds: SupportBounds) -> "DiscreteDistribution":
         return cls([x], [1.0], bounds)
+
+    @property
+    def ps(self) -> np.ndarray:
+        """The masses: first differences of ``cum``, a new read-only array."""
+        ps = _steps(self.cum)
+        ps.setflags(write=False)
+        return ps
 
     @property
     def n_atoms(self) -> int:
@@ -254,12 +254,8 @@ class DiscreteDistribution:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented
-        return (
-            self.bounds == other.bounds
-            and self.xs.size == other.xs.size
-            and bool(np.all(self.xs == other.xs))
-            and bool(np.all(self.ps == other.ps))
-        )
+        same_bounds = self.bounds == other.bounds
+        return same_bounds and np.array_equal(self.xs, other.xs) and np.array_equal(self.cum, other.cum)
 
     __hash__ = None
 
@@ -320,8 +316,10 @@ def _frozen(arr: np.ndarray) -> bool:
 def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDistribution:
     """Empirical distribution: mass multiplicity/n at each distinct value.
 
-    Strictly increasing samples (one sample included) are their own distinct
-    values, each of multiplicity one, so they skip ``np.unique``'s sort.
+    Its CDF at an atom is k/n for the k samples up to it, an exact count
+    divided once, so it is correctly rounded at any n. Strictly increasing
+    samples (one sample included) are their own distinct values, each of
+    multiplicity one, so they skip ``np.unique``'s sort.
     Such samples become the atoms themselves, without a copy, when they are
     a float64 array that is frozen: it and every array it views are
     read-only (``cli.cmd_ci`` freezes its sorted samples). The caller must
@@ -331,9 +329,12 @@ def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDis
     _check_samples(arr, bounds)
     if arr.ndim == 1 and np.all(arr[1:] > arr[:-1]):
         xs = arr if _frozen(arr) else arr.copy()
-        return DiscreteDistribution._trusted(xs, np.full(arr.size, 1.0 / arr.size), bounds)
-    xs, counts = np.unique(arr, return_counts=True)
-    return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
+        cum = np.arange(1, arr.size + 1, dtype=np.float64)
+    else:
+        xs, counts = np.unique(arr, return_counts=True)
+        cum = np.cumsum(counts, dtype=np.float64)
+    cum /= arr.size
+    return DiscreteDistribution._trusted(xs, cum, bounds)
 
 
 def read_samples_csv(path: str, header: bool = False) -> np.ndarray:

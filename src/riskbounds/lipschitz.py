@@ -94,7 +94,7 @@ def _cdf_integral(cum: np.ndarray, fn, steps: np.ndarray) -> float:
     ``cum`` at its atoms: the sum of fn(q_j) times the step of h on each
     segment [x~_j, x~_{j+1}). ``steps`` holds those steps (the widths for
     h(x) = x). It takes the CDF values, not the distribution, so a caller
-    can free the atoms and masses first. ``fn`` may overwrite the array of
+    can free the atoms first. ``fn`` may overwrite the array of
     CDF values it is given.
 
     Empty steps are dropped before multiplying so an infinite integrand
@@ -171,10 +171,10 @@ def llc(
 
     ``lowered()`` builds the ball's lowered extreme. By default it applies
     ``neg_sup(center, c)`` for the supremum distance and ``neg_w1(center, c)``
-    for W1; a caller with a cheaper build of the same extreme (masses shared
-    across rows) passes that instead. The rank-dependent constants read the
-    extreme's CDF values and segment steps, then drop it, so its atoms and
-    masses are freed before the integral's work unless the builder keeps
+    for W1; a caller with a cheaper build of the same extreme (CDF values
+    shared across rows) passes that instead. The rank-dependent constants
+    read the extreme's CDF values and segment steps, then drop it, so its
+    atoms are freed before the integral's work unless the builder keeps
     them.
     """
     _require_radius(c)

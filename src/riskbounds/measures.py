@@ -249,7 +249,7 @@ def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a)
         top = a == a_max
-        m = np.sum(b * top)
+        m = np.sum(np.where(top, b, 0.0))  # b * top, without a cast buffer
         terms = np.where(top, -np.inf, a)
         terms -= a_max
         np.exp(terms, out=terms)

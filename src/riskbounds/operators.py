@@ -92,6 +92,10 @@ def pos_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     and atoms left of the break are untouched. The W1 distance moved equals
     min(c, total transportable area) exactly. When the break atom keeps
     mass, it is the atom just below b in the result.
+
+    The result's CDF is the center's below the break atom, the kept mass
+    added at it (a break exactly on the radius adds none, and the atom
+    drops out) and 1.0 at b.
     """
     c = _require_radius(c)
     if c == 0.0:
@@ -109,15 +113,10 @@ def pos_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     del rev_areas
     k = d.xs.size - 1 - i_plus
     keep_mass = (area_at_break - c) / (b - d.xs[k])
-    tail_mass = 1.0 - (float(d.cum[k - 1]) if k > 0 else 0.0)
-    mass_at_b = tail_mass - keep_mass
-
+    below = float(d.cum[k - 1]) if k > 0 else 0.0
     xs = np.concatenate((d.xs[:k], [d.xs[k], b]))
-    ps = np.concatenate((d.ps[:k], [keep_mass, mass_at_b]))
-    # The break atom lies below b; a break exactly on the radius leaves it
-    # zero mass, which the validating constructor drops.
-    trusted = keep_mass > 0.0 and mass_at_b > 0.0
-    return (DiscreteDistribution._trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
+    cdf_vals = np.concatenate((d.cum[:k], [min(below + keep_mass, 1.0), 1.0]))
+    return DiscreteDistribution._from_cdf(xs, cdf_vals, d.bounds)
 
 
 def neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
@@ -127,7 +126,8 @@ def neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     and 1 to the right of b- equals the radius; every atom above b- moves
     down onto it, so b- is the last atom of the result. Saturation at
     c >= mean - a returns the Dirac mass at a, and so does a level that
-    rounding puts below a just short of saturation.
+    rounding puts below a just short of saturation. The result's CDF is the
+    center's at the atoms below the level, and 1.0 at the level.
     """
     c = _require_radius(c)
     if c == 0.0:
@@ -154,12 +154,10 @@ def neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     j = np.count_nonzero(suffix >= c) - 1  # deepest atom still above c: those form a prefix
     above = suffix[j + 1]
     del suffix
-    kept = float(d.cum[j])
     # The level lies in [x_j, x_{j+1}). Rounding near a tie (suffix[j] == c)
     # can put it below x_j, and below a when x_j == a; it is clamped at x_j,
-    # so it stays the last atom. A level on atom j is a tie to coalesce.
-    level = max(d.xs[j + 1] - (c - above) / (1.0 - kept), d.xs[j])
-    xs = np.concatenate((d.xs[: j + 1], [level]))
-    ps = np.concatenate((d.ps[: j + 1], [1.0 - kept]))
-    trusted = level > d.xs[j] and kept < 1.0
-    return (DiscreteDistribution._trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
+    # so it stays the last atom. A level on atom j replaces that atom.
+    level = max(d.xs[j + 1] - (c - above) / (1.0 - float(d.cum[j])), d.xs[j])
+    kept = j + int(level > d.xs[j])
+    xs = np.concatenate((d.xs[:kept], [level]))
+    return DiscreteDistribution._from_cdf(xs, np.concatenate((d.cum[:kept], [1.0])), d.bounds)

@@ -37,43 +37,41 @@ def random_interior_dist(
 
 
 def assert_invariants(d: DiscreteDistribution) -> None:
-    """The class invariants every instance must hold, however it was built."""
-    assert d.xs.dtype == d.ps.dtype == d.cum.dtype == np.float64
-    assert d.xs.size == d.ps.size == d.cum.size >= 1
+    """The class invariants every instance must hold, however it was built:
+    sorted atoms in [a, b], CDF values strictly increasing to exactly 1.0,
+    and read-only arrays, the derived masses included."""
+    assert d.xs.dtype == d.cum.dtype == np.float64
+    assert d.xs.size == d.cum.size >= 1
     assert np.all(np.isfinite(d.xs))
     assert np.all(np.diff(d.xs) > 0.0)
     assert d.bounds.a <= d.xs[0] and d.xs[-1] <= d.bounds.b
-    assert np.all(d.ps > 0.0)
+    assert d.cum[0] > 0.0 and np.all(np.diff(d.cum) > 0.0)
     assert d.cum[-1] == 1.0
-    assert not (d.xs.flags.writeable or d.ps.flags.writeable or d.cum.flags.writeable)
+    ps = d.ps
+    assert ps.dtype == np.float64 and np.all(ps > 0.0)
+    assert not (d.xs.flags.writeable or d.cum.flags.writeable or ps.flags.writeable)
 
 
 def assert_bitwise_equal(d1: DiscreteDistribution, d2: DiscreteDistribution) -> None:
     assert d1.bounds == d2.bounds
-    for name in ("xs", "ps", "cum"):
+    for name in ("xs", "cum"):
         a1, a2 = getattr(d1, name), getattr(d2, name)
         assert a1.shape == a2.shape and a1.tobytes() == a2.tobytes(), name
 
 
 @contextmanager
 def validated_builds():
-    """Send every trusted build through the public, validating constructor.
-
-    Builds that bring their own exact CDF values (``_from_cdf``) are stored
-    verbatim by design; for them the stand-in asserts the trusted contract
-    instead. Comparing results inside and outside this context checks the
-    trusted path against the validated one on the same arrays.
-    """
+    """Check every trusted build: inside this context ``_trusted`` asserts
+    the class invariants on each distribution it returns, so a builder that
+    hands over arrays breaking them fails where it builds."""
     trusted = DiscreteDistribution.__dict__["_trusted"]
 
-    def validating(cls, xs, ps, bounds, cum=None):
-        if cum is None:
-            return cls(np.array(xs), np.array(ps), bounds)
-        out = trusted.__func__(cls, xs, ps, bounds, cum)
+    def checked(cls, xs, cum, bounds):
+        out = trusted.__func__(cls, xs, cum, bounds)
         assert_invariants(out)
         return out
 
-    DiscreteDistribution._trusted = classmethod(validating)
+    DiscreteDistribution._trusted = classmethod(checked)
     try:
         yield
     finally:

@@ -30,6 +30,10 @@ oracles:
   constants, as the package computed them before it built its results in
   place: by concatenating, masking and copying. The package must match them
   bit for bit.
+- ``validated_pos_w1`` and ``validated_neg_w1``: the W1 operators from the
+  masses of the water-fill, as the package built them before it handed
+  over CDF values, through the validating constructor. The package must
+  give the same atoms and masses within 1e-15.
 - ``cvar_sup_llc_closed_form``: the CVaR supremum-ball local constant from
   the center's quantile function, the closed form the package computed
   before CVaR took the rank-dependent integral.
@@ -69,7 +73,6 @@ from riskbounds import (
 )
 from riskbounds.bandit import ARM_FAMILIES
 from riskbounds.concentration import resolve_radius_rule
-from riskbounds.distributions import _NEG_MASS_TOL, MASS_SUM_TOL
 from riskbounds.measures import _apply
 from riskbounds.operators import _require_radius
 
@@ -243,7 +246,7 @@ def unique_edf(samples, bounds: SupportBounds) -> DiscreteDistribution:
     """The empirical distribution through ``np.unique``, whatever the order."""
     arr = np.asarray(samples, dtype=np.float64)
     xs, counts = np.unique(arr, return_counts=True)
-    return DiscreteDistribution._trusted(xs, counts / arr.size, bounds)
+    return DiscreteDistribution._trusted(xs, np.cumsum(counts) / arr.size, bounds)
 
 
 def sorted_quantile_integral(arr: np.ndarray, lo: float, hi: float) -> float:
@@ -316,44 +319,28 @@ def trial_results(arm, n, entropies, bounds, spec, dist_kind, methods, delta, ru
     return out
 
 
-def _copying_trusted(xs, ps, bounds: SupportBounds, cum=None) -> DiscreteDistribution:
-    """``DiscreteDistribution._trusted`` with its normalization out of place."""
-    if cum is None:
-        total = float(ps.sum())
-        if total != 1.0:
-            ps = ps / total
-        cum = np.cumsum(ps)
-        cum[-1] = 1.0
-    return DiscreteDistribution._trusted(xs, ps, bounds, cum)
-
-
 def copying_from_samples(samples, bounds: SupportBounds) -> DiscreteDistribution:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 1 and np.all(arr[1:] > arr[:-1]):
         xs, counts = arr.copy(), np.ones(arr.size)
     else:
         xs, counts = np.unique(arr, return_counts=True)
-    return _copying_trusted(xs, counts / arr.size, bounds)
+    return DiscreteDistribution._trusted(xs, np.cumsum(counts) / arr.size, bounds)
 
 
 def copying_from_cdf(xs, cdf_vals, bounds: SupportBounds) -> DiscreteDistribution:
-    """``_from_cdf`` with its renormalization of a terminal value within
-    ``MASS_SUM_TOL`` of 1, which no operator reaches."""
     xs = np.asarray(xs, dtype=np.float64)
     cum = np.asarray(cdf_vals, dtype=np.float64)
     ps = np.diff(cum, prepend=0.0)
-    if np.any(ps < -_NEG_MASS_TOL):
+    if np.any(ps < 0.0):
         raise ValueError("CDF values must be nondecreasing")
     keep = ps > 0.0
     if not np.any(keep):
         raise ValueError("distribution has no positive-mass atoms")
-    xs, ps, cum = xs[keep], ps[keep], cum[keep]
+    xs, cum = xs[keep], cum[keep]
     if cum[-1] != 1.0:
-        if abs(cum[-1] - 1.0) > MASS_SUM_TOL:
-            raise ValueError(f"terminal CDF value {cum[-1]} != 1")
-        cum = cum / cum[-1]
-        ps = np.diff(cum, prepend=0.0)
-    return _copying_trusted(xs, ps, bounds, cum)
+        raise ValueError(f"terminal CDF value {cum[-1]} != 1")
+    return DiscreteDistribution._trusted(xs, cum, bounds)
 
 
 def copying_pos_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
@@ -383,49 +370,90 @@ def copying_neg_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     return copying_from_cdf(xs, cdf_vals, d.bounds)
 
 
+def _pos_w1_break(d: DiscreteDistribution, c: float):
+    """The break atom k of the positive W1 water-fill and the mass it
+    keeps, or None at saturation."""
+    b = d.bounds.b
+    rev_areas = np.cumsum((d.ps * (b - d.xs))[::-1])
+    if c >= rev_areas[-1]:
+        return None
+    i_plus = int(np.searchsorted(rev_areas, c, side="left"))
+    k = d.xs.size - 1 - i_plus
+    return k, (float(rev_areas[i_plus]) - c) / (b - d.xs[k])
+
+
+def _neg_w1_level(d: DiscreteDistribution, c: float):
+    """The deepest atom j kept below the negative W1 water-fill's level and
+    the level, with j = -1 when everything collapses, or None at
+    saturation."""
+    a = d.bounds.a
+    if c >= d.mean() - a:
+        return None
+    suffix = np.zeros(d.xs.size)
+    suffix[:-1] = np.cumsum(((1.0 - d.cum[:-1]) * np.diff(d.xs))[::-1])[::-1]
+    if c > suffix[0]:
+        return -1, max(d.xs[0] - (c - suffix[0]), a)
+    j = int(np.nonzero(suffix >= c)[0][-1])
+    return j, max(d.xs[j + 1] - (c - suffix[j + 1]) / (1.0 - float(d.cum[j])), d.xs[j])
+
+
 def copying_pos_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     c = _require_radius(c)
     if c == 0.0:
         return d
-    b = d.bounds.b
-    areas = d.ps * (b - d.xs)
-    rev_areas = np.cumsum(areas[::-1])
-    if c >= rev_areas[-1]:
-        return DiscreteDistribution.dirac(b, d.bounds)
-    i_plus = int(np.searchsorted(rev_areas, c, side="left"))
-    k = d.xs.size - 1 - i_plus
-    area_at_break = float(rev_areas[i_plus])
-    keep_mass = (area_at_break - c) / (b - d.xs[k])
-    tail_mass = 1.0 - (float(d.cum[k - 1]) if k > 0 else 0.0)
-    mass_at_b = tail_mass - keep_mass
-    xs = np.concatenate((d.xs[:k], [d.xs[k], b]))
-    ps = np.concatenate((d.ps[:k], [keep_mass, mass_at_b]))
-    trusted = keep_mass > 0.0 and mass_at_b > 0.0
-    return (_copying_trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
+    found = _pos_w1_break(d, c)
+    if found is None:
+        return DiscreteDistribution.dirac(d.bounds.b, d.bounds)
+    k, keep_mass = found
+    below = float(d.cum[k - 1]) if k > 0 else 0.0
+    xs = np.concatenate((d.xs[:k], [d.xs[k], d.bounds.b]))
+    cdf_vals = np.concatenate((d.cum[:k], [min(below + keep_mass, 1.0), 1.0]))
+    return copying_from_cdf(xs, cdf_vals, d.bounds)
 
 
 def copying_neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
     c = _require_radius(c)
     if c == 0.0:
         return d
-    a = d.bounds.a
-    if c >= d.mean() - a:
-        return DiscreteDistribution.dirac(a, d.bounds)
-    tail = 1.0 - d.cum
-    gaps = np.diff(d.xs)
-    suffix = np.zeros(d.xs.size)
-    if gaps.size:
-        suffix[:-1] = np.cumsum((tail[:-1] * gaps)[::-1])[::-1]
-    if c > suffix[0]:
-        level = max(d.xs[0] - (c - suffix[0]), a)
-        return _copying_trusted(np.array([level]), np.ones(1), d.bounds)
-    j = int(np.nonzero(suffix >= c)[0][-1])
-    kept = float(d.cum[j])
-    level = max(d.xs[j + 1] - (c - suffix[j + 1]) / (1.0 - kept), d.xs[j])
+    found = _neg_w1_level(d, c)
+    if found is None:
+        return DiscreteDistribution.dirac(d.bounds.a, d.bounds)
+    j, level = found
+    kept = j + 1 if j < 0 or level > d.xs[j] else j
+    xs = np.concatenate((d.xs[:kept], [level]))
+    return copying_from_cdf(xs, np.concatenate((d.cum[:kept], [1.0])), d.bounds)
+
+
+def validated_pos_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
+    """``pos_w1`` from masses, built by the validating constructor: the
+    center's masses below the break atom, the mass the break atom keeps
+    (zero when the break lies exactly on the radius) and the rest at b."""
+    c = _require_radius(c)
+    if c == 0.0:
+        return d
+    found = _pos_w1_break(d, c)
+    if found is None:
+        return DiscreteDistribution.dirac(d.bounds.b, d.bounds)
+    k, keep_mass = found
+    tail_mass = 1.0 - (float(d.cum[k - 1]) if k > 0 else 0.0)
+    xs = np.concatenate((d.xs[:k], [d.xs[k], d.bounds.b]))
+    return DiscreteDistribution(xs, np.concatenate((d.ps[:k], [keep_mass, tail_mass - keep_mass])), d.bounds)
+
+
+def validated_neg_w1(d: DiscreteDistribution, c: float) -> DiscreteDistribution:
+    """``neg_w1`` from masses, built by the validating constructor: the
+    center's masses up to atom j and the rest on the level, which the
+    constructor coalesces with atom j when the two tie."""
+    c = _require_radius(c)
+    if c == 0.0:
+        return d
+    found = _neg_w1_level(d, c)
+    if found is None:
+        return DiscreteDistribution.dirac(d.bounds.a, d.bounds)
+    j, level = found
     xs = np.concatenate((d.xs[: j + 1], [level]))
-    ps = np.concatenate((d.ps[: j + 1], [1.0 - kept]))
-    trusted = level > d.xs[j] and kept < 1.0
-    return (_copying_trusted if trusted else DiscreteDistribution)(xs, ps, d.bounds)
+    kept = float(d.cum[j]) if j >= 0 else 0.0
+    return DiscreteDistribution(xs, np.concatenate((d.ps[: j + 1], [1.0 - kept])), d.bounds)
 
 
 def _copying_segment_grid(d: DiscreteDistribution):

@@ -118,5 +118,10 @@ class TestMonotonicityAndDispatch:
     def test_radius_spec(self):
         with pytest.raises(ValueError, match="bounds"):
             confidence_radius(RadiusRule.SCALED_DKW, 50, 0.05)
+
+    @pytest.mark.parametrize("bounds", [B01, None])
+    def test_a_non_rule_is_unknown_with_or_without_bounds(self, bounds):
+        # Without bounds it once reached the "needs support bounds" message
+        # and failed formatting ``rule.value`` with an AttributeError.
         with pytest.raises(ValueError, match="unknown radius rule 'dkw'"):
-            confidence_radius("dkw", 50, 0.05, B01)
+            confidence_radius("dkw", 10, 0.05, bounds)

@@ -13,9 +13,11 @@ from riskbounds import (
     DiscreteDistribution,
     Distance,
     SupportBounds,
+    evaluate,
     from_samples,
     read_samples_csv,
 )
+from riskbounds.measures import ERM
 from riskbounds import distributions
 from reference import allclose, distance, dominates, unique_edf
 from conftest import assert_bitwise_equal, assert_invariants, random_interior_dist, validated_builds
@@ -63,13 +65,49 @@ class TestConstruction:
 
     def test_samples_on_the_bounds_accepted(self):
         d = from_samples([0.0, 5.0, 0.0], B05)
-        assert list(d.xs) == [0.0, 5.0] and list(d.ps) == [2 / 3, 1 / 3]
+        assert list(d.xs) == [0.0, 5.0] and list(d.cum) == [2 / 3, 1.0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.5, 2.5, 5.0]) | st.floats(0.0, 5.0), min_size=1, max_size=30))
+    def test_edf_cdf_is_exact(self, samples):
+        # k/n rounded once: arange(1, n + 1) / n on tie-free samples, the
+        # exact integer running sum of the counts over n on tied ones.
+        arr = np.asarray(samples, dtype=np.float64)
+        xs, counts = np.unique(arr, return_counts=True)
+        assert from_samples(arr, B05).cum.tobytes() == (np.cumsum(counts) / arr.size).tobytes()
+        assert from_samples(xs, B05).cum.tobytes() == (np.arange(1, xs.size + 1) / xs.size).tobytes()
+
+    def test_edf_cdf_is_exact_at_scale(self):
+        # A running sum of 1/n drifts from k/n as n grows.
+        n = 10**5
+        want = np.arange(1, n + 1) / n
+        assert from_samples(np.arange(n) / n, B01).cum.tobytes() == want.tobytes()
+        assert from_samples(np.repeat(np.arange(n // 2) / n, 2), B01).cum.tobytes() == want[1::2].tobytes()
 
     def test_bounds_need_a_lt_b(self):
         with pytest.raises(ValueError):
             SupportBounds(1.0, 1.0)
         with pytest.raises(ValueError):
             SupportBounds(np.inf, 2.0)
+
+    def test_mass_too_small_to_move_the_cdf_is_dropped(self):
+        # 0.5 + 1e-20 rounds to 0.5: the middle atom takes no step of the
+        # CDF, so it goes, and the distribution is the two-atom one.
+        d = DiscreteDistribution([1.0, 2.0, 3.0], [0.5, 1e-20, 0.5], B05)
+        two = DiscreteDistribution([1.0, 3.0], [0.5, 0.5], B05)
+        assert_invariants(d)
+        assert d.xs.tolist() == [1.0, 3.0] and d == two
+        assert evaluate(ERM(1.0), d) == evaluate(ERM(1.0), two)
+        # At the front the same mass is a step of its own, and stays.
+        assert DiscreteDistribution([1.0, 2.0], [1e-20, 1.0], B05).ps[0] == 1e-20
+
+    def test_running_sum_past_one_is_capped(self):
+        # These masses sum to 1 - 2^-53 and are rescaled; their running sum
+        # then reads 1 + 2^-52 at the third atom. Capped at 1, the CDF
+        # still ends at exactly 1.0, and the last atom takes no step.
+        d = DiscreteDistribution([1.0, 2.0, 3.0, 4.0], [0.06, 0.505, 1 - 0.06 - 0.505, 1e-17], B05)
+        assert_invariants(d)
+        assert d.xs.tolist() == [1.0, 2.0, 3.0] and d.cum[-1] == 1.0
 
     def test_mass_renormalization_window(self):
         d = DiscreteDistribution([1, 2], [0.5 + 4e-10, 0.5], B05)
@@ -94,7 +132,11 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "cdf, message",
-        [([0.5, 0.4, 1.0], "CDF values must be nondecreasing"), ([0.0, 0.0, 0.0], "no positive-mass atoms")],
+        [
+            ([0.5, 0.4, 1.0], "CDF values must be nondecreasing"),
+            ([0.5, 1 + 1e-13, 1.0], "CDF values must be nondecreasing"),
+            ([0.0, 0.0, 0.0], "no positive-mass atoms"),
+        ],
     )
     def test_from_cdf_rejects(self, cdf, message):
         with pytest.raises(ValueError, match=message):
@@ -104,7 +146,7 @@ class TestConstruction:
         # Both supremum operators end their CDF values at exactly 1.0, so
         # anything else is a construction bug, however close to 1.
         with pytest.raises(ValueError, match="terminal CDF value"):
-            DiscreteDistribution._from_cdf(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1 + 1e-13, 1.0]), B05)
+            DiscreteDistribution._from_cdf(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.75, 1 + 1e-13]), B05)
 
     def test_unsorted_input_atoms_sorted(self):
         d = DiscreteDistribution([3, 1], [0.5, 0.5], B05)
@@ -128,6 +170,8 @@ class TestConstruction:
             d.xs = np.array([0.0])
         with pytest.raises(ValueError):
             d.ps[0] = 0.9
+        with pytest.raises(ValueError):
+            d.cum[0] = 0.9
 
 
 class TestQueries:
@@ -269,10 +313,14 @@ class TestTrustedBuilds:
     @settings(max_examples=80, deadline=None)
     @given(_SAMPLES)
     def test_from_samples_matches_public_constructor(self, samples):
+        # The constructor's CDF is a running sum of the masses, so it may
+        # differ from the EDF's exact k/n in the last bits.
         d = from_samples(samples, B05)
         assert_invariants(d)
         xs, counts = np.unique(np.asarray(samples, dtype=np.float64), return_counts=True)
-        assert_bitwise_equal(d, DiscreteDistribution(xs, counts / len(samples), B05))
+        public = DiscreteDistribution(xs, counts / len(samples), B05)
+        assert d.xs.tobytes() == public.xs.tobytes()
+        assert np.all(np.abs(d.ps - public.ps) <= 1e-15)
         with validated_builds():
             assert_bitwise_equal(d, from_samples(samples, B05))
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -100,9 +101,8 @@ class TestCVaR:
 
     @pytest.mark.parametrize("alpha", [0.013, 0.05, 0.25])
     def test_tail_average_at_scale(self, alpha):
-        # The weights read the EDF's cumulative masses, a running sum whose
-        # rounding grows with n; n * eps / alpha bounds the error against
-        # the exact tail average of n atoms of mass 1/n.
+        # n * eps / alpha bounds the error against the exact tail average
+        # of n atoms of mass 1/n; ``TestExactEDF`` holds it far tighter.
         n = 10**5
         xs = np.sort(np.random.default_rng(0).beta(2.0, 5.0, n))
         assert np.all(np.diff(xs) > 0.0)
@@ -111,6 +111,39 @@ class TestCVaR:
         exact = (math.fsum(xs[n - k :]) + float(tail - k) * xs[n - k - 1]) / (n * alpha)
         got = evaluate(CVaR(alpha), from_samples(xs, B01))
         assert abs(got - exact) <= n * np.finfo(np.float64).eps / alpha
+
+
+class TestExactEDF:
+    """The EDF's CDF values are k/n rounded once, so the rank-dependent
+    evaluators read exact cumulative masses at any n. A running sum of 1/n
+    (the EDF's CDF before) left the points below 6.0e-13, 1.0e-13 and
+    3.9e-13 from the references at 2e4 samples, and the CVaR point 5.4e-11
+    from the tail average at 10^6."""
+
+    @pytest.mark.parametrize(
+        "text, weight",
+        [
+            ("cvar:0.05", lambda q: max(q - (1 - mpmath.mpf(0.05)), 0) / mpmath.mpf(0.05)),
+            ("srm-power:2", lambda q: q**2),
+            ("drm-power:0.5", lambda q: 1 - mpmath.sqrt(1 - q)),
+        ],
+    )
+    def test_points_match_50_digit_sums(self, text, weight):
+        n = 2 * 10**4
+        xs = np.sort(np.random.default_rng(0).beta(2.0, 5.0, n))
+        with mpmath.workdps(50):
+            w = [weight(mpmath.mpf(k) / n) for k in range(n + 1)]
+            exact = mpmath.fsum(mpmath.mpf(x) * (w[i + 1] - w[i]) for i, x in enumerate(xs.tolist()))
+        assert abs(evaluate(parse_risk(text), from_samples(xs, B01)) - float(exact)) <= 1e-14
+
+    def test_cvar_point_matches_the_tail_average_at_a_million(self):
+        n, alpha = 10**6, 0.05
+        xs = np.sort(np.random.default_rng(3).beta(2.0, 5.0, n))
+        tail = Fraction(alpha) * n  # k whole atoms and a share of the next
+        k = int(tail)
+        top = sum(map(Fraction, xs[n - k :].tolist()), Fraction(0))
+        exact = (top + (tail - k) * Fraction(xs[n - k - 1])) / (n * Fraction(alpha))
+        assert abs(evaluate(CVaR(alpha), from_samples(xs, B01)) - float(exact)) <= 1e-12
 
 
 class TestSRM:

