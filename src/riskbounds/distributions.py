@@ -78,14 +78,12 @@ class SupportBounds:
         return self.b - self.a
 
 
-def _positive_entries(arr: np.ndarray) -> slice | np.ndarray:
-    """Index of the entries of ``arr`` above zero: a slice, which takes
-    views instead of copies, when they form one run (zeros only at the
-    ends), else a boolean mask."""
-    positive = arr > 0.0
-    lo = int(positive.argmax())
-    run = slice(lo, lo + int(np.count_nonzero(positive)))
-    return run if positive[run].all() else positive
+def _true_run(mask: np.ndarray) -> slice | np.ndarray:
+    """Index of the true entries of the boolean ``mask``: a slice, which
+    takes views instead of copies, when they form one run, else the mask."""
+    lo = int(mask.argmax())
+    run = slice(lo, lo + int(np.count_nonzero(mask)))
+    return run if mask[run].all() else mask
 
 
 def _store(obj, xs, cum, bounds) -> None:
@@ -97,12 +95,26 @@ def _store(obj, xs, cum, bounds) -> None:
     object.__setattr__(obj, "bounds", bounds)
 
 
-def _steps(cum: np.ndarray) -> np.ndarray:
-    """First differences of CDF values from 0: the masses at their atoms."""
-    steps = np.empty_like(cum)
-    steps[:1] = cum[:1]
-    np.subtract(cum[1:], cum[:-1], out=steps[1:])
+def _steps(cum: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """First differences of CDF values from 0: the masses at their atoms,
+    or at atoms ``lo`` to ``hi - 1`` only."""
+    hi = cum.size if hi is None else hi
+    steps = np.empty(hi - lo)
+    if lo == 0:
+        steps[:1] = cum[:1]
+    start = max(lo, 1)  # the first atom with one before it
+    np.subtract(cum[start:hi], cum[start - 1 : hi - 1], out=steps[start - lo :])
     return steps
+
+
+def _rises(cum: np.ndarray) -> np.ndarray:
+    """Whether each of the (non-empty) CDF values rises above the one
+    before it, or above 0 for the first: ``_steps(cum) > 0`` as one
+    boolean array, an eighth of the size of the steps."""
+    out = np.empty(cum.size, dtype=bool)
+    out[0] = cum[0] > 0.0
+    np.greater(cum[1:], cum[:-1], out=out[1:])
+    return out
 
 
 class DiscreteDistribution:
@@ -169,7 +181,7 @@ class DiscreteDistribution:
         # The running sum may pass 1 by rounding before its last atom.
         cum = np.minimum(np.cumsum(ps), 1.0)
         cum[-1] = 1.0
-        keep = _steps(cum) > 0.0
+        keep = _rises(cum)
         _store(self, xs[keep], cum[keep], bounds)
 
     def __setattr__(self, name, value):
@@ -200,11 +212,9 @@ class DiscreteDistribution:
         ``pos_sup`` drops the atom at b and ends at the atom before it.
         """
         cum = np.asarray(cdf_vals, dtype=np.float64)
-        steps = _steps(cum)
-        if steps.min() < 0.0:
+        if cum[0] < 0.0 or (cum[1:] < cum[:-1]).any():
             raise ValueError("CDF values must be nondecreasing")
-        keep = _positive_entries(steps)
-        del steps
+        keep = _true_run(_rises(cum))
         xs, cum = np.asarray(xs, dtype=np.float64)[keep], cum[keep]
         if not cum.size:
             raise ValueError("distribution has no positive-mass atoms")

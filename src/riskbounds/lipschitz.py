@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Distance, SupportBounds, _positive_entries
+from .distributions import DiscreteDistribution, Distance, SupportBounds, _true_run
 from .measures import (
     CE,
     ERM,
@@ -37,8 +37,10 @@ from .measures import (
     RiskMeasure,
     _apply,
     _check_on_support,
+    _forward_diff,
+    _log_moment,
+    _with_zero,
     evaluate,
-    logsumexp,
 )
 from .operators import _require_radius, neg_sup, neg_w1
 
@@ -89,22 +91,22 @@ def _widths(d: DiscreteDistribution) -> np.ndarray:
     return widths
 
 
-def _cdf_integral(cum: np.ndarray, fn, steps: np.ndarray) -> float:
+def _cdf_integral(q: np.ndarray, fn, steps: np.ndarray) -> float:
     """int fn(F(x)) dh(x) over [a, b], exact for a step CDF F with values
-    ``cum`` at its atoms: the sum of fn(q_j) times the step of h on each
-    segment [x~_j, x~_{j+1}). ``steps`` holds those steps (the widths for
-    h(x) = x). It takes the CDF values, not the distribution, so a caller
-    can free the atoms first. ``fn`` may overwrite the array of
-    CDF values it is given.
+    q_0 = 0, q_1, ..., q_m on its segments [x~_j, x~_{j+1}): the sum of
+    fn(q_j) times the step of h on each segment. ``steps`` holds those
+    steps (the widths for h(x) = x). It takes the CDF values, not the
+    distribution, so a caller can free the atoms first. ``fn`` may
+    overwrite ``q``, which the caller owns.
 
     Empty steps are dropped before multiplying so an infinite integrand
     value (e.g. a power distortion's derivative at 0) on an empty segment
     contributes nothing instead of poisoning the sum with nan.
     """
-    keep = _positive_entries(steps)
+    keep = _true_run(steps > 0.0)
     steps = steps[keep]
     with np.errstate(divide="ignore", over="ignore"):
-        vals = _apply(fn, np.concatenate(([0.0], cum))[keep])
+        vals = _apply(fn, q[keep])
     return float(vals @ steps)
 
 
@@ -186,8 +188,7 @@ def llc(
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
         beta = spec.beta
-        low = lowered()
-        log_den = logsumexp(beta * low.xs, low.ps)  # log E[exp(beta X)]
+        log_den = _log_moment(beta, lowered())  # log E[exp(beta X)]
         if sup:
             # log(1 - e^-x) without cancellation at either end of x
             # (Maechler 2012, log1mexp): at x below ~1e-16 log1p(-e^-x)
@@ -219,18 +220,21 @@ def llc(
             _check_on_support(spec, a, b)
             _require_convex_weight(spec)
         # int w'(F_low(x)) dv(x): the steps of v on the lowered extreme's
-        # segments are their widths for a linear v.
+        # segments are their widths for a linear v. The extreme's atoms go
+        # once the steps are built, and its CDF values once copied.
         low = lowered()
-        cum = low.cum
         if linear:
             steps = _widths(low)
-            del low
         else:
-            edges = np.concatenate(([a], low.xs, [b]))
-            del low
-            steps = np.diff(_apply(spec.v, edges))
+            edges = np.empty(low.n_atoms + 2)
+            edges[0], edges[1:-1], edges[-1] = a, low.xs, b
+            steps = _forward_diff(_apply(spec.v, edges))
             del edges
-        return _cdf_integral(cum, spec.w_prime, steps)
+        cum = low.cum
+        del low
+        q = _with_zero(cum)
+        del cum
+        return _cdf_integral(q, spec.w_prime, steps)
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _steps
 
 # Entries kept by each cache keyed on a spec (support checks here, attainable
 # ranges, global constants, the RDEU weight check): enough for every spec a
@@ -56,6 +56,50 @@ __all__ = [
 ]
 
 _GRID = np.linspace(0.0, 1.0, 1001)
+# Elements per block of a pass over an m-element array that would otherwise
+# take an m-element temporary: numpy's own buffer size.
+_BLOCK = 1 << 13
+
+
+def _blocks(n: int):
+    """The (lo, hi) bounds of the ``_BLOCK``-element blocks that cover n
+    elements: one block, with no loop to build, when n fits in one."""
+    if n <= _BLOCK:
+        return ((0, n),)
+    return [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+
+
+def _forward_diff(buf: np.ndarray) -> np.ndarray:
+    """buf[1:] - buf[:-1]: past one block, written over buf[:-1] and
+    returned as that view.
+
+    numpy copies an input that overlaps the output, so the subtraction
+    runs block by block, each copying only its block: a block reads the
+    first entry of the next one, which is overwritten only after. Within
+    one block, a new array is cheaper than the overlap check.
+    """
+    if buf.size - 1 <= _BLOCK:
+        return buf[1:] - buf[:-1]
+    for lo, hi in _blocks(buf.size - 1):
+        np.subtract(buf[lo + 1 : hi + 1], buf[lo:hi], out=buf[lo:hi])
+    return buf[:-1]
+
+
+def _with_zero(cum: np.ndarray) -> np.ndarray:
+    """A new array of the CDF values from 0: 0, q_1, ..., q_m."""
+    q = np.empty(cum.size + 1)
+    q[0] = 0.0
+    q[1:] = cum
+    return q
+
+
+def _power(x, p: float):
+    """x**p, written over ``x`` when it is a writable float64 ndarray: the
+    catalog's weights and values take arrays their callers own. Any other
+    input (a list, a scalar, a read-only array) gets a new result."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.writeable:
+        return np.power(x, p, out=x)
+    return np.power(x, p)
 
 
 def _apply(fn: Callable, arr: np.ndarray) -> np.ndarray:
@@ -107,7 +151,9 @@ class CVaR:
 class SRM:
     """Spectral risk measure: quantile integral weighted by a spectrum, with
     the weight w = phi_integral and w' = phi. ``w`` and ``w_prime`` may
-    overwrite the array they are given, as CVaR's do.
+    overwrite the array they are given, as CVaR's do, so callers pass
+    arrays they own. The catalog's ``srm_power`` writes ``phi_integral``
+    over a writable float64 array and lets ``phi`` allocate.
 
     ``phi`` must be nondecreasing, nonnegative, and integrate to one over
     [0, 1]; ``phi_integral`` is its antiderivative with phi_integral(0)=0.
@@ -118,7 +164,7 @@ class SRM:
     phi_integral: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        vals = _apply(self.phi, _GRID)
+        vals = _apply(self.phi, _GRID.copy())
         if np.any(vals < -1e-12):
             raise ValueError("SRM spectrum must be nonnegative")
         if np.any(np.diff(vals) < -1e-9):
@@ -141,15 +187,18 @@ class SRM:
 class DRM:
     """Distortion risk measure with concave increasing distortion g, and
     the weight w(q) = 1 - g(1 - q), w'(q) = g'(1 - q). ``w`` and ``w_prime``
-    overwrite the array they are given, as CVaR's do."""
+    overwrite the array they are given, as CVaR's do, and ``g`` and
+    ``g_prime`` may, so callers pass arrays they own. The catalog's
+    ``drm_power`` writes ``g`` over a writable float64 array and lets
+    ``g_prime`` allocate."""
 
     g: Callable[[np.ndarray], np.ndarray]
     g_prime: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         with np.errstate(divide="ignore"):
-            vals = _apply(self.g, _GRID)
-            deriv = _apply(self.g_prime, _GRID)
+            vals = _apply(self.g, _GRID.copy())
+            deriv = _apply(self.g_prime, _GRID.copy())
         if abs(vals[0]) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:
             raise ValueError("distortion must satisfy g(0)=0 and g(1)=1")
         if np.any(np.diff(vals) < -1e-9):
@@ -194,7 +243,13 @@ class CE:
 
 @dataclass(frozen=True)
 class RDEU:
-    """Rank-dependent expected utility with weight w and value function v."""
+    """Rank-dependent expected utility with weight w and value function v.
+
+    Each callable may overwrite the array it is given, so callers pass
+    arrays they own: ``evaluate`` hands ``v`` a copy of the atoms. The
+    catalog's ``rdeu_power`` writes ``w`` and ``v`` over a writable float64
+    array and lets ``w_prime`` and ``v_prime`` allocate.
+    """
 
     w: Callable[[np.ndarray], np.ndarray]
     w_prime: Callable[[np.ndarray], np.ndarray]
@@ -202,7 +257,7 @@ class RDEU:
     v_prime: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        vals = _apply(self.w, _GRID)
+        vals = _apply(self.w, _GRID.copy())
         if abs(vals[0]) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:
             raise ValueError("RDEU weight must satisfy w(0)=0 and w(1)=1")
         if np.any(np.diff(vals) < -1e-9):
@@ -238,7 +293,8 @@ def _check_on_support(spec: RiskMeasure, a: float, b: float) -> bool:
 
 
 def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
-    """log sum_i b_i exp(a_i) for real ``a`` and positive weights ``b``.
+    """log sum_i b_i exp(a_i) for real ``a`` and positive weights ``b`` of
+    the same shape, neither of which it writes.
 
     scipy.special.logsumexp's algorithm step for step, so the result is
     bitwise equal to it without importing scipy.special: every term equal to
@@ -246,21 +302,46 @@ def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
     sum runs over the full-length array, so numpy's pairwise summation
     groups the terms the same way.
     """
+    return _logsumexp(np.array(a, dtype=np.float64), lambda lo, hi: b[lo:hi], lambda: (a, b))
+
+
+def _logsumexp(terms: np.ndarray, weights, inputs) -> float:
+    """``logsumexp`` of the exponents ``terms``, computed over them in
+    place, with ``weights(lo, hi)`` giving b[lo:hi] block by block and
+    ``inputs()`` both arguments whole, for scipy's fallback.
+
+    A lone maximum takes its weight alone, which is scipy's sum of that
+    weight and zeros; ties take scipy's masked sum.
+    """
+    n = terms.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a)
-        top = a == a_max
-        m = np.sum(np.where(top, b, 0.0))  # b * top, without a cast buffer
-        terms = np.where(top, -np.inf, a)
+        i = int(np.argmax(terms))
+        a_max = terms[i]  # np.max(terms) when the maximum is lone; ties and nan take the masked sum
+        if sum(np.count_nonzero(terms[lo:hi] == a_max) for lo, hi in _blocks(n)) == 1:
+            m = weights(i, i + 1)[0]
+            terms[i] = -np.inf
+        else:
+            top = terms == a_max
+            m = np.sum(np.where(top, weights(0, n), 0.0))  # b * top, without a cast buffer
+            terms[top] = -np.inf
         terms -= a_max
         np.exp(terms, out=terms)
-        terms *= b
+        for lo, hi in _blocks(n):
+            terms[lo:hi] *= weights(lo, hi)
         s = np.sum(terms)
         if s != 0:
             s /= m
         out = np.log1p(s) + np.log(m) + a_max
         if not np.isfinite(out):  # scipy's fallback, e.g. every a_i = -inf
+            a, b = inputs()
             out = np.log(np.sum(b * np.exp(a)))
     return float(out)
+
+
+def _log_moment(beta: float, d: DiscreteDistribution) -> float:
+    """log sum_i p_i exp(beta x_i), bitwise ``logsumexp(beta * d.xs, d.ps)``,
+    with the masses taken from ``d.cum`` block by block."""
+    return _logsumexp(beta * d.xs, lambda lo, hi: _steps(d.cum, lo, hi), lambda: (beta * d.xs, d.ps))
 
 
 def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
@@ -268,21 +349,31 @@ def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
     by a shifted log-sum-exp, and CE u^{-1}(sum_i p_i u(x_i)). CVaR, SRM,
     DRM and RDEU take the Stieltjes sum sum_i v(x_i) (w(q_i) - w(q_{i-1}))
     over the cumulative masses q_0 = 0, q_1, ..., q_m = 1, exact for a step
-    CDF, with v(x) = x for all but RDEU."""
+    CDF, with v(x) = x for all but RDEU.
+
+    Each family works in one buffer of its own. CE and the rank-dependent
+    families drop ``d`` once they hold what they read of it, so a ball
+    extreme the caller does not keep frees its atoms or its CDF values
+    before the next m-element array is built.
+    """
     if isinstance(spec, ERM):
-        return logsumexp(spec.beta * d.xs, d.ps) / spec.beta
+        return _log_moment(spec.beta, d) / spec.beta
     if isinstance(spec, CE):
         _check_on_support(spec, d.bounds.a, d.bounds.b)
-        expected = float(_apply(spec.u, d.xs) @ d.ps)
+        xs, cum = d.xs, d.cum
+        del d
+        utilities = _apply(spec.u, xs)
+        del xs
+        expected = float(utilities @ _steps(cum))
         return float(_apply(spec.u_inv, np.array([expected]))[0])
     if isinstance(spec, _RANK_DEPENDENT):
         linear = not isinstance(spec, RDEU)
         if not linear:
             _check_on_support(spec, d.bounds.a, d.bounds.b)
-        w = _apply(spec.w, np.concatenate(([0.0], d.cum)))
-        weights = w[1:] - w[:-1]
-        del w
-        return float(weights @ (d.xs if linear else _apply(spec.v, d.xs)))
+        xs, q = d.xs, _with_zero(d.cum)
+        del d
+        weights = _forward_diff(_apply(spec.w, q))
+        return float(weights @ (xs if linear else _apply(spec.v, xs.copy())))
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 
@@ -296,7 +387,8 @@ def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
 
 
 def _scaled_power(x, p: float, scale: float):
-    """scale * x**p, scaled in place: the derivatives of the power families."""
+    """scale * x**p, scaled in place: the derivatives of the power families,
+    which always allocate their result."""
     out = np.power(x, p)
     out *= scale
     return out
@@ -312,7 +404,7 @@ def srm_power(k: float) -> SRM:
         return _scaled_power(y, k - 1.0, k)
 
     def phi_integral(y):
-        return np.power(y, k)
+        return _power(y, k)
 
     return SRM(phi, phi_integral)
 
@@ -324,7 +416,7 @@ def drm_power(s: float) -> DRM:
         raise ValueError(f"power distortion needs s in (0, 1], got {s}")
 
     def g(y):
-        return np.power(y, s)
+        return _power(y, s)
 
     def g_prime(y):
         with np.errstate(divide="ignore"):
@@ -358,13 +450,13 @@ def rdeu_power(s: float, k: float) -> RDEU:
         raise ValueError(f"power RDEU needs s >= 1 and k >= 1, got s={s}, k={k}")
 
     def w(y):
-        return np.power(y, s)
+        return _power(y, s)
 
     def w_prime(y):
         return _scaled_power(y, s - 1.0, s)
 
     def v(x):
-        return np.power(x, k)
+        return _power(x, k)
 
     def v_prime(x):
         return _scaled_power(x, k - 1.0, k)

@@ -121,7 +121,8 @@ def quadrature_risk(arm, spec: RiskMeasure, bounds: SupportBounds) -> float:
     if isinstance(spec, CVaR):
         return refining_integral(lambda y: arm.quantile(y, bounds), 1.0 - spec.alpha, 1.0) / spec.alpha
     if isinstance(spec, SRM):
-        return refining_integral(lambda y: _apply(spec.phi, y) * arm.quantile(y, bounds), 0.0, 1.0)
+        # The quantile reads the nodes before phi, which may overwrite them.
+        return refining_integral(lambda y: arm.quantile(y, bounds) * _apply(spec.phi, y), 0.0, 1.0)
     if isinstance(spec, DRM):
         return a + refining_integral(lambda x: _apply(spec.g, 1.0 - arm.cdf(x, bounds)), a, b)
     if isinstance(spec, RDEU):

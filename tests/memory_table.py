@@ -15,7 +15,10 @@ the same samples, written to a file in draw order, and count from the end
 of the read, so each includes the sample array itself. Beside each
 command's peak stand its minor page faults and system CPU time
 (``resource.getrusage`` deltas) in a run without ``tracemalloc``, which
-cover the whole command, its read included.
+cover the whole command, its read included, and the rise of its peak
+resident set in a fresh process that has read the sample file once
+before: that rise, against the peak in units, shows what the heap keeps
+beyond the arrays alive at once.
 
 Caches filled on first use (support checks, global constants, the RDEU
 weight check) are filled on a small input first, so no row pays for them.
@@ -29,8 +32,10 @@ import argparse
 import contextlib
 import gc
 import io
+import json
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -161,24 +166,31 @@ def _write_samples(path: str, samples: np.ndarray) -> None:
         fh.write("\n".join(map(repr, samples.tolist())) + "\n")
 
 
+def _main(argv: list[str]) -> None:
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"ci {' '.join(argv)} failed")
+
+
 def _run_commands(samples: np.ndarray, measure) -> dict:
     """``measure(run)`` of each ci-large command by row name, where ``run()``
-    runs the command on ``samples``, written to a file in their order. Each
-    command runs once on 1000 of the samples first, to fill the caches."""
+    runs the command on ``samples``, written to a file in their order."""
+    return _each_command(samples, lambda argv, warm_argv: measure(lambda: _main(argv)))
+
+
+def _each_command(samples: np.ndarray, measure) -> dict:
+    """``measure(argv, warm_argv)`` of each ci-large command by row name:
+    its argv on ``samples``, written to a file in their order, and on 1000
+    of them. Every command runs once on the 1000 first, to fill the caches."""
     rows = {}
     with tempfile.TemporaryDirectory() as tmp:
         small, large, out = (os.path.join(tmp, name) for name in ("small.csv", "large.csv", "out.json"))
         _write_samples(small, samples[:1000])
         _write_samples(large, samples)
-        for _, argv in ci_commands(small, out):
-            cli.main(argv)
-        for name, argv in ci_commands(large, out):
-
-            def run(name=name, argv=argv):
-                if cli.main(argv) != 0:
-                    raise RuntimeError(f"{name} failed")
-
-            rows[name] = measure(run)
+        warm = ci_commands(small, out)
+        for _, warm_argv in warm:
+            _main(warm_argv)
+        for (name, argv), (_, warm_argv) in zip(ci_commands(large, out), warm):
+            rows[name] = measure(argv, warm_argv)
     return rows
 
 
@@ -223,6 +235,47 @@ def command_churn(samples: np.ndarray) -> dict[str, tuple[int, float]]:
     return _run_commands(samples, churn)
 
 
+# A fresh process: it runs the command on the small file to fill the
+# caches, reads the large file once, then prints how far running the
+# command raises the peak resident set of its address space, in KiB. That
+# peak (Linux's VmHWM) starts afresh at exec, where ru_maxrss would carry
+# over the parent's.
+_RSS_CHILD = """
+import json, sys
+from riskbounds import cli, read_samples_csv
+
+def peak_kib():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+argv, warm_argv = json.loads(sys.argv[1])
+if cli.main(warm_argv) != 0:
+    sys.exit(1)
+read_samples_csv(argv[argv.index("--input") + 1])
+before = peak_kib()
+if cli.main(argv) != 0:
+    sys.exit(1)
+print(peak_kib() - before)
+"""
+
+
+def rss_rise(argv: list[str], warm_argv: list[str]) -> float:
+    """MiB by which ``ci`` with ``argv`` raises the peak resident set of a
+    fresh process that ran ``warm_argv`` and read the input once before."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, json.dumps([argv, warm_argv])],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return int(done.stdout) / 1024.0
+
+
+def command_rss(samples: np.ndarray) -> dict[str, float]:
+    """``rss_rise`` of each ci-large command, in MiB."""
+    return _each_command(samples, rss_rise)
+
+
 @contextlib.contextmanager
 def traced():
     """``tracemalloc`` running, unless it already was."""
@@ -242,6 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     samples = beta_samples(args.m)
     churn = command_churn(samples)
+    rss = command_rss(samples)
     with traced():
         layers = layer_peaks(samples)
         calls = bound_rows_peaks(samples)
@@ -252,13 +306,18 @@ def main(argv=None) -> int:
     out.writelines(f"| `{name}` | {value:.2f} |\n" for name, value in layers.items())
     out.write("\n| one call, sample array included | peak |\n|---|---|\n")
     out.writelines(f"| `{name}` | {value:.2f} |\n" for name, value in calls.items())
-    out.write("\n| command | peak after the read | minor faults | system s |\n|---|---|---|---|\n")
+    out.write(
+        "\n| command | peak after the read | RSS rise, MiB | RSS rise, units | minor faults | system s |\n"
+        "|---|---|---|---|---|---|\n"
+    )
+    unit_mib = 8.0 * args.m / 2**20
     out.writelines(
-        f"| `{name}` | {value:.2f} | {churn[name][0]} | {churn[name][1]:.3f} |\n"
+        f"| `{name}` | {value:.2f} | {rss[name]:.1f} | {rss[name] / unit_mib:.2f} "
+        f"| {churn[name][0]} | {churn[name][1]:.3f} |\n"
         for name, value in commands.items()
     )
     faults, system_s = (sum(column) for column in zip(*churn.values()))
-    out.write(f"| all | | {faults} | {system_s:.3f} |\n")
+    out.write(f"| all | | | | {faults} | {system_s:.3f} |\n")
     sys.stdout.write(out.getvalue())
     return 0
 

@@ -6,8 +6,13 @@ every layer and every ci-large command to its peak of temporaries, measured
 with ``tracemalloc`` by ``tests/memory_table.py``. The reference tests hold
 each rewritten layer to the concatenating, masking body it replaced, bit
 for bit, on centers with ties, atoms on a or b, supports on both sides of 0,
-radii near saturation and masses that drop to zero.
+radii near saturation and masses that drop to zero. The contract tests hold
+the catalog's in-place weights and values to writing only arrays their
+callers own.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -27,8 +32,23 @@ from reference import (
     copying_pos_w1,
     copying_sup_llc,
 )
-from riskbounds import CVaR, DiscreteDistribution, Distance, RDEU, SupportBounds, evaluate, from_samples, llc
+from riskbounds import (
+    CVaR,
+    DiscreteDistribution,
+    Distance,
+    ERM,
+    RDEU,
+    SupportBounds,
+    evaluate,
+    from_samples,
+    glc,
+    llc,
+    quadrature_risk,
+)
+from riskbounds import measures
+from riskbounds.bandit import BetaArm
 from riskbounds.measures import (
+    _apply,
     ce_power,
     drm_power,
     logsumexp,
@@ -44,14 +64,14 @@ from riskbounds.operators import neg_sup, neg_w1, pos_sup, pos_w1
 BUDGETS = {
     "from_samples (read-only input)": 1.2,
     "from_samples": 2.2,
-    "pos_sup": 3.3,
-    "neg_sup": 3.3,
-    "pos_w1": 4.1,
-    "neg_w1": 4.1,
-    "evaluate": 3.2,
-    "sup llc": 5.3,
-    "ci": 7.5,
-    "bound_rows all": 7.5,
+    "pos_sup": 2.4,
+    "neg_sup": 2.4,
+    "pos_w1": 2.4,
+    "neg_w1": 2.4,
+    "evaluate": 2.2,
+    "sup llc": 3.2,
+    "ci": 5.25,
+    "bound_rows all": 5.25,
 }
 BUDGET_SAMPLES = 10**5
 
@@ -89,6 +109,14 @@ def test_ci_commands_keep_their_budget(peaks):
     _, _, commands = peaks
     assert len(commands) == 2 * len(memory_table.FAMILIES)
     assert {row: round(peak, 3) for row, peak in commands.items() if peak > _budget(row)} == {}
+
+
+def test_rss_rise_runs_the_command_in_a_fresh_process(tmp_path):
+    path, out = str(tmp_path / "samples.csv"), tmp_path / "out.json"
+    memory_table._write_samples(path, memory_table.beta_samples(2000))
+    (_, argv), *_ = memory_table.ci_commands(path, str(out))
+    assert memory_table.rss_rise(argv, argv) >= 0.0
+    assert len(json.loads(out.read_text())) == 3  # cvar's three methods
 
 
 def _same(x: float, y: float) -> bool:
@@ -161,9 +189,12 @@ def _assert_evaluators_match(d: DiscreteDistribution) -> None:
             else:
                 assert _same(got, copying_eval_rdeu(spec.w, v, d))
     with np.errstate(over="ignore"):
-        for beta in (-3.0, 1.0, 40.0, 1e-300):
+        # 1e-320 rounds beta * x onto few subnormals, so the maximum ties.
+        for beta in (-3.0, 1.0, 40.0, 1e-300, 1e-320):
             a = beta * d.xs
-            assert _same(logsumexp(a, d.ps), copying_logsumexp(a, d.ps))
+            want = copying_logsumexp(a, d.ps)
+            assert _same(logsumexp(a, d.ps), want)
+            assert _same(evaluate(ERM(beta), d), want / beta)
 
 
 @settings(max_examples=120, deadline=None)
@@ -178,6 +209,18 @@ def test_operators_and_evaluators_match_copying_bodies(d, u, i):
                 _assert_evaluators_match(got)
             else:
                 assert got is want
+
+
+def test_blocked_passes_match_copying_bodies():
+    # Enough atoms for every blocked pass to run several blocks.
+    rng = np.random.default_rng(3)
+    m = 3 * measures._BLOCK + 5
+    weights = rng.random(m)
+    d = DiscreteDistribution(np.sort(rng.random(m)), weights / weights.sum(), SupportBounds(0.0, 1.0))
+    assert d.n_atoms == m
+    _assert_evaluators_match(d)
+    for spec in LEVELS + SPECTRA + DISTORTIONS + RDEUS:
+        assert _same(llc(spec, Distance.SUPREMUM, d, 0.01), copying_sup_llc(spec, d, 0.01))
 
 
 def test_pos_sup_below_half_an_ulp_drops_the_atom_at_b():
@@ -251,3 +294,63 @@ def test_catalog_derivatives_scale_in_place_bitwise(scaled, reference):
     y[:3] = [0.0, 1.0, 0.5]
     with np.errstate(divide="ignore"):
         assert scaled(y).tobytes() == reference(y).tobytes()
+
+
+# The catalog callables that write a writable float64 array in place, with
+# their exponents.
+IN_PLACE = [
+    (srm_power(2.5).phi_integral, 2.5),
+    (drm_power(0.5).g, 0.5),
+    (rdeu_power(1.5, 2.0).w, 1.5),
+    (rdeu_power(1.5, 2.0).v, 2.0),
+]
+
+
+def _levels() -> np.ndarray:
+    y = np.random.default_rng(1).random(1000)
+    y[:3] = [0.0, 1.0, 0.5]
+    return y
+
+
+@pytest.mark.parametrize("fn, p", IN_PLACE)
+def test_catalog_weights_and_values_write_in_place_bitwise(fn, p):
+    y = _levels()
+    buf = y.copy()
+    got = fn(buf)
+    assert got is buf
+    assert got.tobytes() == np.power(y, p).tobytes()
+
+
+@pytest.mark.parametrize("fn, p", IN_PLACE)
+def test_catalog_weights_and_values_allocate_for_arrays_they_may_not_write(fn, p):
+    y = _levels()
+    want = np.power(y, p)
+    frozen = y.copy()
+    frozen.setflags(write=False)
+    assert np.asarray(fn(y.tolist())).tobytes() == want.tobytes()
+    assert fn(frozen).tobytes() == want.tobytes()
+    assert fn(0.3) == np.power(0.3, p)
+    assert frozen.tobytes() == y.tobytes()
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    # One call on the whole array, not _apply's per-element loop.
+    assert _apply(counted, frozen).tobytes() == want.tobytes()
+    assert len(calls) == 1
+
+
+def test_every_family_leaves_the_shared_grid_unchanged():
+    grid = measures._GRID.tobytes()
+    bounds = SupportBounds(0.0, 1.0)
+    d = from_samples(np.random.default_rng(2).beta(2.0, 5.0, 500), bounds)
+    for spec in (CVaR(0.1), ERM(1.0), srm_power(2.5), drm_power(0.5), ce_power(2.0), rdeu_power(1.5, 2.0)):
+        spec = dataclasses.replace(spec)  # a new spec runs its construction checks again
+        evaluate(spec, d)
+        llc(spec, Distance.SUPREMUM, d, 0.05)
+        for dist_kind in Distance:
+            glc.__wrapped__(spec, dist_kind, bounds)  # past the cache
+        quadrature_risk(BetaArm(2.0, 5.0), spec, bounds)
+    assert measures._GRID.tobytes() == grid
