@@ -36,9 +36,9 @@ from .measures import (
     _SPEC_CACHE_SIZE,
     RiskMeasure,
     _apply,
+    _centred_log_moment,
     _check_on_support,
     _forward_diff,
-    _log_moment,
     _with_zero,
     evaluate,
 )
@@ -188,7 +188,8 @@ def llc(
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
         beta = spec.beta
-        log_den = _log_moment(beta, lowered())  # log E[exp(beta X)]
+        centre, log_moment = _centred_log_moment(beta, lowered())
+        log_den = beta * centre + log_moment  # log E[exp(beta X)]
         if sup:
             # log(1 - e^-x) without cancellation at either end of x
             # (Maechler 2012, log1mexp): at x below ~1e-16 log1p(-e^-x)

@@ -26,6 +26,7 @@ under first-order stochastic dominance of losses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
@@ -292,64 +293,41 @@ def _check_on_support(spec: RiskMeasure, a: float, b: float) -> bool:
     return True
 
 
-def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
-    """log sum_i b_i exp(a_i) for real ``a`` and positive weights ``b`` of
-    the same shape, neither of which it writes.
-
-    scipy.special.logsumexp's algorithm step for step, so the result is
-    bitwise equal to it without importing scipy.special: every term equal to
-    the maximum is split off (so ties round as scipy's do), and the shifted
-    sum runs over the full-length array, so numpy's pairwise summation
-    groups the terms the same way.
+def _centred_log_moment(beta: float, d: DiscreteDistribution) -> tuple[float, float]:
+    """c and L with log E[exp(beta X)] = beta c + L. c is the atom x_low
+    where beta x is lowest, and L = log1p(sum_i p_i expm1(beta (x_i - c))):
+    a sum of terms >= 0, about beta (m - x_low) for the mean m, that cannot
+    cancel and rounds relative to beta. Where beta (x_top - x_low) passes
+    354 at the atom x_top where beta x peaks, c = x_top - 354 / beta keeps
+    exp finite (rounding c at most doubles 354), and L is the log of
+    sum_i p_i exp(beta (x_i - c)). Below |beta| = 2^-1000 the products are
+    subnormal, so c = m and L = 0: ERM is within |beta| (b - a)^2 / 8 of m
+    (Hoeffding). No ``@`` runs, so no BLAS thread count moves the result.
     """
-    return _logsumexp(np.array(a, dtype=np.float64), lambda lo, hi: b[lo:hi], lambda: (a, b))
-
-
-def _logsumexp(terms: np.ndarray, weights, inputs) -> float:
-    """``logsumexp`` of the exponents ``terms``, computed over them in
-    place, with ``weights(lo, hi)`` giving b[lo:hi] block by block and
-    ``inputs()`` both arguments whole, for scipy's fallback.
-
-    A lone maximum takes its weight alone, which is scipy's sum of that
-    weight and zeros; ties take scipy's masked sum.
-    """
-    n = terms.size
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        i = int(np.argmax(terms))
-        a_max = terms[i]  # np.max(terms) when the maximum is lone; ties and nan take the masked sum
-        if sum(np.count_nonzero(terms[lo:hi] == a_max) for lo, hi in _blocks(n)) == 1:
-            m = weights(i, i + 1)[0]
-            terms[i] = -np.inf
-        else:
-            top = terms == a_max
-            m = np.sum(np.where(top, weights(0, n), 0.0))  # b * top, without a cast buffer
-            terms[top] = -np.inf
-        terms -= a_max
-        np.exp(terms, out=terms)
-        for lo, hi in _blocks(n):
-            terms[lo:hi] *= weights(lo, hi)
-        s = np.sum(terms)
-        if s != 0:
-            s /= m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):  # scipy's fallback, e.g. every a_i = -inf
-            a, b = inputs()
-            out = np.log(np.sum(b * np.exp(a)))
-    return float(out)
-
-
-def _log_moment(beta: float, d: DiscreteDistribution) -> float:
-    """log sum_i p_i exp(beta x_i), bitwise ``logsumexp(beta * d.xs, d.ps)``,
-    with the masses taken from ``d.cum`` block by block."""
-    return _logsumexp(beta * d.xs, lambda lo, hi: _steps(d.cum, lo, hi), lambda: (beta * d.xs, d.ps))
+    xs, cum = d.xs, d.cum
+    buf = np.empty(xs.size)
+    if abs(beta) < 2.0**-1000:
+        for lo, hi in _blocks(xs.size):
+            np.multiply(xs[lo:hi], _steps(cum, lo, hi), out=buf[lo:hi])
+        return min(max(float(buf.sum()), float(xs[0])), float(xs[-1])), 0.0  # rounded past an end atom
+    x_low, x_top = (float(xs[0]), float(xs[-1])) if beta > 0.0 else (float(xs[-1]), float(xs[0]))
+    with np.errstate(over="ignore"):
+        shifted = beta * (x_top - x_low) > 354.0
+        c = x_top - 354.0 / beta if shifted else x_low
+        t = np.multiply(np.subtract(xs, c, out=buf), beta, out=buf)
+        (np.exp if shifted else np.expm1)(t, out=t)
+    for lo, hi in _blocks(xs.size):
+        t[lo:hi] *= _steps(cum, lo, hi)
+    return c, (math.log if shifted else math.log1p)(float(t.sum()))
 
 
 def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
-    """The risk of ``d``. ERM takes (1/beta) log sum_i p_i exp(beta x_i)
-    by a shifted log-sum-exp, and CE u^{-1}(sum_i p_i u(x_i)). CVaR, SRM,
-    DRM and RDEU take the Stieltjes sum sum_i v(x_i) (w(q_i) - w(q_{i-1}))
-    over the cumulative masses q_0 = 0, q_1, ..., q_m = 1, exact for a step
-    CDF, with v(x) = x for all but RDEU.
+    """The risk of ``d``. ERM takes (1/beta) log sum_i p_i exp(beta x_i) as
+    c + L / beta from the centred log-moment, and CE
+    u^{-1}(sum_i p_i u(x_i)). CVaR, SRM, DRM and RDEU take the Stieltjes sum
+    sum_i v(x_i) (w(q_i) - w(q_{i-1})) over the cumulative masses
+    q_0 = 0, q_1, ..., q_m = 1, exact for a step CDF, with v(x) = x for all
+    but RDEU.
 
     Each family works in one buffer of its own. CE and the rank-dependent
     families drop ``d`` once they hold what they read of it, so a ball
@@ -357,7 +335,8 @@ def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
     before the next m-element array is built.
     """
     if isinstance(spec, ERM):
-        return _log_moment(spec.beta, d) / spec.beta
+        centre, log_moment = _centred_log_moment(spec.beta, d)
+        return centre + log_moment / spec.beta
     if isinstance(spec, CE):
         _check_on_support(spec, d.bounds.a, d.bounds.b)
         xs, cum = d.xs, d.cum

@@ -25,11 +25,11 @@ oracles:
   the package computed them before it shared work between calls, rows and
   methods. The package must match them bit for bit.
 - ``copying_*``: ``from_samples``, ``_from_cdf``, the four ball operators,
-  the rank-dependent evaluator (CVaR, SRM and DRM with v(x) = x),
-  ``logsumexp``, and the CVaR, SRM, DRM and RDEU supremum-ball local
-  constants, as the package computed them before it built its results in
-  place: by concatenating, masking and copying. The package must match them
-  bit for bit.
+  the rank-dependent evaluator (CVaR, SRM and DRM with v(x) = x), the
+  centred ERM log-moment, and the CVaR, SRM, DRM and RDEU supremum-ball
+  local constants, as the package computes them but by concatenating,
+  masking and copying instead of building results in place. The package
+  must match them bit for bit.
 - ``validated_pos_w1`` and ``validated_neg_w1``: the W1 operators from the
   masses of the water-fill, as the package built them before it handed
   over CDF values, through the validating constructor. The package must
@@ -462,18 +462,19 @@ def _copying_segment_grid(d: DiscreteDistribution):
     return edges, cdf_on_segment
 
 
-def copying_logsumexp(a: np.ndarray, b: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a)
-        top = a == a_max
-        m = np.sum(b * top)
-        s = np.sum(b * np.exp(np.where(top, -np.inf, a) - a_max))
-        if s != 0:
-            s /= m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(b * np.exp(a)))
-    return float(out)
+def copying_centred_log_moment(beta: float, d: DiscreteDistribution) -> tuple[float, float]:
+    """The centre c and the log-moment L of ``measures._centred_log_moment``,
+    from whole-array masses and temporaries."""
+    if abs(beta) < 2.0**-1000:
+        return min(max(float(np.sum(d.xs * d.ps)), float(d.xs[0])), float(d.xs[-1])), 0.0
+    x_low, x_top = (float(d.xs[0]), float(d.xs[-1])) if beta > 0.0 else (float(d.xs[-1]), float(d.xs[0]))
+    shifted = beta * (x_top - x_low) > 354.0
+    c = x_top - 354.0 / beta if shifted else x_low
+    with np.errstate(over="ignore"):
+        t = (d.xs - c) * beta
+        terms = np.exp(t) if shifted else np.expm1(t)
+    total = float(np.sum(terms * d.ps))
+    return c, math.log(total) if shifted else math.log1p(total)
 
 
 def copying_eval_rdeu(w, v, d: DiscreteDistribution) -> float:

@@ -97,6 +97,38 @@ class TestCi:
             blobs[method] = json.loads(captured.out)
         assert blobs["glc"]["lcb"] <= blobs["llc"]["lcb"] and blobs["llc"]["ucb"] <= blobs["glc"]["ucb"]
 
+    @pytest.fixture(scope="class")
+    def beta_csv(self, tmp_path_factory):
+        samples = np.random.default_rng(0).beta(2.0, 5.0, 2 * 10**4)
+        path = tmp_path_factory.mktemp("erm") / "s.csv"
+        path.write_text("".join(f"{x!r}\n" for x in samples.tolist()))
+        return str(path), math.fsum(samples.tolist()) / samples.size
+
+    @pytest.mark.parametrize("beta", ["1e-200", "1e-320", "-1e-320"])
+    def test_erm_at_vanishing_beta_is_the_mean(self, beta_csv, beta, capsys):
+        # The log-sum-exp before the centred sum read about the largest
+        # sample at 1e-200 and 1e-320, and about the smallest at -1e-320.
+        path, mean = beta_csv
+        for distance in ("sup", "w1"):
+            code = main(["ci", "--input", path, "--bounds", "0,1", "--risk", f"erm:{beta}",
+                         "--distance", distance, "--method", "dist"])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert json.loads(captured.out)["point"] == pytest.approx(mean, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("beta", ["1e-320", "-1e-320", "1e308", "-1e308"])
+    @pytest.mark.parametrize("distance", ["sup", "w1"])
+    def test_erm_at_extreme_beta_exits_cleanly(self, beta_csv, beta, distance, capsys):
+        # Every method runs for beta > 0; the Lipschitz constants refuse
+        # beta < 0 with the unsupported-combination exit.
+        code = main(["ci", "--input", beta_csv[0], "--bounds", "0,1", "--risk", f"erm:{beta}",
+                     "--distance", distance, "--method", "all"])
+        captured = capsys.readouterr()
+        assert code == (3 if beta.startswith("-") else 0), captured.err
+        assert "Traceback" not in captured.err and "nan" not in captured.out
+        for blob in json.loads(captured.out) if code == 0 else []:
+            assert 0.0 <= blob["lcb"] <= blob["point"] <= blob["ucb"] <= 1.0
+
     def test_cvar_level_below_float_resolution_usage(self, samples_csv, capsys):
         code = main(["ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "cvar:1e-17", "--method", "all"])
         assert code == 2

@@ -26,7 +26,8 @@ from riskbounds import (
     parse_risk,
     quadrature_risk,
 )
-from riskbounds.measures import ce_power, drm_power, logsumexp, rdeu_power, srm_power
+from riskbounds.measures import ce_power, drm_power, rdeu_power, srm_power
+from riskbounds.operators import neg_sup
 from reference import dominates, shift
 from conftest import catalog_specs, cvar_distortion, cvar_spectrum, random_interior_dist
 
@@ -250,6 +251,38 @@ class TestERM:
         with pytest.raises(ValueError, match="nonzero"):
             ERM(0.0)
 
+    def test_single_atom_is_that_atom(self):
+        assert evaluate(ERM(-3.0), DiscreteDistribution([2.0], [1.0], B05)) == 2.0
+
+    def test_subnormal_beta_is_the_mean(self):
+        # The products beta x would be subnormal, and ERM is within 1e-323 of the mean.
+        got = evaluate(ERM(1e-323), DiscreteDistribution([1.0, 1.2], [0.3, 0.7], B05))
+        assert got == pytest.approx(1.14, rel=1e-15)
+
+    @pytest.mark.parametrize("beta, want", [(1e308, 4.0), (-1e308, 3.0)])
+    def test_beta_at_the_float_limit_reads_the_extreme_atom(self, beta, want):
+        assert evaluate(ERM(beta), DiscreteDistribution([3.0, 4.0], [0.5, 0.5], B05)) == want
+
+    @pytest.mark.parametrize("beta", [1e-320, -1e-320, 1.0, 1e308, -1e308])
+    def test_mean_rounded_beyond_the_top_atom(self, beta):
+        # Two atoms an ulp apart whose computed mean rounds above both: the
+        # value at vanishing beta, the mean, still lies within them.
+        xs = [3.7610523942724434, 3.761052394272444]
+        d = DiscreteDistribution(xs, [0.4454785989004482, 0.5545214010995518], B05)
+        assert float(np.sum(d.xs * d.ps)) > xs[1]
+        assert xs[0] <= evaluate(ERM(beta), d) <= xs[1]
+
+    def test_light_mass_at_the_extreme_atom(self):
+        # At beta < 0 the extreme atom is the lowest, whose mass can be as
+        # light as 1e-300 (at the top of the CDF, one below 2^-53 drops out).
+        # e^{beta x} still makes it dominate, and a sum of expm1 terms
+        # around a centre near it would cancel to -1.
+        d = DiscreteDistribution([0.0, 0.75], [1e-300, 1.0], B01)
+        with mpmath.workdps(50):
+            moment = mpmath.mpf(1e-300) + (1 - mpmath.mpf(1e-300)) * mpmath.exp(-3750)
+            exact = mpmath.log(moment) / -5000
+        assert evaluate(ERM(-5000.0), d) == pytest.approx(float(exact), rel=1e-15)
+
     @settings(max_examples=300, deadline=None)
     @given(
         atoms=st.lists(
@@ -261,17 +294,59 @@ class TestERM:
             st.sampled_from([1e-300, -1e-300, 1e-320, -1e-320, 1e-323, 1e308, -1e308]),
         ),
     )
-    @example(atoms=[(2.0, 1.0)], beta=-3.0)  # single atom
-    @example(atoms=[(1.0, 0.3), (1.2, 0.7)], beta=1e-323)  # beta * xs ties
-    @example(atoms=[(3.0, 0.5), (4.0, 0.5)], beta=-1e308)  # every term is -inf
-    def test_logsumexp_is_bitwise_scipy(self, atoms, beta):
-        from scipy.special import logsumexp as scipy_logsumexp
-
+    @example(atoms=[(0.0, 0.6), (1.0, 0.4)], beta=1e-323)  # the products beta x would be subnormal
+    @example(atoms=[(0.0, 0.5), (5.0, 0.5)], beta=1e308)  # beta (b - a) is beyond the float range
+    def test_value_lies_within_the_atoms(self, atoms, beta):
         weights = np.array([w for _, w in atoms])
         d = DiscreteDistribution([x for x, _ in atoms], weights / weights.sum(), B05)
-        with np.errstate(over="ignore"):
-            a = beta * d.xs
-        assert logsumexp(a, d.ps) == float(scipy_logsumexp(a, b=d.ps))
+        assert d.xs[0] <= evaluate(ERM(beta), d) <= d.xs[-1]
+
+
+class TestERMExact:
+    """ERM and its supremum-ball local constant against 50-digit sums over
+    the 2e4-sample beta(2,5) EDF's own CDF values. The log-sum-exp before
+    the centred sum lost 1e-15/beta: 8.7e-5 absolute at beta = 1e-12 and
+    1.6e-15 at beta = 1."""
+
+    @pytest.fixture(scope="class")
+    def edf(self):
+        return from_samples(np.sort(np.random.default_rng(0).beta(2.0, 5.0, 2 * 10**4)), B01)
+
+    @staticmethod
+    def _atoms(d: DiscreteDistribution):
+        """The atoms and their masses as exact differences of the CDF values."""
+        with mpmath.workdps(50):
+            cum = [mpmath.mpf(0)] + [mpmath.mpf(q) for q in d.cum.tolist()]
+            return [mpmath.mpf(x) for x in d.xs.tolist()], [cum[i + 1] - cum[i] for i in range(d.n_atoms)]
+
+    @pytest.fixture(scope="class")
+    def centred(self, edf):
+        xs, ps = self._atoms(edf)
+        with mpmath.workdps(50):
+            mean = mpmath.fsum(x * p for x, p in zip(xs, ps))
+            return mean, [(x - mean, p) for x, p in zip(xs, ps)]
+
+    @pytest.mark.parametrize("beta", [1e-12, -1e-12, 1e-9, 1e-6, 1e-3, 1.0, 30.0, 5000.0, -5000.0])
+    def test_point_matches_50_digit_sum(self, edf, centred, beta):
+        mean, terms = centred
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            exact = mean + mpmath.log(mpmath.fsum(p * mpmath.exp(b * dx) for dx, p in terms)) / b
+        assert abs(evaluate(ERM(beta), edf) - float(exact)) <= 2e-16
+
+    @pytest.fixture(scope="class")
+    def lowered(self, edf):
+        return self._atoms(neg_sup(edf, 0.01))
+
+    @pytest.mark.parametrize("beta", [1e-9, 1e-3, 1.0, 30.0])
+    def test_sup_local_constant_matches_50_digit_sum(self, edf, lowered, beta):
+        # (1 - e^-beta) / (beta E[exp(beta (X - 1))]) on the lowered extreme
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            moment = mpmath.fsum(p * mpmath.exp(b * (x - 1)) for x, p in zip(*lowered))
+            exact = -mpmath.expm1(-b) / (b * moment)
+        got = llc(ERM(beta), Distance.SUPREMUM, edf, 0.01)
+        assert abs(got - float(exact)) <= 1e-14 * float(exact)
 
 
 class TestCE:

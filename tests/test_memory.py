@@ -25,7 +25,7 @@ from reference import (
     copying_eval_rdeu,
     copying_from_cdf,
     copying_from_samples,
-    copying_logsumexp,
+    copying_centred_log_moment,
     copying_neg_sup,
     copying_neg_w1,
     copying_pos_sup,
@@ -49,9 +49,9 @@ from riskbounds import measures
 from riskbounds.bandit import BetaArm
 from riskbounds.measures import (
     _apply,
+    _centred_log_moment,
     ce_power,
     drm_power,
-    logsumexp,
     rdeu_power,
     srm_power,
 )
@@ -188,13 +188,12 @@ def _assert_evaluators_match(d: DiscreteDistribution) -> None:
                 assert spec in SQUARE_VALUES and d.bounds.a < 0.0
             else:
                 assert _same(got, copying_eval_rdeu(spec.w, v, d))
-    with np.errstate(over="ignore"):
-        # 1e-320 rounds beta * x onto few subnormals, so the maximum ties.
-        for beta in (-3.0, 1.0, 40.0, 1e-300, 1e-320):
-            a = beta * d.xs
-            want = copying_logsumexp(a, d.ps)
-            assert _same(logsumexp(a, d.ps), want)
-            assert _same(evaluate(ERM(beta), d), want / beta)
+    # 1e-320 takes the mean; +-5000 move the centre off the lowest atom of
+    # beta x wherever the atoms span more than 354 / 5000.
+    for beta in (-3.0, 1.0, 40.0, 1e-300, 1e-320, 5000.0, -5000.0):
+        centre, log_moment = copying_centred_log_moment(beta, d)
+        assert _centred_log_moment(beta, d) == (centre, log_moment)
+        assert evaluate(ERM(beta), d) == centre + log_moment / beta
 
 
 @settings(max_examples=120, deadline=None)
