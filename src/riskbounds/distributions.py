@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import codecs
 import io
-import json
 import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -126,8 +124,7 @@ class DiscreteDistribution:
     (read-only arrays) and safe to share across threads.
 
     - Validating entry points: the public constructor (which
-      ``instance_from_dict`` uses for discrete arms), ``from_json`` (the
-      reader of the JSON that ``to_json`` writes) and ``dirac``. They take
+      ``instance_from_dict`` uses for discrete arms) and ``dirac``. They take
       masses in any atom order, coalesce equal positions, clip masses
       within ``_NEG_MASS_TOL`` below zero, drop zero masses and renormalize
       a sum within ``MASS_SUM_TOL`` of one, and reject anything else with
@@ -274,21 +271,6 @@ class DiscreteDistribution:
         more = "" if self.n_atoms <= 6 else f", ... ({self.n_atoms} atoms)"
         return f"DiscreteDistribution({{{atoms}{more}}} on [{self.bounds.a:g}, {self.bounds.b:g}])"
 
-    def to_json(self) -> dict:
-        return {
-            "bounds": {"a": self.bounds.a, "b": self.bounds.b},
-            "atoms": [{"x": float(x), "p": float(p)} for x, p in zip(self.xs, self.ps)],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "DiscreteDistribution":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        bounds = SupportBounds(float(obj["bounds"]["a"]), float(obj["bounds"]["b"]))
-        xs = [atom["x"] for atom in obj["atoms"]]
-        ps = [atom["p"] for atom in obj["atoms"]]
-        return cls(xs, ps, bounds)
-
 
 class SampleError(ValueError):
     """The samples themselves cannot form an empirical distribution."""
@@ -359,30 +341,26 @@ def read_samples_csv(path: str, header: bool = False) -> np.ndarray:
     The file is read once, front to back, so pipes and FIFOs work: in the
     8 KiB chunks and through the decoder that iterating a text-mode file
     uses, split only at line feeds after ``\r\n`` and ``\r`` become ``\n``,
-    and parsed in blocks of ``_BLOCK_LINES`` lines. A block of plain
-    decimals, every line ``[0-9]+.[0-9]+``, takes an exact vectorized
+    and parsed in blocks of about ``_BLOCK_LINES`` whole lines. A block of
+    plain decimals, every line ``[0-9]+.[0-9]+``, takes an exact vectorized
     kernel (``_decimal_block``) whose values are bitwise those of
     ``float()``. Any other block (signs, exponents, whitespace, commas,
-    blank lines, longer numbers) is split into lines for numpy's reader and
-    the per-line loop; see ``_parse_lines``. numpy gets the text, never the
-    path: from a path it would also decompress ``.gz``/``.bz2``/``.xz``
-    files, open ``x.csv.gz`` in place of a missing ``x.csv`` and download
-    URLs.
+    blank lines, longer numbers) is split into lines for ``float()``; see
+    ``_parse_lines``.
     """
-    size = _BLOCK_LINES
     # One buffer grown in place (realloc) rather than a list of per-block
     # arrays to concatenate: those would scatter through the heap and keep
     # it from shrinking. Nothing else refers to the buffer, so resize need
     # not count references (a debugger holding frame locals would fail it).
-    values, count, first = np.empty(size), 0, 1
+    values, count, first = np.empty(_BLOCK_LINES), 0, 1
     with open(path, "rb") as fh:
-        for block in _text_blocks(fh, size):
+        for block, ends in _text_blocks(fh, _BLOCK_LINES):
             part = _parse_lines(path, block, first, header)
             if count + part.size > values.size:
-                values.resize(2 * values.size, refcheck=False)
+                values.resize(max(2 * values.size, count + part.size), refcheck=False)
             values[count : count + part.size] = part
             count += part.size
-            first += size
+            first += ends
     if not count:
         raise ValueError(f"{path}: no samples found")
     values.resize(count, refcheck=False)
@@ -390,8 +368,10 @@ def read_samples_csv(path: str, header: bool = False) -> np.ndarray:
 
 
 def _text_blocks(fh, size: int):
-    r"""The decoded text of binary file ``fh`` in blocks of ``size`` lines,
-    the last one possibly shorter.
+    r"""The decoded text of binary file ``fh`` in blocks of whole lines,
+    each with its number of line ends. A block ends at the last line end of
+    the chunk that brings it to ``size`` line ends or more; the last block
+    may hold fewer, and may lack its final line end.
 
     Iterating a text-mode file reads ``read1(8192)`` chunks through this
     decoder too, so a ``UnicodeDecodeError`` names the same position. A
@@ -399,7 +379,7 @@ def _text_blocks(fh, size: int):
     before it, as line iteration returns those lines first.
     """
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    pieces, need = [], size  # the open block's text, and the line ends it lacks
+    pieces, ends = [], 0  # the open block's text, and the line ends in it
     while True:
         try:
             chunk = fh.read1(_CHUNK_BYTES)
@@ -408,55 +388,47 @@ def _text_blocks(fh, size: int):
             head = "".join(pieces)
             head = head[: head.rfind("\n") + 1]
             if head:
-                yield head
+                yield head, ends
             raise
-        ends = text.count("\n")
-        while ends >= need:
-            cut = -1
-            for _ in range(need):
-                cut = text.find("\n", cut + 1)
-            pieces.append(text[: cut + 1])
-            yield "".join(pieces)
-            text, pieces, ends, need = text[cut + 1 :], [], ends - need, size
-        if text:
-            pieces.append(text)
-            need -= ends
+        ends += text.count("\n")
+        if ends >= size:
+            cut = text.rfind("\n") + 1
+            pieces.append(text[:cut])
+            yield "".join(pieces), ends
+            text, pieces, ends = text[cut:], [], 0
+        pieces.append(text)
         if not chunk:
             break
-    if pieces:
-        yield "".join(pieces)
+    tail = "".join(pieces)
+    if tail:
+        yield tail, ends
 
 
 def _parse_lines(path: str, text: str, first: int, header: bool) -> np.ndarray:
     """The values on the lines of ``text``, which are lines ``first``,
     ``first + 1``, ... of ``path``.
 
-    Three tiers, each taking only blocks whose values it gets bitwise equal
-    to ``float()``'s. The decimal kernel takes plain decimal blocks. numpy's
-    C reader takes lines it reads as one column of at least one row; it
-    converts each field as ``float()`` does. Any other block (extra columns,
-    trailing commas, ``1_0``, a bad line, no values) goes to the per-line
-    loop, which alone decides acceptance and messages, and costs a second
-    parse of the block only.
+    The decimal kernel takes plain decimal blocks. Any other block is read
+    with one ``float()`` per line, and if any line fails that (blank lines,
+    trailing commas, a bad line), once more by the per-line loop, which
+    alone decides acceptance and messages. A line that ``float()`` reads
+    is a number between whitespace that the loop strips, with no trailing
+    comma, so both passes give it the same value.
     """
-    skip = int(header and first == 1)
-    values = _decimal_block(text.partition("\n")[2] if skip else text)
+    if header and first == 1:
+        text, first = text.partition("\n")[2], 2
+    values = _decimal_block(text)
     if values is not None:
         return values
     # Cut after each "\n" only, as file iteration cuts (str.splitlines
     # would also cut at "\x0b", "\x85", ...).
     lines = io.StringIO(text, newline="\n").readlines()
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(lines, dtype=np.float64, comments=None, skiprows=skip, ndmin=2)
+        return np.fromiter(map(float, lines), np.float64, len(lines))
     except ValueError:
         pass
-    else:
-        if table.shape[0] and table.shape[1] == 1:
-            return table[:, 0]
     values = []
-    for lineno, line in enumerate(lines[skip:], start=first + skip):
+    for lineno, line in enumerate(lines, start=first):
         text = line.strip().rstrip(",")
         if not text:
             continue

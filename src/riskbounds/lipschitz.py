@@ -79,25 +79,15 @@ def _require_positive_beta(beta: float) -> None:
         )
 
 
-def _widths(d: DiscreteDistribution) -> np.ndarray:
-    """Widths of the segments [x~_j, x~_{j+1}) of the support partition
-    a = x~_0 <= x_1 < ... < x_m <= b = x~_{m+1}, on which the CDF takes the
-    values q_0 = 0, q_1, ..., q_m = 1. Only the first and the last width
-    can be zero: the atoms are strictly increasing."""
-    xs, m = d.xs, d.xs.size
-    widths = np.empty(m + 1)
-    widths[0], widths[m] = xs[0] - d.bounds.a, d.bounds.b - xs[-1]
-    np.subtract(xs[1:], xs[:-1], out=widths[1:m])
-    return widths
-
-
 def _cdf_integral(q: np.ndarray, fn, steps: np.ndarray) -> float:
     """int fn(F(x)) dh(x) over [a, b], exact for a step CDF F with values
-    q_0 = 0, q_1, ..., q_m on its segments [x~_j, x~_{j+1}): the sum of
+    q_0 = 0, q_1, ..., q_m on its segments [x~_j, x~_{j+1}) of the
+    partition a = x~_0 <= x_1 < ... < x_m <= b = x~_{m+1}: the sum of
     fn(q_j) times the step of h on each segment. ``steps`` holds those
-    steps (the widths for h(x) = x). It takes the CDF values, not the
-    distribution, so a caller can free the atoms first. ``fn`` may
-    overwrite ``q``, which the caller owns.
+    steps: for h(x) = x the widths, of which only the first and the last
+    can be zero. It takes the CDF values, not the distribution, so a
+    caller can free the atoms first. ``fn`` may overwrite ``q``, which the
+    caller owns.
 
     Empty steps are dropped before multiplying so an infinite integrand
     value (e.g. a power distortion's derivative at 0) on an empty segment
@@ -221,16 +211,14 @@ def llc(
             _check_on_support(spec, a, b)
             _require_convex_weight(spec)
         # int w'(F_low(x)) dv(x): the steps of v on the lowered extreme's
-        # segments are their widths for a linear v. The extreme's atoms go
-        # once the steps are built, and its CDF values once copied.
+        # segments a <= x_1 < ... < x_m <= b, which are their widths for a
+        # linear v. The extreme's atoms go once the steps are built, and its
+        # CDF values once copied.
         low = lowered()
-        if linear:
-            steps = _widths(low)
-        else:
-            edges = np.empty(low.n_atoms + 2)
-            edges[0], edges[1:-1], edges[-1] = a, low.xs, b
-            steps = _forward_diff(_apply(spec.v, edges))
-            del edges
+        edges = np.empty(low.n_atoms + 2)
+        edges[0], edges[1:-1], edges[-1] = a, low.xs, b
+        steps = _forward_diff(edges if linear else _apply(spec.v, edges))
+        del edges
         cum = low.cum
         del low
         q = _with_zero(cum)

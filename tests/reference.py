@@ -217,7 +217,8 @@ def compare_methods(
 
 def _arm_to_dict(arm: Arm) -> dict:
     if isinstance(arm, DiscreteArm):
-        return {"family": "discrete", "params": {"atoms": arm.dist.to_json()["atoms"]}}
+        atoms = [{"x": float(x), "p": float(p)} for x, p in zip(arm.dist.xs, arm.dist.ps)]
+        return {"family": "discrete", "params": {"atoms": atoms}}
     for family, cls in ARM_FAMILIES.items():
         if isinstance(arm, cls):
             return {"family": family, "params": asdict(arm)}

@@ -78,7 +78,6 @@ def test_all_lists_and_package_reexports_agree():
 # Public names that no code in src/ or perfbench/ reads but that stay in the
 # package, each with its reason.
 _KEPT_UNREAD = {
-    "distributions.DiscreteDistribution.from_json": "the README documents it as the reader of the distribution JSON format",
     "bounds.bound_with_radius": "the library's bound at a given radius; perfbench/tracer.py wraps it by name as a layer",
 }
 
@@ -98,8 +97,7 @@ def _program_reads() -> tuple[set[str], set[str]]:
     one passes them all. ``ConfidenceResult.width`` stayed unread behind
     ``SupportBounds.width`` that way until it was deleted. The names still
     shared across unrelated classes are ``validate`` (arms and
-    ``RegretTrace``), ``sample``, ``quantile`` and ``cdf`` (arms and
-    ``DiscreteDistribution``) and ``to_json`` (``ConfidenceResult`` and
+    ``RegretTrace``), and ``sample``, ``quantile`` and ``cdf`` (arms and
     ``DiscreteDistribution``).
     """
     paths = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
