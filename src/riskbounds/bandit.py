@@ -261,15 +261,6 @@ class RegretTrace:
     cum_regret: np.ndarray
     pulls: np.ndarray
 
-    def validate(self) -> None:
-        n = self.chosen.size
-        if int(self.pulls.sum()) != n:
-            raise ValueError("pull counts do not sum to the horizon")
-        if np.any(np.bincount(self.chosen, minlength=self.pulls.size) != self.pulls):
-            raise ValueError("pull counts disagree with the chosen-arm sequence")
-        if np.any(np.diff(self.cum_regret) < -1e-12):
-            raise ValueError("cumulative regret must be nondecreasing")
-
     @property
     def final_regret(self) -> float:
         return float(self.cum_regret[-1])
@@ -382,14 +373,12 @@ def run_lcb(instance: BanditInstance, variant: BoundMethod | str = BoundMethod.D
         chosen[t] = i
         losses[t] = loss
 
-    trace = RegretTrace(
+    return RegretTrace(
         chosen=chosen,
         losses=losses,
         cum_regret=np.cumsum(risks[chosen] - risks.min()),
         pulls=np.bincount(chosen, minlength=K),
     )
-    trace.validate()
-    return trace
 
 
 def solve_cstar(arm: Arm, gap: float, alpha: float, bounds: SupportBounds) -> float:

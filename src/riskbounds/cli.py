@@ -51,9 +51,10 @@ def _fmt(x: float) -> str:
 def _parse_bounds(text: str) -> SupportBounds:
     try:
         a_str, b_str = text.split(",")
-        return SupportBounds(float(a_str), float(b_str))
-    except (ValueError, TypeError) as exc:
+        a, b = float(a_str), float(b_str)
+    except ValueError as exc:
         raise ValueError(f"--bounds expects 'a,b' with a < b, got {text!r}") from exc
+    return SupportBounds(a, b)
 
 
 def _methods(choice: str) -> list[BoundMethod]:

@@ -91,15 +91,20 @@ def resolve_radius_rule(rule: RadiusRule | None, dist_kind: Distance) -> RadiusR
     return rule
 
 
-def confidence_radius(
-    rule: RadiusRule, n: int, delta: float, bounds: SupportBounds | None = None
-) -> float:
+def confidence_radius(rule: RadiusRule, n: int, delta: float, bounds: SupportBounds) -> float:
+    """The ``rule`` radius for n samples at failure budget ``delta`` on
+    ``bounds``; ValueError when it overflows (a delta below about 1e-308,
+    where 2/delta does, or a support too wide for the scaled DKW radius)."""
     if not isinstance(rule, RadiusRule):
         raise ValueError(f"unknown radius rule {rule!r}")
     if rule is RadiusRule.DKW:
-        return dkw_radius(n, delta)
-    if bounds is None:
-        raise ValueError(f"radius rule {rule.value!r} needs support bounds")
-    if rule is RadiusRule.W1_DIRECT:
-        return w1_radius(n, delta, bounds)
-    return scaled_dkw_radius(n, delta, bounds)
+        c = dkw_radius(n, delta)
+    elif rule is RadiusRule.W1_DIRECT:
+        c = w1_radius(n, delta, bounds)
+    else:
+        c = scaled_dkw_radius(n, delta, bounds)
+    if not math.isfinite(c):
+        raise ValueError(
+            f"the {rule.value} radius for n={n} and delta={delta} on [{bounds.a}, {bounds.b}] is not finite"
+        )
+    return c

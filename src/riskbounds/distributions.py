@@ -70,6 +70,8 @@ class SupportBounds:
             raise ValueError(f"support bounds must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"support bounds need a < b, got [{self.a}, {self.b}]")
+        if not np.isfinite(float(self.b) - float(self.a)):  # Python floats: no overflow warning
+            raise ValueError(f"support bounds need a finite width b - a, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

@@ -1,11 +1,12 @@
 """Ground-truth risk values by quadrature, independent of the bound paths.
 
-``quadrature_risk`` gives the risk of a parametric (continuous) arm
-distribution by adaptive Simpson refinement (``refining_integral``) of the
-defining integral to 1e-9: over the loss quantile on (0, 1) for CVaR, SRM,
-ERM and CE, over the loss CDF on [a, b] for DRM and RDEU. Atomic arms
-short-circuit to exact evaluation. The bandit's true risks and the true
-risk of ``sweep`` and ``coverage`` come from here.
+``quadrature_risk`` gives the risk of a continuous arm distribution by
+adaptive Simpson refinement (``refining_integral``) of the defining
+integral to 1e-9: over the loss quantile on (0, 1) for CVaR, SRM, ERM and
+CE, over the loss CDF on [a, b] for DRM and RDEU. ``bandit.true_risk`` is
+the entry point for an arm's true risk: it evaluates atomic arms exactly
+and sends continuous ones here, for the bandit and for ``sweep`` and
+``coverage``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import SupportBounds
-from .measures import CE, CVaR, DRM, ERM, RDEU, SRM, RiskMeasure, _apply, evaluate
+from .measures import CE, CVaR, DRM, ERM, RDEU, SRM, RiskMeasure, _apply
 
 __all__ = [
     "QuadratureError",
@@ -110,13 +111,9 @@ def refining_integral(fn, lo: float, hi: float) -> float:
 
 
 def quadrature_risk(arm, spec: RiskMeasure, bounds: SupportBounds) -> float:
-    """Risk of a parametric arm distribution, independent of the discrete
-    evaluators. Atomic arms (point masses, explicit atom lists) are exact; a
-    continuous arm needs only ``quantile`` and ``cdf``, arrays to arrays."""
-    exact = arm.as_discrete(bounds)
-    if exact is not None:
-        return evaluate(spec, exact)
-
+    """Risk of a continuous arm distribution, independent of the discrete
+    evaluators. The arm needs only ``quantile`` and ``cdf``, arrays to
+    arrays; ``bandit.true_risk`` evaluates atomic arms exactly instead."""
     a, b = bounds.a, bounds.b
     if isinstance(spec, CVaR):
         return refining_integral(lambda y: arm.quantile(y, bounds), 1.0 - spec.alpha, 1.0) / spec.alpha

@@ -178,6 +178,34 @@ class TestCi:
         code = main(["ci", "--input", str(path), "--bounds", "0,5", "--risk", "cvar:0.5"])
         assert code == 4
 
+    def test_first_bad_sample_in_file_order_is_named(self, tmp_path, capsys):
+        # The check runs before the sort, which would put -2 first.
+        path = tmp_path / "bad.csv"
+        path.write_text("1\n9\n-2\n")
+        code = main(["ci", "--input", str(path), "--bounds", "0,5", "--risk", "cvar:0.5"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("data error: sample 9.0 outside declared support [0.0, 5.0]")
+
+    @pytest.mark.parametrize("method", ["dist", "llc", "glc", "all"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--bounds", "0,5", "--delta", "1e-320"], "the dkw radius for n=4 and delta=1e-320 on [0.0, 5.0] is not finite"),
+            (["--bounds=-1e308,1e308", "--distance", "w1"],
+             "support bounds need a finite width b - a, got [-1e+308, 1e+308]"),
+            (["--bounds", "0,1e308", "--distance", "w1", "--delta", "1e-300"],
+             "the scaled-dkw radius for n=4 and delta=1e-300 on [0.0, 1e+308] is not finite"),
+        ],
+        ids=["delta", "bounds", "width-times-radius"],
+    )
+    def test_overflowing_radius_is_usage_error(self, args, message, method, tmp_path, capsys):
+        # Once written as "radius": Infinity, which is not JSON.
+        path = tmp_path / "wide.csv"
+        path.write_text("1\n2\n3\n4\n")
+        code = main(["ci", "--input", str(path), "--risk", "cvar:0.5", "--method", method] + args)
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     def test_bad_risk_string_is_usage_error(self, samples_csv):
         code = main(["ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "quantiles:0.5"])
         assert code == 2
@@ -370,6 +398,14 @@ class TestBandit:
         inst = tmp_path / "erm.json"
         inst.write_text(json.dumps(payload))
         assert main(["bandit", "--instance", str(inst), "--variant", "llc", "--out", str(tmp_path / "erm")]) == 0
+
+    def test_overflowing_width_is_data_error(self, two_arm_instance, tmp_path, capsys):
+        payload = {**json.loads(Path(two_arm_instance).read_text()), "bounds": {"a": -1e308, "b": 1e308}}
+        inst = tmp_path / "wide.json"
+        inst.write_text(json.dumps(payload))
+        assert main(["bandit", "--instance", str(inst), "--out", str(tmp_path / "x")]) == 4
+        err = capsys.readouterr().err
+        assert err == f"data error: bad instance file {inst}: support bounds need a finite width b - a, got [-1e+308, 1e+308]\n"
 
     def test_bad_instance_is_data_error(self, two_arm_instance, tmp_path, capsys):
         good = json.loads(Path(two_arm_instance).read_text())

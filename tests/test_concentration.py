@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,9 +116,15 @@ class TestMonotonicityAndDispatch:
             assert all(a >= b for a, b in zip(vals_d, vals_d[1:]))
             assert min(vals_n + vals_d) >= 0.0
 
-    def test_radius_spec(self):
-        with pytest.raises(ValueError, match="bounds"):
-            confidence_radius(RadiusRule.SCALED_DKW, 50, 0.05)
+    @pytest.mark.parametrize("rule, delta, bounds", [
+        (RadiusRule.DKW, 1e-320, B01),  # 2/delta overflows
+        (RadiusRule.SCALED_DKW, 1e-320, B01),
+        (RadiusRule.SCALED_DKW, 1e-300, SupportBounds(0.0, 1e308)),  # the width times the DKW radius does
+    ])
+    def test_overflowing_radius_rejected(self, rule, delta, bounds):
+        message = f"the {rule.value} radius for n=5 and delta={delta} on [0.0, {bounds.b}] is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            confidence_radius(rule, 5, delta, bounds)
 
     @pytest.mark.parametrize("bounds", [B01, None])
     def test_a_non_rule_is_unknown_with_or_without_bounds(self, bounds):

@@ -89,6 +89,12 @@ class TestConstruction:
             SupportBounds(1.0, 1.0)
         with pytest.raises(ValueError):
             SupportBounds(np.inf, 2.0)
+        # Finite ends whose width b - a overflows.
+        with pytest.raises(ValueError, match="finite width"):
+            SupportBounds(-1e308, 1e308)
+        with pytest.raises(ValueError, match="finite width"):
+            SupportBounds(np.float64(-1e308), np.float64(1e308))
+        assert SupportBounds(0.0, 1e308).width == 1e308
 
     def test_mass_too_small_to_move_the_cdf_is_dropped(self):
         # 0.5 + 1e-20 rounds to 0.5: the middle atom takes no step of the

@@ -95,10 +95,13 @@ def _program_reads() -> tuple[set[str], set[str]]:
 
     The blind spot is a method name that another class shares: a read of
     one passes them all. ``ConfidenceResult.width`` stayed unread behind
-    ``SupportBounds.width`` that way until it was deleted. The names still
-    shared across unrelated classes are ``validate`` (arms and
-    ``RegretTrace``), and ``sample``, ``quantile`` and ``cdf`` (arms and
-    ``DiscreteDistribution``).
+    ``SupportBounds.width`` that way until it was deleted, and
+    ``RegretTrace.validate`` behind the arms' ``validate`` until it was.
+    The names still shared across unrelated classes are ``sample``,
+    ``quantile`` and ``cdf`` (arms and ``DiscreteDistribution``), and
+    ``DiscreteDistribution.cdf`` passes here only on the arms' reads.
+    ``test_every_function_is_called_by_the_cli_corpus`` closes the gap: it
+    follows calls, not names.
     """
     paths = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
     paths += sorted((ROOT / "perfbench").glob("*.py"))
@@ -137,6 +140,53 @@ def test_every_public_name_has_a_reader_in_the_program():
     assert public
     assert [q for q, read in public.items() if not read and q not in _KEPT_UNREAD] == []
     assert [q for q in _KEPT_UNREAD if q not in public] == []  # no stale entries
+
+
+# Functions in src/riskbounds that the CLI corpus (tests/cli_corpus.py)
+# never calls but that stay, each with its reason.
+_KEPT_UNCALLED = {
+    "bounds.bound_with_radius": "the library's bound at a given radius; perfbench/tracer.py wraps it by name as a layer",
+    "distributions.DiscreteDistribution.cdf": "acceptance criterion 2 reads the ball extremes' CDFs through it",
+    "distributions.DiscreteDistribution.__eq__": "the value type's protocol: equal atoms, CDF values and bounds",
+    "distributions.DiscreteDistribution.__repr__": "the value type's protocol: a readable summary",
+    "distributions.DiscreteDistribution.__setattr__": "the immutability guard; it runs only on an attempted write",
+}
+
+
+def _defined_functions() -> set[str]:
+    """Every function defined in src/riskbounds, as ``module.qualname``
+    (``Class.method``, ``outer.<locals>.inner``); lambdas are not counted."""
+    found = set()
+
+    def visit(node: ast.AST, module: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add(f"{module}.{prefix}{child.name}")
+                visit(child, module, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            else:
+                visit(child, module, prefix)
+
+    for path in sorted((ROOT / "src" / "riskbounds").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem, "")
+    return found
+
+
+def test_every_function_is_called_by_the_cli_corpus():
+    # The name checks above pass a dead method whenever another class has a
+    # live one of the same name; this one follows the calls that the CLI
+    # makes. The corpus runs in a fresh interpreter, so no cache warmed by
+    # another test (true_risk's lru_cache) hides a call.
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "cli_corpus.py")], cwd=ROOT, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    called = set(run.stdout.split())
+    defined = _defined_functions()
+    assert defined
+    assert sorted(defined - called - _KEPT_UNCALLED.keys()) == []
+    assert [q for q in _KEPT_UNCALLED if q not in defined or q in called] == []  # no stale entries
 
 
 def _load_tracer():

@@ -1,18 +1,22 @@
-"""List the function-body statements of ``src/riskbounds`` that a pytest run
-never executes.
+"""List the function-body statements of ``src/riskbounds`` that a pytest run,
+or the CLI corpus, never executes.
 
 Usage, from the repository root::
 
     python tests/trace_statements.py [pytest arguments]
+    python tests/trace_statements.py --cli
 
-With no arguments it runs the tier-1 suite (``tests/``). The run is traced
-with ``sys.settrace``, restricted to frames of ``src/riskbounds``, so it
-takes about twice tier-1's wall time. Afterwards every statement inside a
-function body whose lines never ran is printed as ``path:line: source``,
-followed by the count of such statements against the total. Module and
-class bodies are not counted (they run at import, before the hook), nor are
-docstrings and ``global``/``nonlocal`` declarations, which run no code. Code
-run in a subprocess (the CLI tests that spawn one) is not seen.
+With no arguments it runs the tier-1 suite (``tests/``); with ``--cli`` it
+runs the command lines of ``tests/cli_corpus.py`` instead, in this process,
+which shows what the program itself reaches (a few seconds). The run is
+traced with ``sys.settrace``, restricted to frames of ``src/riskbounds``,
+so tier-1 takes about twice its usual wall time. Afterwards every statement
+inside a function body whose lines never ran is printed as
+``path:line: source``, followed by the count of such statements against
+the total. Module and class bodies are not counted (they run at import,
+before the hook), nor are docstrings and ``global``/``nonlocal``
+declarations, which run no code. Code run in a subprocess (the CLI tests
+that spawn one) is not seen.
 
 The file name does not start with ``test_``, so pytest does not collect it.
 """
@@ -20,10 +24,13 @@ The file name does not start with ``test_``, so pytest does not collect it.
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "riskbounds"
@@ -72,11 +79,9 @@ def function_statements(path: Path) -> list[ast.stmt]:
     return sorted(out, key=lambda stmt: stmt.lineno)
 
 
-def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest with the line tracer on; return its exit code and the
+def traced_run(run: Callable[[], int]) -> tuple[int, dict[str, set[int]]]:
+    """Call ``run`` with the line tracer on; return its exit code and the
     executed lines per module file."""
-    import pytest
-
     prefix = str(PACKAGE) + os.sep
     hits: dict[str, set[int]] = {}
     ours: dict[str, set[int] | None] = {}  # co_filename -> its hit set, or None
@@ -96,17 +101,35 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     threading.settrace(global_trace)
     sys.settrace(global_trace)
     try:
-        code = pytest.main(pytest_args)
+        code = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(code), hits
+    return code, hits
+
+
+def _run_pytest(args: list[str]) -> int:
+    import pytest
+
+    return int(pytest.main(args))
+
+
+def _run_corpus() -> int:
+    import cli_corpus  # tests/ is on sys.path as the script's directory
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_corpus.run(Path(tmp))
+    return 0
 
 
 def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
-    code, hits = traced_run(argv or ["-q", "-p", "no:cacheprovider", "tests"])
+    if argv == ["--cli"]:
+        label, run = "CLI corpus", _run_corpus
+    else:
+        label, run = "pytest", functools.partial(_run_pytest, argv or ["-q", "-p", "no:cacheprovider", "tests"])
+    code, hits = traced_run(run)
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         ran = hits.get(os.path.realpath(path), set())
@@ -117,7 +140,7 @@ def main(argv: list[str]) -> int:
             if not ran.intersection(lines):
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{stmt.lineno}: {source[stmt.lineno - 1].strip()}")
-    print(f"{missed} of {total} function-body statements never ran (pytest exit code {code})")
+    print(f"{missed} of {total} function-body statements never ran ({label} exit code {code})")
     return code
 
 
