@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .concentration import RadiusRule, confidence_radius, resolve_radius_rule
-from .distributions import DiscreteDistribution, Distance, SupportBounds, _check_samples, from_samples
+from .distributions import DiscreteDistribution, Distance, SupportBounds, from_samples
 from .lipschitz import UnsupportedCombinationError, glc, llc
 from .measures import _SPEC_CACHE_SIZE, RDEU, RiskMeasure, evaluate
 from .operators import _require_radius, neg_sup, neg_w1, pos_sup, pos_w1
@@ -211,17 +211,17 @@ def bound_rows(
 
     Every row gets the radius of n samples. The results equal, bit for bit,
     building each row's empirical distribution with ``from_samples`` and
-    bounding it with ``bound_with_radius`` method by method; the block is
-    validated once, and rows that are tie-free and strictly inside (a, b)
-    share one set of EDF and supremum-ball extreme CDF values. Rows with ties
-    or with a sample on a or b are bounded on their own, from their samples
-    as given. The caller's array is not modified.
+    bounding it with ``bound_with_radius`` method by method. Rows that are
+    tie-free and strictly inside (a, b), a < s_1 < ... < s_n < b, share one
+    set of EDF and supremum-ball extreme CDF values; nan, inf and samples
+    outside [a, b] fail that test too. Every other row is bounded on its
+    own, from its samples as given, and ``from_samples`` checks it. The
+    caller's array is not modified.
     """
     rule = resolve_radius_rule(radius_rule, dist_kind)
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"sample rows must form a 2-D array, got {arr.ndim} dimension(s)")
-    _check_samples(arr, bounds)
     rows, n = arr.shape
     c = confidence_radius(rule, n, delta, bounds)
 

@@ -23,7 +23,6 @@ __all__ = [
     "SupportBounds",
     "Distance",
     "DiscreteDistribution",
-    "SampleError",
     "from_samples",
     "read_samples_csv",
 ]
@@ -134,12 +133,12 @@ class DiscreteDistribution:
       and ending at 1.0; an atom whose mass is too small to move it (1e-20
       beside 0.5) is dropped.
     - Trusted, for what the package builds itself: ``_trusted`` checks
-      nothing, and its callers (``from_samples``, after its sample checks,
-      and the CDF values that ``bounds`` shares across rows) pass float64
-      arrays they own. The one exception is ``from_samples``, whose atoms
-      may be the caller's frozen samples: freezing them again changes
+      nothing, and its callers (``from_samples``, whose atoms it has
+      checked, and the CDF values that ``bounds`` shares across rows) pass
+      float64 arrays they own. The one exception is ``from_samples``, whose
+      atoms may be the caller's frozen samples: freezing them again changes
       nothing, and no instance writes them. ``_from_cdf``, for the four ball
-      operators, also drops zero-mass atoms and checks the CDF values.
+      operators, also drops zero-mass atoms; it checks nothing either.
     """
 
     __slots__ = ("xs", "cum", "bounds")
@@ -202,24 +201,17 @@ class DiscreteDistribution:
         closed-form CDF transforms exactly at their atoms.
 
         Atoms whose value does not rise above the one before have zero mass
-        and are dropped, by slicing when they sit at the ends. The values
-        must be nondecreasing and the last kept one exactly 1. Every caller
-        ends its values at 1.0: ``pos_sup`` and ``pos_w1`` at b, ``neg_w1``
-        at its level, and ``neg_sup``'s min(cum + c, 1) at min(1 + c, 1).
-        The atoms after the last kept one share its value, so it is 1.0.
-        At a radius so small that max(1 - c, 0) rounds to 1.0 below b,
-        ``pos_sup`` drops the atom at b and ends at the atom before it.
+        and are dropped, by slicing when they sit at the ends. Nothing is
+        checked: every caller builds nondecreasing values that end at 1.0.
+        ``pos_sup`` and ``pos_w1`` end at b, ``neg_w1`` at its level, and
+        ``neg_sup``'s min(cum + c, 1) at min(1 + c, 1). The atoms after the
+        last kept one share its value, so it is 1.0. At a radius so small
+        that max(1 - c, 0) rounds to 1.0 below b, ``pos_sup`` drops the
+        atom at b and ends at the atom before it.
         """
         cum = np.asarray(cdf_vals, dtype=np.float64)
-        if cum[0] < 0.0 or (cum[1:] < cum[:-1]).any():
-            raise ValueError("CDF values must be nondecreasing")
         keep = _true_run(_rises(cum))
-        xs, cum = np.asarray(xs, dtype=np.float64)[keep], cum[keep]
-        if not cum.size:
-            raise ValueError("distribution has no positive-mass atoms")
-        if cum[-1] != 1.0:
-            raise ValueError(f"terminal CDF value {cum[-1]} != 1")
-        return cls._trusted(xs, cum, bounds)
+        return cls._trusted(np.asarray(xs, dtype=np.float64)[keep], cum[keep], bounds)
 
     @classmethod
     def dirac(cls, x: float, bounds: SupportBounds) -> "DiscreteDistribution":
@@ -274,10 +266,6 @@ class DiscreteDistribution:
         return f"DiscreteDistribution({{{atoms}{more}}} on [{self.bounds.a:g}, {self.bounds.b:g}])"
 
 
-class SampleError(ValueError):
-    """The samples themselves cannot form an empirical distribution."""
-
-
 def _check_samples(arr: np.ndarray, bounds: SupportBounds) -> None:
     """Reject samples that cannot form an empirical distribution on ``bounds``.
 
@@ -286,14 +274,14 @@ def _check_samples(arr: np.ndarray, bounds: SupportBounds) -> None:
     checks run only to name what failed.
     """
     if arr.size == 0:
-        raise SampleError("cannot build an empirical distribution from zero samples")
+        raise ValueError("cannot build an empirical distribution from zero samples")
     if bounds.a <= arr.min() and arr.max() <= bounds.b:
         return
     if np.any(~np.isfinite(arr)):
-        raise SampleError("samples must be finite")
+        raise ValueError("samples must be finite")
     if np.any(arr < bounds.a) or np.any(arr > bounds.b):
         bad = arr[(arr < bounds.a) | (arr > bounds.b)][0]
-        raise SampleError(
+        raise ValueError(
             f"sample {bad} outside declared support [{bounds.a}, {bounds.b}]; "
             "radii and ball operators assume bounded support"
         )
@@ -317,16 +305,20 @@ def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDis
     Such samples become the atoms themselves, without a copy, when they are
     a float64 array that is frozen: it and every array it views are
     read-only (``cli.cmd_ci`` freezes its sorted samples). The caller must
-    not make them writeable again. Any other input is copied.
+    not make them writeable again. Any other input is copied. The samples
+    are checked through the atoms, with no pass of their own: the sorted
+    values are finite and in [a, b] when the first is >= a and the last is
+    <= b (nan sorts last). Only samples that fail reach ``_check_samples``.
     """
     arr = np.asarray(samples, dtype=np.float64)
-    _check_samples(arr, bounds)
     if arr.ndim == 1 and np.all(arr[1:] > arr[:-1]):
         xs = arr if _frozen(arr) else arr.copy()
         cum = np.arange(1, arr.size + 1, dtype=np.float64)
     else:
         xs, counts = np.unique(arr, return_counts=True)
         cum = np.cumsum(counts, dtype=np.float64)
+    if not (xs.size and bounds.a <= xs[0] and xs[-1] <= bounds.b):
+        _check_samples(arr, bounds)  # raises
     cum /= arr.size
     return DiscreteDistribution._trusted(xs, cum, bounds)
 

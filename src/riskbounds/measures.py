@@ -277,7 +277,10 @@ def _check_on_support(spec: RiskMeasure, a: float, b: float) -> bool:
     """Support-dependent validity checks, run once per (spec, bounds)."""
     grid = np.linspace(a, b, 1001)
     if isinstance(spec, CE):
-        u_vals = _apply(spec.u, grid)
+        with np.errstate(over="ignore"):
+            u_vals = _apply(spec.u, grid)
+        if not np.all(np.isfinite(u_vals)):
+            raise ValueError(f"CE utility must be finite on [{a}, {b}]")
         if np.any(np.diff(u_vals) <= 0.0):
             raise ValueError(f"CE utility must be strictly increasing on [{a}, {b}]")
         du = _apply(spec.u_prime, grid)
@@ -287,7 +290,10 @@ def _check_on_support(spec: RiskMeasure, a: float, b: float) -> bool:
         if np.any(np.abs(roundtrip - grid) > 1e-8):
             raise ValueError("CE inverse does not invert the utility to 1e-8")
     elif isinstance(spec, RDEU):
-        v_vals = _apply(spec.v, grid)
+        with np.errstate(over="ignore"):
+            v_vals = _apply(spec.v, grid)
+        if not np.all(np.isfinite(v_vals)):
+            raise ValueError(f"RDEU value function must be finite on [{a}, {b}]")
         if np.any(np.diff(v_vals) < -1e-12):
             raise ValueError(f"RDEU value function must be increasing on [{a}, {b}]")
     return True

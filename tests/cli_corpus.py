@@ -1,12 +1,12 @@
 """A compact corpus of ``riskbounds`` command lines, with the files they read.
 
 Between them the commands run every subcommand; every risk family under
-both distances with every method; ``--radius fact22``; sample files with a
-header line and in ``%.18e,`` format; every arm family, including a CVaR
-bandit instance whose suboptimal arms are a Dirac and a discrete arm, so
-that the regret budget reads their quantiles; and the argument and
-input-file faults that the CLI checks. Each command carries the exit code
-it must end with, and ``run`` checks it.
+both distances with every method; ``--radius fact22``; a zero radius;
+sample files with a header line and in ``%.18e,`` format; every arm
+family, including a CVaR bandit instance whose suboptimal arms are a Dirac
+and a discrete arm, so that the regret budget reads their quantiles; and
+the argument and input-file faults that the CLI checks. Each command
+carries the exit code it must end with, and ``run`` checks it.
 
 Usage, from the repository root::
 
@@ -73,6 +73,9 @@ def commands(root: Path) -> list[tuple[list[str], int]]:
                 out.append((argv + ["--method", "all"], 0))
     out += [
         (ci + ["--risk", "cvar:0.25", "--distance", "w1", "--radius", "fact22", "--out", str(root / "ci.json")], 0),
+        # delta = 2: radius 0, which the four operators return at once.
+        (ci + ["--risk", "cvar:0.25", "--method", "all", "--delta", "2"], 0),
+        (ci + ["--risk", "cvar:0.25", "--distance", "w1", "--method", "all", "--delta", "2"], 0),
         (["ci", "--input", str(header), "--header", "--bounds", "0,1", "--risk", "srm-power:2"], 0),
         (["ci", "--input", str(sci), "--bounds", "0,1", "--risk", "erm:1", "--method", "llc"], 0),
         (["sweep", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "cvar:0.25", "--n", "5,10", "--seeds", "3"], 0),
@@ -106,7 +109,8 @@ def _faults(root: Path, ci: list[str]) -> list[tuple[list[str], int]]:
         "cvar", "cvar:x", "var:0.1", "cvar:0.1,2", "cvar:1.5", "cvar:1e-20", "erm:0",
         "srm-power:0.5", "drm-power:2", "ce-power:0.5", "rdeu-power:0.5,1",
     )]
-    usage += [ci + ["--risk", risk, "--bounds=-1,1"] for risk in ("ce-power:2", "rdeu-power:2,2")]
+    usage += [ci + ["--risk", risk, bounds] for risk in ("ce-power:2", "rdeu-power:2,2")
+              for bounds in ("--bounds=-1,1", "--bounds=0,1e308")]  # not monotone; not finite
     sweep = ["sweep", "--bounds", "0,1", "--risk", "cvar:0.25", "--seeds", "2"]
     usage += [sweep + ["--n", "5", "--dist", dist] for dist in (
         "beta", "beta:x,1", "poisson:3", "dirac:2", "uniform:0.5,0.2", "beta:0,1", "beta:inf,1",

@@ -332,16 +332,8 @@ def copying_from_samples(samples, bounds: SupportBounds) -> DiscreteDistribution
 def copying_from_cdf(xs, cdf_vals, bounds: SupportBounds) -> DiscreteDistribution:
     xs = np.asarray(xs, dtype=np.float64)
     cum = np.asarray(cdf_vals, dtype=np.float64)
-    ps = np.diff(cum, prepend=0.0)
-    if np.any(ps < 0.0):
-        raise ValueError("CDF values must be nondecreasing")
-    keep = ps > 0.0
-    if not np.any(keep):
-        raise ValueError("distribution has no positive-mass atoms")
-    xs, cum = xs[keep], cum[keep]
-    if cum[-1] != 1.0:
-        raise ValueError(f"terminal CDF value {cum[-1]} != 1")
-    return DiscreteDistribution._trusted(xs, cum, bounds)
+    keep = np.diff(cum, prepend=0.0) > 0.0
+    return DiscreteDistribution._trusted(xs[keep], cum[keep], bounds)
 
 
 def copying_pos_sup(d: DiscreteDistribution, c: float) -> DiscreteDistribution:

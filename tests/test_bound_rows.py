@@ -174,9 +174,11 @@ class TestValidation:
     @pytest.mark.parametrize(
         "block,message",
         [
-            (np.zeros((2, 0)), "zero samples"),
+            (np.zeros((2, 0)), "sample count must be a positive integer, got 0"),  # the radius comes first
             ([[0.5, np.nan]], "finite"),
             ([[0.5, 0.2], [0.3, 1.5], [-1.0, 0.5]], "sample 1.5 outside"),
+            # Row by row: the first row's fault, not the nan after it.
+            ([[0.5, 1.5], [0.2, 0.3], [np.nan, 0.5]], "sample 1.5 outside"),
         ],
     )
     def test_same_messages_as_from_samples(self, block, message):

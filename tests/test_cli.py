@@ -17,6 +17,14 @@ from riskbounds.cli import _parse_arm, build_parser, main
 B05 = SupportBounds(0.0, 5.0)
 
 
+_FAMILIES = ["cvar:0.5", "srm-power:2", "drm-power:0.5", "erm:1", "ce-power:2", "rdeu-power:2,2"]
+
+
+def _all_supported(risk: str, distance: str) -> str:
+    """Every method, or glc alone for RDEU over W1, its only method."""
+    return "glc" if risk.startswith("rdeu") and distance == "w1" else "all"
+
+
 @pytest.fixture()
 def samples_csv(tmp_path):
     path = tmp_path / "s.csv"
@@ -159,14 +167,41 @@ class TestCi:
         assert code == 0, captured.err
         assert [blob["lcb"] for blob in json.loads(captured.out)] == [0.0, 0.0, 0.0]
 
-    def test_degenerate_delta(self, samples_csv, capsys):
+    @pytest.mark.parametrize("distance", ["sup", "w1"])
+    @pytest.mark.parametrize("risk", _FAMILIES)
+    def test_degenerate_delta(self, risk, distance, samples_csv, capsys):
+        # delta = 2 makes the dkw and scaled-dkw radii 0: every interval
+        # collapses onto its point.
         code = main([
-            "ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "cvar:0.5",
-            "--delta", "2",
+            "ci", "--input", samples_csv, "--bounds", "0,5", "--risk", risk, "--distance", distance,
+            "--method", _all_supported(risk, distance), "--delta", "2",
         ])
-        assert code == 0
-        blob = json.loads(capsys.readouterr().out)
-        assert blob["lcb"] == blob["ucb"] == blob["point"]
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        blobs = json.loads(captured.out)
+        for blob in blobs if isinstance(blobs, list) else [blobs]:
+            assert blob["radius"] == 0.0
+            assert blob["lcb"] == blob["ucb"] == blob["point"]
+
+    @pytest.mark.parametrize("distance", ["sup", "w1"])
+    @pytest.mark.parametrize("risk", _FAMILIES)
+    def test_wide_support(self, risk, distance, samples_csv, capsys):
+        # On [0, 1e308] u(x) = x^2 and v(x) = x^2 overflow, which the
+        # support check reports; the other families' bounds and constants
+        # may overflow to inf, which is clamped, with no numpy warning
+        # (pytest turns warnings into errors) and no Infinity in the JSON.
+        code = main([
+            "ci", "--input", samples_csv, "--bounds=0,1e308", "--risk", risk, "--distance", distance,
+            "--method", _all_supported(risk, distance),
+        ])
+        captured = capsys.readouterr()
+        if risk.startswith("ce"):
+            assert (code, captured.err) == (2, "usage error: CE utility must be finite on [0.0, 1e+308]\n")
+        elif risk.startswith("rdeu"):
+            assert (code, captured.err) == (2, "usage error: RDEU value function must be finite on [0.0, 1e+308]\n")
+        else:
+            assert code == 0, captured.err
+            json.loads(captured.out, parse_constant=pytest.fail)
 
     def test_missing_file_is_data_error(self, capsys):
         code = main(["ci", "--input", "/nonexistent.csv", "--bounds", "0,5", "--risk", "cvar:0.5"])
@@ -535,9 +570,12 @@ class TestArgumentMessages:
             (_SWEEP + ["--dist", "poisson:3", "--n", "5"], "unknown distribution spec 'poisson:3'"),
             (_SWEEP + ["--dist", "beta:0,1", "--n", "5"], "beta shapes must be positive"),
             (_COVERAGE + ["--dist", "truncnormal:0.5,0", "--n", "5"], "truncated normal needs sigma > 0"),
+            (_SWEEP + ["--dist", "beta:2,5", "--n", "5", "--bounds", "0"],
+             "--bounds expects 'a,b' with a < b, got '0'"),
         ],
         ids=["sweep-n", "coverage-all", "sweep-seeds", "bandit-seeds", "coverage-n", "coverage-trials",
-             "dist-no-colon", "dist-not-numeric", "dist-unknown", "beta-shape", "truncnormal-sigma"],
+             "dist-no-colon", "dist-not-numeric", "dist-unknown", "beta-shape", "truncnormal-sigma",
+             "bounds-split"],
     )
     def test_usage_error(self, argv, message, two_arm_instance, tmp_path, capsys):
         places = {"INSTANCE": two_arm_instance, "OUT": str(tmp_path / "out")}
