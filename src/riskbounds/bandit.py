@@ -276,9 +276,10 @@ def _sorted_cvar(arr: np.ndarray, alpha: float) -> float:
     """CVaR of the EDF of an ascending equal-mass sample array."""
     n = arr.size
     m = max(int(math.ceil(alpha * n - 1e-12)), 1)
-    w = np.full(m, 1.0 / n)
+    w = np.empty(m)
+    w.fill(1.0 / n)
     w[0] = alpha - (m - 1) / n  # deepest tail atom enters fractionally
-    return float(w @ arr[n - m :]) / alpha
+    return float(w.dot(arr[n - m :])) / alpha
 
 
 def _sorted_quantile_integral(arr: np.ndarray, lo: float, hi: float) -> float:
@@ -293,13 +294,14 @@ def _sorted_quantile_integral(arr: np.ndarray, lo: float, hi: float) -> float:
     # Cell k is [k/n, (k+1)/n] clipped to [lo, hi]. Only the two end cells
     # can reach past lo or hi, so only their edges are clamped and only
     # their weights floored at 0.
-    edges = np.arange(k_lo, k_hi + 2) / n
-    edges[0] = max(edges[0], lo)
-    edges[-1] = min(edges[-1], hi)
-    weights = np.diff(edges)
+    edges = np.arange(float(k_lo), float(k_hi + 2))
+    edges /= n
+    edges[0] = max(k_lo / n, lo)
+    edges[-1] = min((k_hi + 1) / n, hi)
+    weights = np.subtract(edges[1:], edges[:-1])
     weights[0] = max(weights[0], 0.0)
     weights[-1] = max(weights[-1], 0.0)
-    return float(weights @ arr[k_lo : k_hi + 1])
+    return float(weights.dot(arr[k_lo : k_hi + 1]))
 
 
 def _sorted_cvar_neg_sup(arr: np.ndarray, alpha: float, c: float, a: float) -> float:
@@ -317,7 +319,10 @@ _INITIAL_CAPACITY = 16
 
 
 def run_lcb(instance: BanditInstance, variant: BoundMethod | str = BoundMethod.DIST) -> RegretTrace:
-    """Simulate the lower-confidence-bound policy for one seed."""
+    """Simulate the lower-confidence-bound policy for one seed. A round makes
+    one draw, one sorted insert and one index refresh, for the pulled arm
+    only; an exact index tie goes to the lowest-numbered arm (the first
+    minimum, as ``np.argmin`` picks)."""
     variant = BoundMethod(variant) if isinstance(variant, str) else variant
     rng = np.random.default_rng(instance.seed)
     arms, bounds, spec = instance.arms, instance.bounds, instance.risk
@@ -327,51 +332,45 @@ def run_lcb(instance: BanditInstance, variant: BoundMethod | str = BoundMethod.D
 
     risks = np.array([true_risk(arm, spec, bounds) for arm in arms])
     glc_const = glc(spec, Distance.SUPREMUM, bounds) if variant is BoundMethod.GLC else None
-    fast_cvar = isinstance(spec, CVaR)
+    dist, local_lc = variant is BoundMethod.DIST, variant is BoundMethod.LLC
+    alpha = spec.alpha if isinstance(spec, CVaR) else None  # CVaR indices read the sorted losses
 
     # Each arm's losses, ascending, in the first fill[i] slots of a buffer
     # that doubles when full: O(pulls) memory, no reallocation per round.
     bufs = [np.empty(_INITIAL_CAPACITY) for _ in range(K)]
     fill = [0] * K
-    index = np.full(K, -np.inf)
-    chosen = np.empty(N, dtype=np.int64)
-    losses = np.empty(N)
+    index = [-math.inf] * K
+    chosen, losses = np.empty(N, dtype=np.int64), np.empty(N)
 
-    def refresh(i: int) -> None:
-        arr = bufs[i][: fill[i]]
-        c = math.sqrt(log_term / arr.size)
-        if fast_cvar:
-            alpha = spec.alpha
-            if variant is BoundMethod.DIST:
+    for t in range(N):
+        i = t if t < K else index.index(min(index))
+        loss = float(arms[i].sample(rng, 1, bounds)[0])
+        buf, n = bufs[i], fill[i]
+        if n == buf.size:
+            buf = bufs[i] = np.concatenate((buf, np.empty(n)))
+        k = int(buf[:n].searchsorted(loss))
+        buf[k + 1 : n + 1] = buf[k:n]
+        buf[k] = loss
+        fill[i] = n = n + 1
+        arr, c = buf[:n], math.sqrt(log_term / n)
+        if alpha is not None:
+            if dist:
                 index[i] = _sorted_cvar_neg_sup(arr, alpha, c, a)
-            elif variant is BoundMethod.LLC:
+            elif local_lc:
                 y = 1.0 - alpha - c
                 local = (b - (a if y <= 0.0 else _sorted_quantile(arr, y))) / alpha
                 index[i] = _sorted_cvar(arr, alpha) - local * c
             else:
                 index[i] = _sorted_cvar(arr, alpha) - glc_const * c
-            return
-        edf = from_samples(arr, bounds)
-        if variant is BoundMethod.DIST:
-            index[i] = evaluate(spec, neg_sup(edf, c))
-        elif variant is BoundMethod.LLC:
-            index[i] = evaluate(spec, edf) - llc(spec, Distance.SUPREMUM, edf, c) * c
         else:
-            index[i] = evaluate(spec, edf) - glc_const * c
-
-    for t in range(N):
-        i = t if t < K else int(np.argmin(index))
-        loss = float(arms[i].sample(rng, 1, bounds)[0])
-        buf, n = bufs[i], fill[i]
-        if n == buf.size:
-            buf = bufs[i] = np.concatenate((buf, np.empty(n)))
-        k = int(np.searchsorted(buf[:n], loss))
-        buf[k + 1 : n + 1] = buf[k:n]
-        buf[k] = loss
-        fill[i] = n + 1
-        refresh(i)
-        chosen[t] = i
-        losses[t] = loss
+            edf = from_samples(arr, bounds)
+            if dist:
+                index[i] = evaluate(spec, neg_sup(edf, c))
+            elif local_lc:
+                index[i] = evaluate(spec, edf) - llc(spec, Distance.SUPREMUM, edf, c) * c
+            else:
+                index[i] = evaluate(spec, edf) - glc_const * c
+        chosen[t], losses[t] = i, loss
 
     return RegretTrace(
         chosen=chosen,

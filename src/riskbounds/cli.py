@@ -239,8 +239,9 @@ def cmd_bandit(args) -> int:
         curves = np.stack([tr.cum_regret for tr in traces])
         mean_curve = curves.mean(axis=0)
         std_curve = curves.std(axis=0, ddof=1) if len(traces) > 1 else np.zeros_like(mean_curve)
+        name = variant.value  # an Enum property: read once, not once per row
         curve_chunks.append("".join([
-            f"{t},{variant.value},{mean!r},{std!r}\n"
+            f"{t},{name},{mean!r},{std!r}\n"
             for t, (mean, std) in enumerate(zip(mean_curve.tolist(), std_curve.tolist()))
         ]))
         finals = np.array([tr.final_regret for tr in traces])

@@ -82,7 +82,7 @@ def _true_run(mask: np.ndarray) -> slice | np.ndarray:
     takes views instead of copies, when they form one run, else the mask."""
     lo = int(mask.argmax())
     run = slice(lo, lo + int(np.count_nonzero(mask)))
-    return run if mask[run].all() else mask
+    return run if np.count_nonzero(mask[run]) == run.stop - lo else mask
 
 
 def _store(obj, xs, cum, bounds) -> None:
@@ -311,7 +311,7 @@ def from_samples(samples: Sequence[float], bounds: SupportBounds) -> DiscreteDis
     <= b (nan sorts last). Only samples that fail reach ``_check_samples``.
     """
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim == 1 and np.all(arr[1:] > arr[:-1]):
+    if arr.ndim == 1 and np.count_nonzero(arr[1:] > arr[:-1]) == arr.size - 1:
         xs = arr if _frozen(arr) else arr.copy()
         cum = np.arange(1, arr.size + 1, dtype=np.float64)
     else:

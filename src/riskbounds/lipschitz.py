@@ -96,7 +96,7 @@ def _cdf_integral(q: np.ndarray, fn, steps: np.ndarray) -> float:
     keep = _true_run(steps > 0.0)
     steps = steps[keep]
     with np.errstate(divide="ignore", over="ignore"):
-        return float(_apply(fn, q[keep]) @ steps)
+        return float(_apply(fn, q[keep]).dot(steps))
 
 
 def _ce_u_norm(spec: CE, sup: bool, bounds: SupportBounds) -> float:

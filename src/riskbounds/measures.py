@@ -118,7 +118,10 @@ def _apply(fn: Callable, arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CVaR:
     """Conditional value at risk at tail level alpha in (0, 1), with the
-    weight w(q) = max(q - (1 - alpha), 0) / alpha.
+    weight w(q) = max(alpha - (1 - q), 0) / alpha. 1 - q is exact for
+    q >= 1/2 (Sterbenz) and w(1) is exactly 1, so a small-alpha tail reads
+    its atoms exactly, where a rounded 1 - alpha, magnified by the 1/alpha
+    weight, would read past the top atom.
 
     ``w`` and ``w_prime`` overwrite the float array they are given: pass a
     fresh one, never a shared array such as ``_GRID``.
@@ -131,18 +134,23 @@ class CVaR:
             raise ValueError(f"CVaR level must lie in (0, 1), got {self.alpha}")
         if 1.0 - self.alpha == 1.0:
             # The tail starts at cumulative mass 1 - alpha; if that rounds to
-            # 1, the weight is 0 on [0, 1] and every value would read 0.
+            # 1, the quadrature of a continuous arm's tail and the bandit's
+            # sorted-sample CVaR see an empty tail.
             raise ValueError(f"CVaR level {self.alpha} is too small: 1 - alpha rounds to 1")
 
     def w(self, q: np.ndarray) -> np.ndarray:
-        q -= 1.0 - self.alpha
+        np.subtract(1.0, q, out=q)
+        np.subtract(self.alpha, q, out=q)
         np.maximum(q, 0.0, out=q)
         q /= self.alpha
         return q
 
     def w_prime(self, q: np.ndarray) -> np.ndarray:
         """[q >= 1 - alpha] / alpha: the right-hand derivative at the kink,
-        so the supremum-ball ``llc`` is b - F^{-1}(1 - alpha - c) over alpha."""
+        so the supremum-ball ``llc`` is b - F^{-1}(1 - alpha - c) over alpha.
+        The threshold rounds 1 - alpha as that closed form does, so the
+        integral never takes a segment fewer than it; the exact 1 - q <= alpha
+        drops the first segment at c = 1 - alpha."""
         np.greater_equal(q, 1.0 - self.alpha, out=q)
         q /= self.alpha
         return q
@@ -349,7 +357,7 @@ def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
         del d
         utilities = _apply(spec.u, xs)
         del xs
-        expected = float(utilities @ _steps(cum))
+        expected = float(utilities.dot(_steps(cum)))
         return float(_apply(spec.u_inv, np.array([expected]))[0])
     if isinstance(spec, _RANK_DEPENDENT):
         linear = not isinstance(spec, RDEU)
@@ -358,7 +366,7 @@ def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
         xs, q = d.xs, _with_zero(d.cum)
         del d
         weights = _forward_diff(_apply(spec.w, q))
-        return float(weights @ (xs if linear else _apply(spec.v, xs.copy())))
+        return float(weights.dot(xs if linear else _apply(spec.v, xs.copy())))
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 

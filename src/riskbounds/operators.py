@@ -38,7 +38,7 @@ __all__ = [
 
 
 def _require_radius(c: float) -> float:
-    if not (np.isfinite(c) and c >= 0.0):
+    if not 0.0 <= c < np.inf:  # finite and >= 0; nan fails both
         raise ValueError(f"ball radius must be finite and >= 0, got {c}")
     return float(c)
 

@@ -2,6 +2,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from riskbounds import (
     CVaR,
@@ -14,6 +15,12 @@ from riskbounds import (
     srm_power,
 )
 from riskbounds.measures import ERM
+
+# Every run draws the same examples: hypothesis seeds each test from its
+# own code and replays no examples saved by earlier runs, so a pass count or
+# a list of unrun statements repeats. Each test's max_examples still holds.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 def random_interior_dist(

@@ -280,6 +280,25 @@ class TestBufferedLoop:
             assert (out / name).read_text(encoding="utf-8") == text, name
 
 
+class TestIndexTies:
+    """Two identical Dirac arms hold bitwise equal indices whenever their
+    pull counts match. The tie goes to the lower-numbered arm, as
+    np.argmin picks the first minimum."""
+
+    @pytest.mark.parametrize("risk", ["cvar:0.25", "srm-power:2"], ids=["cvar", "srm"])
+    @pytest.mark.parametrize("variant", list(BoundMethod), ids=lambda v: v.value)
+    def test_first_minimum_wins(self, risk, variant):
+        arms = (DiracArm(0.3), DiracArm(0.3), TruncNormalArm(0.5, 0.1))
+        inst = BanditInstance(B01, arms, 300, parse_risk(risk), seed=3)
+        trace = run_lcb(inst, variant)
+        chosen, losses, cum_regret = _reference_run_lcb(inst, variant)
+        assert trace.chosen.tobytes() == chosen.tobytes()
+        assert trace.losses.tobytes() == losses.tobytes()
+        assert trace.cum_regret.tobytes() == cum_regret.tobytes()
+        # Ties arise: both Dirac arms are pulled, arm 0 at least as often.
+        assert trace.pulls[0] >= trace.pulls[1] > 10
+
+
 @st.composite
 def _truncnormal_draw_cases(draw):
     """(arm, bounds, seed, tail): bounds off zero and up to 10^3 wide; a tail

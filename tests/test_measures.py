@@ -302,15 +302,34 @@ class TestERM:
         assert d.xs[0] <= evaluate(ERM(beta), d) <= d.xs[-1]
 
 
+@pytest.fixture(scope="module")
+def edf():
+    """The 2e4-sample beta(2,5) EDF (seed 0) of the 50-digit references."""
+    return from_samples(np.sort(np.random.default_rng(0).beta(2.0, 5.0, 2 * 10**4)), B01)
+
+
+class TestCVaRExact:
+    """CVaR against 50-digit sums over the EDF's own CDF values, down to
+    alpha = 1e-12. A weight of q - (1 - alpha) rounded 1 - alpha and the
+    1/alpha weight magnified that: alpha = 1e-8 and 1e-6 read above the
+    largest atom, and alpha = 1e-12 was 2.2e-5 off."""
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-8, 1e-6, 1e-4, 1e-3, 0.05, 0.5, 0.9])
+    def test_point_matches_50_digit_sum(self, edf, alpha):
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            w = [max(a - (1 - mpmath.mpf(q)), 0) / a for q in [0.0] + edf.cum.tolist()]
+            exact = mpmath.fsum(mpmath.mpf(x) * (w[i + 1] - w[i]) for i, x in enumerate(edf.xs.tolist()))
+        got = evaluate(CVaR(alpha), edf)
+        assert edf.xs[0] <= got <= edf.xs[-1]
+        assert abs(got - float(exact)) <= 1e-15 * float(exact)
+
+
 class TestERMExact:
     """ERM and its supremum-ball local constant against 50-digit sums over
     the 2e4-sample beta(2,5) EDF's own CDF values. The log-sum-exp before
     the centred sum lost 1e-15/beta: 8.7e-5 absolute at beta = 1e-12 and
     1.6e-15 at beta = 1."""
-
-    @pytest.fixture(scope="class")
-    def edf(self):
-        return from_samples(np.sort(np.random.default_rng(0).beta(2.0, 5.0, 2 * 10**4)), B01)
 
     @staticmethod
     def _atoms(d: DiscreteDistribution):
