@@ -10,15 +10,18 @@ Four subcommands, all emitting plot-ready CSV or JSON:
 Exit codes: 0 success, 2 usage error, 3 unsupported method/measure
 combination, 4 data error, which includes an input or output file that
 cannot be read or written. Reruns with identical arguments and seeds are
-byte-identical on the same machine with the same BLAS thread count: numpy
-splits a large dot product across OpenBLAS threads, so that count can move
-the last digit of an output.
+byte-identical on the same machine.
+
+``main`` sets glibc's allocator once per process (``_keep_freed_pages``);
+importing the module does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -38,6 +41,12 @@ __all__ = ["main"]
 _METHOD_CHOICES = [m.value for m in BoundMethod] + ["all"]
 # Samples that sweep and coverage draw and bound at a time.
 _BLOCK_SAMPLES = 1 << 16
+# glibc's mallopt parameters, and the values main sets: blocks below 32 MiB
+# come from the heap, and freed memory stays mapped until 1 GiB of it lies
+# free at the heap's top.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
 
 
 class DataError(Exception):
@@ -312,7 +321,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Have glibc reuse freed memory instead of handing it back to the
+    kernel. By default it maps each large array on its own and unmaps it
+    when freed, or trims the heap when its free top passes a threshold that
+    moves with earlier allocations, so the next array of that size faults
+    its pages in again: ``ci`` at 10^6 samples spent most of its system time
+    on those faults. Run once per process, from ``main`` only, so importing
+    the package leaves the allocator as it is; it does nothing off glibc.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no such name: not glibc
+        glibc = None
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_pages()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Distance, SupportBounds, _true_run
+from .distributions import DiscreteDistribution, Distance, SupportBounds, _dot, _true_run
 from .measures import (
     CE,
     ERM,
@@ -86,17 +86,16 @@ def _cdf_integral(q: np.ndarray, fn, steps: np.ndarray) -> float:
     fn(q_j) times the step of h on each segment. ``steps`` holds those
     steps: for h(x) = x the widths, of which only the first and the last
     can be zero. It takes the CDF values, not the distribution, so a
-    caller can free the atoms first. ``fn`` may overwrite ``q``, which the
-    caller owns.
+    caller can free the atoms first. ``fn`` may overwrite ``q``, and the
+    products overwrite ``steps``: the caller owns both.
 
     Empty steps are dropped before multiplying so an infinite integrand
     value (e.g. a power distortion's derivative at 0) on an empty segment
     contributes nothing instead of poisoning the sum with nan.
     """
     keep = _true_run(steps > 0.0)
-    steps = steps[keep]
     with np.errstate(divide="ignore", over="ignore"):
-        return float(_apply(fn, q[keep]).dot(steps))
+        return _dot(steps[keep], _apply(fn, q[keep]))
 
 
 def _ce_u_norm(spec: CE, sup: bool, bounds: SupportBounds) -> float:

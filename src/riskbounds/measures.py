@@ -33,7 +33,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _steps
+from .distributions import DiscreteDistribution, _dot, _steps
 
 # Entries kept by each cache keyed on a spec (support checks here, attainable
 # ranges, global constants, the RDEU weight check): enough for every spec a
@@ -357,7 +357,7 @@ def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
         del d
         utilities = _apply(spec.u, xs)
         del xs
-        expected = float(utilities.dot(_steps(cum)))
+        expected = _dot(_steps(cum), utilities)
         return float(_apply(spec.u_inv, np.array([expected]))[0])
     if isinstance(spec, _RANK_DEPENDENT):
         linear = not isinstance(spec, RDEU)
@@ -366,7 +366,7 @@ def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:
         xs, q = d.xs, _with_zero(d.cum)
         del d
         weights = _forward_diff(_apply(spec.w, q))
-        return float(weights.dot(xs if linear else _apply(spec.v, xs.copy())))
+        return _dot(weights, xs if linear else _apply(spec.v, xs.copy()))
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 

@@ -12,8 +12,9 @@ Usage, from the repository root::
 
     python tests/cli_corpus.py
 
-runs the corpus in a temporary directory under ``sys.setprofile`` and
-prints the functions of ``src/riskbounds`` that it called, one a line, as
+runs the corpus in a temporary directory under ``sys.setprofile`` (and
+``threading.setprofile``, for the threads it starts) and prints the
+functions of ``src/riskbounds`` that it called, one a line, as
 ``module.qualname`` (``co_qualname``: Python 3.11 or later).
 ``tests/test_hygiene.py`` runs it so, in a fresh interpreter, where no
 cache warmed by another test can hide a call; ``python
@@ -30,6 +31,7 @@ import json
 import os
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "riskbounds"
@@ -162,12 +164,15 @@ def called_functions() -> list[str]:
         if event == "call":
             codes.add(frame.f_code)
 
+    # Threads started under it (the sample reader's workers) profile too.
     with tempfile.TemporaryDirectory() as tmp:
+        threading.setprofile(profile)
         sys.setprofile(profile)
         try:
             run(Path(tmp))
         finally:
             sys.setprofile(None)
+            threading.setprofile(None)
     prefix = str(PACKAGE) + os.sep
     return sorted({
         f"{Path(code.co_filename).stem}.{code.co_qualname}"

@@ -37,6 +37,10 @@ oracles:
 - ``cvar_sup_llc_closed_form``: the CVaR supremum-ball local constant from
   the center's quantile function, the closed form the package computed
   before CVaR took the rank-dependent integral.
+- ``translate_decimal_block``: the CSV reader's decimal kernel as it was
+  before its block check and digit split moved to numpy passes, with
+  ``bytes.translate`` and ``str.replace``. The package must accept the same
+  blocks and give the same bits.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from riskbounds import (
 )
 from riskbounds.bandit import ARM_FAMILIES
 from riskbounds.concentration import resolve_radius_rule
+from riskbounds.distributions import _EXACT_LONG_DOUBLE, _POW10, _POW10_LD
 from riskbounds.measures import _apply
 from riskbounds.operators import _require_radius
 
@@ -473,7 +478,7 @@ def copying_centred_log_moment(beta: float, d: DiscreteDistribution) -> tuple[fl
 def copying_eval_rdeu(w, v, d: DiscreteDistribution) -> float:
     q = np.concatenate(([0.0], d.cum))
     weights = np.diff(_apply(w, q))
-    return float(weights @ _apply(v, d.xs))
+    return float(np.add.reduce(weights * _apply(v, d.xs)))
 
 
 def copying_cdf_integral(d: DiscreteDistribution, fn) -> float:
@@ -482,7 +487,7 @@ def copying_cdf_integral(d: DiscreteDistribution, fn) -> float:
     keep = widths > 0.0
     with np.errstate(divide="ignore", over="ignore"):
         vals = _apply(fn, cdf_seg[keep])
-    return float(vals @ widths[keep])
+    return float(np.add.reduce(vals * widths[keep]))
 
 
 def copying_sup_llc(spec: RiskMeasure, center: DiscreteDistribution, c: float) -> float:
@@ -494,7 +499,7 @@ def copying_sup_llc(spec: RiskMeasure, center: DiscreteDistribution, c: float) -
         keep = dv > 0.0
         with np.errstate(divide="ignore", over="ignore"):
             weights = _apply(spec.w_prime, cdf_seg[keep])
-        return float(weights @ dv[keep])
+        return float(np.add.reduce(weights * dv[keep]))
     if isinstance(spec, CVaR):
         return copying_cdf_integral(lowered, lambda q: (np.asarray(q) >= 1.0 - spec.alpha) / spec.alpha)
     if isinstance(spec, SRM):
@@ -509,3 +514,35 @@ def cvar_sup_llc_closed_form(alpha: float, center: DiscreteDistribution, c: floa
     a, b = center.bounds.a, center.bounds.b
     y = 1.0 - alpha - c
     return (b - (a if y <= 0.0 else float(center.quantile(y)))) / alpha
+
+
+def translate_decimal_block(text: str) -> np.ndarray | None:
+    """``distributions._decimal_block`` with its check done by deleting the
+    digits (``bytes.translate``) and its digits split by ``str.replace``."""
+    if not (_EXACT_LONG_DOUBLE and text.isascii()):
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = text.encode("ascii")
+    rest = raw.translate(None, b"0123456789")
+    n = len(rest) // 2
+    if not n or rest != b".\n" * n:
+        return None
+    marks = np.flatnonzero(np.frombuffer(raw, np.uint8) < 48).reshape(n, 2)
+    dots, ends = marks[:, 0], marks[:, 1]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    k = ends - dots - 1
+    if np.any(dots == starts) or np.any(k == 0):
+        return None
+    for i in np.flatnonzero(ends - starts > 20).tolist():
+        zeros = int(k[i]) - 19
+        if not (zeros <= 8 and raw[starts[i] : dots[i] + zeros + 1] == b"0." + b"0" * zeros):
+            return None
+    digits = np.fromstring(text.replace(".", "\n"), np.uint64, sep="\n")
+    mantissa = digits[0::2] * _POW10[np.minimum(k, 19)] + digits[1::2]
+    quotient = mantissa.astype(np.longdouble) / _POW10_LD[k]
+    values = quotient.astype(np.float64)
+    ties = np.flatnonzero((quotient.view(np.uint64)[::2] & 0x7FF) == 0x400)
+    for i in ties.tolist():
+        values[i] = float(raw[starts[i] : ends[i]])
+    return values

@@ -2,8 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskbounds
 from riskbounds import BoundMethod, CVaR, Distance, SupportBounds, bound_from_samples, instance_from_dict
+from riskbounds import cli
 from riskbounds.cli import _parse_arm, build_parser, main
 
 B05 = SupportBounds(0.0, 5.0)
@@ -294,6 +300,53 @@ class TestCi:
                 err = capsys.readouterr().err
                 assert err.startswith("usage error: ")
                 assert "W1" in err and "sup" in err
+
+
+# Runs ``ci --method all`` (glc alone for RDEU over W1) for each family and
+# distance on the file argv[1], printing every output in turn.
+_EVERY_CI = """
+import contextlib, io, sys
+from riskbounds.cli import main
+
+out = io.StringIO()
+for risk in sys.argv[2:]:
+    for distance in ("sup", "w1"):
+        method = "glc" if risk.startswith("rdeu") and distance == "w1" else "all"
+        argv = ["ci", "--input", sys.argv[1], "--bounds", "0,1", "--risk", risk, "--distance", distance, "--method", method]
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+sys.stdout.write(out.getvalue())
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product of this length across its threads, so a
+    # sum handed to it would change its last bits with their number.
+    x = np.random.default_rng(26).beta(2.0, 5.0, 200_000)
+    path = tmp_path / "s.csv"
+    path.write_text("".join(f"{v!r}\n" for v in x.tolist()))
+    src = str(Path(riskbounds.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _EVERY_CI, str(path), *_FAMILIES], env=env, capture_output=True, check=False,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        outputs.append(run.stdout)
+    assert outputs[0].count(b'"method"') == 34  # 6 families x 2 distances x 3 methods, less 2 for RDEU over W1
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("confstr", [mock.Mock(side_effect=ValueError("unrecognized configuration name")),
+                                     mock.Mock(return_value=None), mock.Mock(side_effect=AttributeError)])
+def test_allocator_left_alone_off_glibc(confstr):
+    # Without glibc's version string there is no mallopt to call.
+    with mock.patch.object(cli.os, "confstr", confstr, create=True), \
+            mock.patch.object(cli.ctypes, "CDLL", side_effect=AssertionError("mallopt looked up")):
+        cli._keep_freed_pages.__wrapped__()
+    confstr.assert_called_once_with("CS_GNU_LIBC_VERSION")
 
 
 class TestSweep:

@@ -1,6 +1,8 @@
 import gzip
 import io
 import os
+import threading
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -19,7 +21,7 @@ from riskbounds import (
 )
 from riskbounds.measures import ERM
 from riskbounds import distributions
-from reference import allclose, distance, dominates, unique_edf
+from reference import allclose, distance, dominates, translate_decimal_block, unique_edf
 from conftest import assert_bitwise_equal, assert_invariants, random_interior_dist, validated_builds
 
 B05 = SupportBounds(0.0, 5.0)
@@ -561,6 +563,17 @@ def _midpoint_strings(rng, count):
     return out
 
 
+# Lines of the decimal kernel's form, some past 19 digits, some with one
+# more character after them, and lines drawn from the characters that sit
+# next to it in sample files.
+_DIGITS = st.text("0123456789", min_size=1, max_size=10)
+_KERNEL_LINE = st.one_of(
+    st.builds("{}.{}{}".format, _DIGITS, st.text("0123456789", min_size=1, max_size=28),
+              st.sampled_from(["", "", "", "e", "e5", " ", ",", "-", "\u00e9"])),
+    st.text(alphabet="0123456789.\n ,-e\u00e9", max_size=8),
+)
+
+
 class TestDecimalKernel:
     """``_decimal_block``, the first tier of the CSV reader, against ``float()``."""
 
@@ -617,6 +630,22 @@ class TestDecimalKernel:
         with mock.patch.object(distributions, "float", counting_float, create=True):
             self._assert_float_bits(strings)
         assert len(calls) > 50
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(_KERNEL_LINE, min_size=1, max_size=6), end=st.booleans())
+    @example(lines=["0." + "0" * 8 + "1" * 19, "12.5"], end=True)
+    @example(lines=["1.5", "2.25"], end=False)
+    @example(lines=["1.5", "2.25."], end=True)
+    @example(lines=["1.5", "2.5e1"], end=True)
+    def test_numpy_check_matches_translate(self, lines, end):
+        # The numpy passes that replaced bytes.translate and str.replace
+        # accept exactly the blocks they accepted, with the same bits.
+        text = "\n".join(lines) + ("\n" if end else "")
+        got, want = distributions._decimal_block(text), translate_decimal_block(text)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.skipif(distributions._EXACT_LONG_DOUBLE, reason="long double is x87 80-bit here")
     def test_declines_without_extended_long_double(self):
@@ -734,3 +763,118 @@ class TestFloatTier:
         want = _read_outcome(_line_loop_reader, str(path), False)
         assert isinstance(want, ValueError) and f":{ends + offset + 1}:" in str(want)
         assert (type(got), str(got)) == (type(want), str(want))
+
+
+def _block_firsts(data: bytes) -> list[int]:
+    """The first line number of each block ``read_samples_csv`` parses from
+    ``data`` at ``_BLOCK_LINES = 1``."""
+    firsts, first = [], 1
+    for _, ends in distributions._text_blocks(io.BytesIO(data), 1):
+        firsts.append(first)
+        first += ends
+    return firsts
+
+
+class TestReaderThreads:
+    """Blocks are parsed on worker threads and taken back in file order:
+    the first fault in the file is raised, and no worker outlives a read.
+    At ``_BLOCK_LINES = 1`` each 8 KiB chunk ends a block."""
+
+    @staticmethod
+    def _slowed(first_lines, seconds=0.2):
+        """``_parse_lines``, sleeping first on the blocks that start at
+        ``first_lines``, so that blocks after them finish before them."""
+        parse = distributions._parse_lines
+
+        def slowed(path, text, first, header):
+            if first in first_lines:
+                time.sleep(seconds)
+            return parse(path, text, first, header)
+
+        return mock.patch.object(distributions, "_parse_lines", slowed)
+
+    def test_bad_line_before_a_decode_error_in_the_next_block(self, tmp_path):
+        lines = ["0.125"] * 6000
+        firsts = _block_firsts("".join(line + "\n" for line in lines).encode())
+        bad = firsts[2] + 5  # 1-based: a line of block 2
+        lines[bad - 1] = "xxxxx"
+        data = "".join(line + "\n" for line in lines).encode()
+        cut = 3 * 8192 + 100  # inside the chunk that would end block 3
+        data = data[:cut] + b"\xff" + data[cut:]
+        path = tmp_path / "late.csv"
+        path.write_bytes(data)
+        before = threading.active_count()
+        with mock.patch.object(distributions, "_BLOCK_LINES", 1), self._slowed({firsts[2]}):
+            got = _read_outcome(read_samples_csv, str(path), False)
+        want = _read_outcome(_line_loop_reader, str(path), False)
+        assert isinstance(want, ValueError) and f":{bad}:" in str(want)
+        assert (type(got), str(got)) == (type(want), str(want))
+        assert threading.active_count() == before
+
+    def test_earlier_of_two_bad_blocks_in_flight(self, tmp_path):
+        lines = ["0.125"] * 6000
+        firsts = _block_firsts("".join(line + "\n" for line in lines).encode())
+        lines[firsts[1] + 2] = "xxxxx"  # as long as the lines they replace,
+        lines[firsts[2] + 2] = "yyyyy"  # so that the blocks stay as found
+        path = tmp_path / "two-bad.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        # Blocks 0 and 1 end only after block 2 has failed, on three
+        # workers, so block 2's error is there to take first.
+        parse, failed = distributions._parse_lines, threading.Event()
+
+        def ordered(path, text, first, header):
+            if first == firsts[2]:
+                try:
+                    return parse(path, text, first, header)
+                finally:
+                    failed.set()
+            if first in firsts[:2]:
+                assert failed.wait(10)
+            return parse(path, text, first, header)
+
+        before = threading.active_count()
+        with mock.patch.object(distributions, "_BLOCK_LINES", 1), \
+                mock.patch.object(distributions, "_workers", lambda: 3), \
+                mock.patch.object(distributions, "_parse_lines", ordered):
+            got = _read_outcome(read_samples_csv, str(path), False)
+        assert failed.is_set()
+        assert isinstance(got, ValueError)
+        assert str(got) == f"{path}:{firsts[1] + 3}: not a number: 'xxxxx'"
+        assert threading.active_count() == before
+
+    def test_workers_joined_after_every_outcome(self, tmp_path):
+        x = np.random.default_rng(25).uniform(0.0, 1.0, 5000)
+        good = "".join(f"{v!r}\n" for v in x.tolist()).encode()
+        files = {
+            "good": good,
+            "bad-line": good[:20000] + b"oops\n" + good[20000:],
+            "undecodable": good[:30000] + b"\xff" + good[30000:],
+            "empty": b"\n\n",
+        }
+        for name, data in files.items():
+            (tmp_path / f"{name}.csv").write_bytes(data)
+        expected = {"good": np.ndarray, "bad-line": ValueError, "undecodable": UnicodeDecodeError,
+                    "empty": ValueError, "missing": FileNotFoundError}
+        before = threading.active_count()
+        with mock.patch.object(distributions, "_BLOCK_LINES", 1):
+            for name, kind in expected.items():
+                got = _read_outcome(read_samples_csv, str(tmp_path / f"{name}.csv"), False)
+                assert isinstance(got, kind), name
+                assert threading.active_count() == before, name
+        assert read_samples_csv(str(tmp_path / "good.csv")).tobytes() == x.tobytes()
+        assert threading.active_count() == before
+
+    def test_buffer_grows_past_its_reservation(self, tmp_path):
+        # A pipe reports size 0, and a file can grow while it is read: the
+        # buffer then grows as the values come.
+        x = np.random.default_rng(27).uniform(0.0, 1.0, 3000)
+        path = tmp_path / "grow.csv"
+        path.write_text("".join(f"{v!r}\n" for v in x.tolist()))
+        with mock.patch.object(distributions, "_BLOCK_LINES", 1), \
+                mock.patch.object(distributions, "_RESERVE_VALUES", 1):
+            assert read_samples_csv(str(path)).tobytes() == x.tobytes()
+
+    def test_workers_without_an_affinity_call(self, monkeypatch):
+        # Where os.sched_getaffinity is missing, the CPU count stands in.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert distributions._workers() == min(os.cpu_count() or 1, distributions._MAX_WORKERS)

@@ -53,6 +53,47 @@ def test_import_leaves_scipy_special_unloaded():
     assert run.stdout.strip() == "False"
 
 
+# Counts the ctypes lookups of mallopt, then imports the package and runs
+# two ci commands, printing what was loaded and looked up after each step.
+_ALLOCATOR_PROBE = """
+import contextlib, ctypes, io, os, sys
+lookups = []
+getitem = ctypes.CDLL.__getitem__
+
+def spy(self, name):
+    lookups.append(name)
+    return getitem(self, name)
+
+ctypes.CDLL.__getitem__ = spy
+import riskbounds, riskbounds.cli
+print("concurrent.futures" in sys.modules, lookups.count("mallopt"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert riskbounds.cli.main(["ci", "--input", sys.argv[1], "--bounds", "0,1", "--risk", "cvar:0.5"]) == 0
+    assert riskbounds.cli.main(["ci", "--input", sys.argv[1], "--bounds", "0,1", "--risk", "erm:1"]) == 0
+try:
+    glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
+except (AttributeError, ValueError, OSError):
+    glibc = False
+print("concurrent.futures" in sys.modules, lookups.count("mallopt"), glibc)
+"""
+
+
+def test_import_starts_no_pool_and_leaves_the_allocator(tmp_path):
+    # Importing the package loads no thread pool and leaves glibc's
+    # allocator as it is; cli.main sets it once per process, on glibc only,
+    # and the sample reader loads the pool when it first reads.
+    path = tmp_path / "s.csv"
+    path.write_text("0.25\n0.5\n0.75\n")
+    run = subprocess.run(
+        [sys.executable, "-c", _ALLOCATOR_PROBE, str(path)], cwd=ROOT / "src", capture_output=True, text=True,
+        check=True,
+    )
+    on_import, after_main = run.stdout.split("\n")[:2]
+    assert on_import == "False 0"
+    glibc = after_main.endswith("True")
+    assert after_main == ("True 1 True" if glibc else "True 0 False")
+
+
 def test_all_lists_and_package_reexports_agree():
     # A name deleted from a module but left in its __all__ would fail only
     # under ``import *``; a re-export must come from the module's __all__.
