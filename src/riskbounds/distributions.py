@@ -56,7 +56,9 @@ _EXACT_LONG_DOUBLE = bool(
     and sys.byteorder == "little"
     and np.longdouble(1) + np.longdouble(2) ** -63 != np.longdouble(1)
 )
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+# The decimal kernel takes a line only when the integer its digits spell
+# is below this, so that it is exact in uint64 and in long double.
+_MANTISSA_LIMIT = np.uint64(10**19)
 # 10^0 .. 10^27, exact in long double (5^27 < 2^64), built by exact products.
 _POW10_LD = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
 
@@ -356,11 +358,12 @@ def read_samples_csv(path: str, header: bool = False) -> np.ndarray:
     8 KiB chunks and through the decoder that iterating a text-mode file
     uses, split only at line feeds after ``\r\n`` and ``\r`` become ``\n``,
     and parsed in blocks of about ``_BLOCK_LINES`` whole lines. A block of
-    plain decimals, every line ``[0-9]+.[0-9]+``, takes an exact vectorized
-    kernel (``_decimal_block``) whose values are bitwise those of
-    ``float()``. Any other block (signs, exponents, whitespace, commas,
-    blank lines, longer numbers) is split into lines for ``float()``; see
-    ``_parse_lines``.
+    plain decimals, every line ``[0-9]*.[0-9]*`` with at least one digit,
+    M < 10^19 for the integer M its digits spell and at most 27 digits
+    after the dot, takes an exact vectorized kernel (``_decimal_block``)
+    whose values are bitwise those of ``float()``. Any other block (signs,
+    exponents, whitespace, commas, blank lines, longer numbers) is split
+    into lines for ``float()``; see ``_parse_lines``.
 
     This thread reads and decodes the file; blocks are parsed on up to
     ``_MAX_WORKERS`` worker threads, one per CPU the process may use, and
@@ -497,18 +500,20 @@ def _parse_lines(path: str, text: str, first: int, header: bool) -> np.ndarray:
 
 def _decimal_block(text: str) -> np.ndarray | None:
     r"""``float()`` of each line of ``text`` when every line is
-    ``[0-9]+.[0-9]+`` ended by ``\n`` (the last line may lack it); ``None``
-    for any other text, or where ``long double`` is not x87 80-bit extended.
+    ``[0-9]*.[0-9]*`` with at least one digit, ended by ``\n`` (the last
+    line may lack it), and the rule below holds; ``None`` for any other
+    text, or where ``long double`` is not x87 80-bit extended.
 
     A line is M / 10^k, with M the integer its digits spell and k the digits
     after the dot; the block is taken only when every line has M < 10^19
     and k <= 27. Then M and 10^k are exact in the 64-bit significand of
     ``long double``, so their quotient is the true value rounded once to 64
-    bits. Every float64 midpoint has 54 significant bits, so that rounding
-    cannot carry the value across one: rounding the quotient to float64
-    gives ``float()``'s answer, unless the quotient is itself a midpoint
-    (low 11 significand bits ``0x400``), where the true value may lie just
-    off it. Those lines take ``float()`` one by one.
+    bits (Clinger's exact-operands case). Every float64 midpoint has 54
+    significant bits, so that rounding cannot carry the value across one:
+    rounding the quotient to float64 gives ``float()``'s answer, unless the
+    quotient is itself a midpoint (low 11 significand bits ``0x400``), where
+    the true value may lie just off it. Those lines take ``float()`` one by
+    one.
     """
     if not (_EXACT_LONG_DOUBLE and text.isascii()):
         return None
@@ -528,29 +533,21 @@ def _decimal_block(text: str) -> np.ndarray | None:
     dots, ends = marks[:, 0], marks[:, 1]
     if np.any(u8[dots] != 46) or np.any(u8[ends] != 10):
         return None  # a line that is not digits around one dot
-    # Dots and line ends alternate: dot_i < end_i < dot_{i+1}.
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    # Dots and line ends alternate: dot_i < end_i < dot_{i+1}, so a line
+    # two bytes long is a lone ".", which must be declined here: the parse
+    # skips the empty line it leaves.
     k = ends - dots - 1
-    if np.any(dots == starts) or np.any(k == 0):
-        return None  # ".5" or "5."
-    # M < 10^19 keeps M exact in uint64 and in long double, which holds
-    # 10^k exactly up to k = 27. So a line has at most 19 digits, or is "0."
-    # and up to 27 digits that leading zeros cut to 19, as repr writes
-    # 1e-4 <= x < 1e-3.
-    for i in np.flatnonzero(ends - starts > 20).tolist():
-        zeros = int(k[i]) - 19
-        if not (zeros <= 8 and raw[starts[i] : dots[i] + zeros + 1] == b"0." + b"0" * zeros):
-            return None
-    spaced = u8.copy()
-    spaced[dots] = 10  # "\n": the whole and fractional digits, one number a line
-    digits = np.fromstring(spaced.tobytes(), np.uint64, sep="\n")
-    del spaced
-    mantissa = digits[0::2] * _POW10[np.minimum(k, 19)] + digits[1::2]  # the whole part is 0 past k = 19
-    del digits
+    if np.any(k > 27) or np.any(np.diff(ends, prepend=-1) == 2):
+        return None
+    # One integer M a line; strtoull saturates at 2^64 - 1, so an overflow
+    # is past the limit too.
+    mantissa = np.fromstring(np.delete(u8, dots), np.uint64, sep="\n")
+    if np.any(mantissa >= _MANTISSA_LIMIT):
+        return None
     quotient = mantissa.astype(np.longdouble) / _POW10_LD[k]
     del mantissa
     values = quotient.astype(np.float64)
     ties = np.flatnonzero((quotient.view(np.uint64)[::2] & 0x7FF) == 0x400)
     for i in ties.tolist():
-        values[i] = float(raw[starts[i] : ends[i]])
+        values[i] = float(raw[ends[i - 1] + 1 if i else 0 : ends[i]])
     return values

@@ -319,11 +319,9 @@ def _centred_log_moment(beta: float, d: DiscreteDistribution) -> tuple[float, fl
     (Hoeffding). No ``@`` runs, so no BLAS thread count moves the result.
     """
     xs, cum = d.xs, d.cum
-    buf = np.empty(xs.size)
     if abs(beta) < 2.0**-1000:
-        for lo, hi in _blocks(xs.size):
-            np.multiply(xs[lo:hi], _steps(cum, lo, hi), out=buf[lo:hi])
-        return min(max(float(buf.sum()), float(xs[0])), float(xs[-1])), 0.0  # rounded past an end atom
+        return min(max(d.mean(), float(xs[0])), float(xs[-1])), 0.0  # rounded past an end atom
+    buf = np.empty(xs.size)
     x_low, x_top = (float(xs[0]), float(xs[-1])) if beta > 0.0 else (float(xs[-1]), float(xs[0]))
     with np.errstate(over="ignore"):
         shifted = beta * (x_top - x_low) > 354.0

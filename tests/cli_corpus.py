@@ -2,7 +2,8 @@
 
 Between them the commands run every subcommand; every risk family under
 both distances with every method; ``--radius fact22``; a zero radius;
-sample files with a header line and in ``%.18e,`` format; every arm
+sample files with a header line, in ``%.18e,`` format and of decimals
+with no digit on one side of the dot or with leading zeros; every arm
 family, including a CVaR bandit instance whose suboptimal arms are a Dirac
 and a discrete arm, so that the regret budget reads their quantiles; and
 the argument and input-file faults that the CLI checks. Each command
@@ -50,10 +51,11 @@ def _instance(path: Path, arms: list[dict], **fields) -> str:
 def commands(root: Path) -> list[tuple[list[str], int]]:
     """Write the corpus's input files into ``root`` and return its commands,
     each as (argv, expected exit code)."""
-    plain, header, sci = root / "plain.csv", root / "header.csv", root / "sci.csv"
+    plain, header, sci, bare = root / "plain.csv", root / "header.csv", root / "sci.csv", root / "bare.csv"
     plain.write_text("".join(f"{x!r}\n" for x in _SAMPLES))
     header.write_text("loss\n" + "".join(f"{x!r}\n" for x in _SAMPLES))
     sci.write_text("".join(f"{x:.18e},\n" for x in _SAMPLES) + "\n")  # and a blank line
+    bare.write_text("5.\n.5\n007.250\n0.0125\n00.\n")  # no digit on one side, or zero-padded
     cvar = _instance(root / "cvar.json", [
         {"family": "truncnormal", "params": {"mu": 0.2, "sigma": 0.1}},
         {"family": "dirac", "params": {"x": 0.8}},
@@ -80,6 +82,7 @@ def commands(root: Path) -> list[tuple[list[str], int]]:
         (ci + ["--risk", "cvar:0.25", "--distance", "w1", "--method", "all", "--delta", "2"], 0),
         (["ci", "--input", str(header), "--header", "--bounds", "0,1", "--risk", "srm-power:2"], 0),
         (["ci", "--input", str(sci), "--bounds", "0,1", "--risk", "erm:1", "--method", "llc"], 0),
+        (["ci", "--input", str(bare), "--bounds", "0,10", "--risk", "cvar:0.25"], 0),
         (["sweep", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "cvar:0.25", "--n", "5,10", "--seeds", "3"], 0),
         (["sweep", "--dist", "uniform:0.1,0.9", "--bounds", "0,1", "--risk", "drm-power:0.5", "--distance", "w1",
           "--n", "8", "--seeds", "2", "--out", str(root / "sweep.csv")], 0),
@@ -122,7 +125,7 @@ def _faults(root: Path, ci: list[str]) -> list[tuple[list[str], int]]:
     coverage = ["coverage", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "cvar:0.25", "--trials", "2"]
     usage += [coverage + ["--n", "5", "--method", "all"], coverage + ["--n", "0"]]
 
-    files = {"empty": "", "word": "1\nabc\n", "nan": "nan\n", "outside": "0.5\n7\n-2\n"}
+    files = {"empty": "", "word": "1\nabc\n", "nan": "nan\n", "outside": "0.5\n7\n-2\n", "dot": ".\n"}
     for name, text in files.items():
         (root / f"{name}.csv").write_text(text)
     data = [["ci", "--input", str(root / f"{name}.csv"), "--bounds", "0,1", "--risk", "cvar:0.25"]

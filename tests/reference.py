@@ -37,15 +37,16 @@ oracles:
 - ``cvar_sup_llc_closed_form``: the CVaR supremum-ball local constant from
   the center's quantile function, the closed form the package computed
   before CVaR took the rank-dependent integral.
-- ``translate_decimal_block``: the CSV reader's decimal kernel as it was
-  before its block check and digit split moved to numpy passes, with
-  ``bytes.translate`` and ``str.replace``. The package must accept the same
-  blocks and give the same bits.
+- ``exact_decimal_block``: the rule of the CSV reader's decimal kernel,
+  in Python ints and ``float()``: which blocks it takes and what it gives
+  for them. The package must accept the same blocks (where ``long double``
+  is x87 80-bit) and give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -77,13 +78,13 @@ from riskbounds import (
 )
 from riskbounds.bandit import ARM_FAMILIES
 from riskbounds.concentration import resolve_radius_rule
-from riskbounds.distributions import _EXACT_LONG_DOUBLE, _POW10, _POW10_LD
 from riskbounds.measures import _apply
 from riskbounds.operators import _require_radius
 
 # Random atoms each supremum-ball candidate adds to the center's interior atoms.
 ATOM_BUDGET = 4
 _CHAIN_TOL = 1e-9
+_DECIMAL_LINE = re.compile(r"([0-9]*)\.([0-9]*)")
 
 
 def _check_shared_bounds(d1: DiscreteDistribution, d2: DiscreteDistribution) -> None:
@@ -516,33 +517,20 @@ def cvar_sup_llc_closed_form(alpha: float, center: DiscreteDistribution, c: floa
     return (b - (a if y <= 0.0 else float(center.quantile(y)))) / alpha
 
 
-def translate_decimal_block(text: str) -> np.ndarray | None:
-    """``distributions._decimal_block`` with its check done by deleting the
-    digits (``bytes.translate``) and its digits split by ``str.replace``."""
-    if not (_EXACT_LONG_DOUBLE and text.isascii()):
+def exact_decimal_block(text: str) -> np.ndarray | None:
+    """``float()`` of each line of ``text`` when every line, cut at "\\n"
+    (the last may lack it), is digits around one dot with a digit on some
+    side, M < 10^19 for the integer M of all its digits, and at most 27
+    digits after the dot; ``None`` otherwise."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    raw = text.encode("ascii")
-    rest = raw.translate(None, b"0123456789")
-    n = len(rest) // 2
-    if not n or rest != b".\n" * n:
-        return None
-    marks = np.flatnonzero(np.frombuffer(raw, np.uint8) < 48).reshape(n, 2)
-    dots, ends = marks[:, 0], marks[:, 1]
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    k = ends - dots - 1
-    if np.any(dots == starts) or np.any(k == 0):
-        return None
-    for i in np.flatnonzero(ends - starts > 20).tolist():
-        zeros = int(k[i]) - 19
-        if not (zeros <= 8 and raw[starts[i] : dots[i] + zeros + 1] == b"0." + b"0" * zeros):
+    for line in lines:
+        match = _DECIMAL_LINE.fullmatch(line)
+        if match is None or match[1] + match[2] == "":
             return None
-    digits = np.fromstring(text.replace(".", "\n"), np.uint64, sep="\n")
-    mantissa = digits[0::2] * _POW10[np.minimum(k, 19)] + digits[1::2]
-    quotient = mantissa.astype(np.longdouble) / _POW10_LD[k]
-    values = quotient.astype(np.float64)
-    ties = np.flatnonzero((quotient.view(np.uint64)[::2] & 0x7FF) == 0x400)
-    for i in ties.tolist():
-        values[i] = float(raw[starts[i] : ends[i]])
-    return values
+        if int(match[1] + match[2]) >= 10**19 or len(match[2]) > 27:
+            return None
+    return np.array([float(line) for line in lines])

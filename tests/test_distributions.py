@@ -21,7 +21,7 @@ from riskbounds import (
 )
 from riskbounds.measures import ERM
 from riskbounds import distributions
-from reference import allclose, distance, dominates, translate_decimal_block, unique_edf
+from reference import allclose, distance, dominates, exact_decimal_block, unique_edf
 from conftest import assert_bitwise_equal, assert_invariants, random_interior_dist, validated_builds
 
 B05 = SupportBounds(0.0, 5.0)
@@ -563,14 +563,21 @@ def _midpoint_strings(rng, count):
     return out
 
 
-# Lines of the decimal kernel's form, some past 19 digits, some with one
-# more character after them, and lines drawn from the characters that sit
-# next to it in sample files.
-_DIGITS = st.text("0123456789", min_size=1, max_size=10)
-_KERNEL_LINE = st.one_of(
-    st.builds("{}.{}{}".format, _DIGITS, st.text("0123456789", min_size=1, max_size=28),
-              st.sampled_from(["", "", "", "e", "e5", " ", ",", "-", "\u00e9"])),
-    st.text(alphabet="0123456789.\n ,-e\u00e9", max_size=8),
+# Lines of the decimal kernel's form: runs of 0-30 digits with leading
+# zeros around the dot, some past 19 digits or 27 after the dot. Blocks are
+# either such lines alone, where the rule alone decides, or mixed with
+# these lines with one more character after them, a lone dot, and lines
+# drawn from the characters that sit next to them in sample files.
+_DIGIT_RUN = st.builds("{}{}".format, st.text("0", max_size=12), st.text("0123456789", max_size=18))
+_PLAIN_LINE = st.builds("{}.{}".format, _DIGIT_RUN, _DIGIT_RUN)
+_KERNEL_BLOCK = st.one_of(
+    st.lists(_PLAIN_LINE, min_size=1, max_size=6),
+    st.lists(st.one_of(
+        _PLAIN_LINE,
+        st.builds("{}{}".format, _PLAIN_LINE, st.sampled_from(["e", "e5", " ", ",", "-", "\u00e9"])),
+        st.just("."),
+        st.text(alphabet="0123456789.\n ,-e\u00e9", max_size=8),
+    ), min_size=1, max_size=6),
 )
 
 
@@ -603,16 +610,19 @@ class TestDecimalKernel:
                     strings.append(f"{digits[:d]}.{digits[d:]}")
         for zeros in range(9):  # "0." and up to 27 digits, 19 after the zeros
             strings += [f"0.{'0' * zeros}{'9' * 19}", f"0.{'0' * zeros}1{'0' * 18}"]
+        # No digit on one side of the dot, or leading zeros on the left.
+        strings += [".5", "5.", "0.", ".0", "00." + "1" * 18, "007.50", "." + "9" * 19, "9" * 19 + ".",
+                    "." + "0" * 8 + "9" * 19, "000." + "0" * 27]
         self._assert_float_bits(strings)
 
     @pytest.mark.parametrize(
         "line",
         ["1" + "0" * 18 + ".0", "9" * 10 + "." + "9" * 10, "1." + "0" * 19, "0." + "1" * 20,
-         "0.0" + "1" * 20, "0." + "0" * 9 + "1" * 19, "00." + "1" * 18, "18446744073709551615.0"],
+         "0.0" + "1" * 20, "0." + "0" * 9 + "1" * 19, "18446744073709551615.0", "1" * 25 + "."],
     )
     def test_declines_past_19_digits(self, line):
-        # M >= 10^19, or 10^k past 10^27, or leading zeros other than
-        # "0.0...": the float() tier takes the block.
+        # M >= 10^19 (past 2^64 too), or 10^k past 10^27: the float() tier
+        # takes the block.
         assert distributions._decimal_block(f"0.25\n{line}\n") is None
 
     @pytest.mark.skipif(not distributions._EXACT_LONG_DOUBLE, reason="needs x87 80-bit long double")
@@ -632,20 +642,54 @@ class TestDecimalKernel:
         assert len(calls) > 50
 
     @settings(max_examples=400, deadline=None)
-    @given(lines=st.lists(_KERNEL_LINE, min_size=1, max_size=6), end=st.booleans())
+    @given(lines=_KERNEL_BLOCK, end=st.booleans())
     @example(lines=["0." + "0" * 8 + "1" * 19, "12.5"], end=True)
+    @example(lines=["0." + "0" * 10 + "1" * 18], end=True)
+    @example(lines=["9" * 19 + ".", "1" + "0" * 19 + "."], end=True)
     @example(lines=["1.5", "2.25"], end=False)
     @example(lines=["1.5", "2.25."], end=True)
     @example(lines=["1.5", "2.5e1"], end=True)
-    def test_numpy_check_matches_translate(self, lines, end):
-        # The numpy passes that replaced bytes.translate and str.replace
-        # accept exactly the blocks they accepted, with the same bits.
+    @example(lines=["."], end=False)
+    @example(lines=["0.25", ".", "1.5"], end=True)
+    def test_matches_exact_rule(self, lines, end):
+        # The kernel takes exactly the blocks of the rule that its
+        # docstring states, checked here in Python ints, with the bits of
+        # float().
         text = "\n".join(lines) + ("\n" if end else "")
-        got, want = distributions._decimal_block(text), translate_decimal_block(text)
-        if want is None:
+        got, want = distributions._decimal_block(text), exact_decimal_block(text)
+        if want is None or not distributions._EXACT_LONG_DOUBLE:
             assert got is None
         else:
             assert got is not None and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", [".", ".\n"])
+    def test_declines_a_one_line_dot(self, text):
+        # numpy's parse reads a block of blank lines as [0], and skips the
+        # empty line a lone dot leaves in a longer block (".\n" in
+        # test_declines_other_lines): the kernel checks for one first.
+        assert distributions._decimal_block(text) is None
+
+    def test_lone_dot_file_names_the_line(self, tmp_path):
+        path = tmp_path / "dot.csv"
+        path.write_text(".\n")
+        with pytest.raises(ValueError) as info:
+            read_samples_csv(str(path))
+        assert str(info.value) == f"{path}:1: not a number: '.'"
+
+    @pytest.mark.skipif(not distributions._EXACT_LONG_DOUBLE, reason="needs x87 80-bit long double")
+    def test_midpoint_on_the_first_line_takes_float(self):
+        # 2^53 + 1 is a float64 midpoint, and exact in long double: the
+        # first line of the block takes float(), from the block's start.
+        calls = []
+
+        def counting_float(x):
+            calls.append(x)
+            return float(x)
+
+        with mock.patch.object(distributions, "float", counting_float, create=True):
+            got = distributions._decimal_block("9007199254740993.0\n0.5\n")
+        assert calls == [b"9007199254740993.0"]
+        assert got.tolist() == [float("9007199254740993.0"), 0.5] == [2.0**53, 0.5]
 
     @pytest.mark.skipif(distributions._EXACT_LONG_DOUBLE, reason="long double is x87 80-bit here")
     def test_declines_without_extended_long_double(self):
@@ -654,7 +698,7 @@ class TestDecimalKernel:
     @pytest.mark.parametrize(
         "text",
         ["\n", "1.5\n\n2.5\n", "-1.5\n", "+1.5\n", "1e5\n", "1.5e0\n", " 1.5\n", "1.5 \n",
-         "1.5,\n", ".5\n", "5.\n", "5\n", "1.2.3\n", "1.5\t\n", "1_0.5\n", "\uff11.5\n", "1.5\x0b\n",
+         "1.5,\n", "5\n", ".\n", ".\n1.5\n", "1.2.3\n", "1.5\t\n", "1_0.5\n", "\uff11.5\n", "1.5\x0b\n",
          "inf\n", "nan\n"],
     )
     def test_declines_other_lines(self, text):

@@ -26,7 +26,7 @@ from riskbounds import (
     parse_risk,
     quadrature_risk,
 )
-from riskbounds.measures import ce_power, drm_power, rdeu_power, srm_power
+from riskbounds.measures import _BLOCK, _centred_log_moment, ce_power, drm_power, rdeu_power, srm_power
 from riskbounds.operators import neg_sup
 from reference import dominates, shift
 from conftest import catalog_specs, cvar_distortion, cvar_spectrum, random_interior_dist
@@ -258,6 +258,20 @@ class TestERM:
         # The products beta x would be subnormal, and ERM is within 1e-323 of the mean.
         got = evaluate(ERM(1e-323), DiscreteDistribution([1.0, 1.2], [0.3, 0.7], B05))
         assert got == pytest.approx(1.14, rel=1e-15)
+
+    @pytest.mark.parametrize("beta", [2.0**-1001, -1e-320])
+    def test_subnormal_beta_is_the_mean_bitwise_past_one_block(self, beta):
+        # The products x_i p_i over every atom, in one pairwise sum: the
+        # same bits as the blocked products that the mean once summed.
+        rng = np.random.default_rng(6)
+        m = 2 * _BLOCK + 3
+        weights = rng.random(m)
+        d = DiscreteDistribution(np.sort(rng.random(m)), weights / weights.sum(), B01)
+        assert d.n_atoms == m
+        mean = float(np.add.reduce(d.xs * np.diff(d.cum, prepend=0.0)))
+        want = min(max(mean, float(d.xs[0])), float(d.xs[-1]))
+        assert _centred_log_moment(beta, d) == (want, 0.0)
+        assert evaluate(ERM(beta), d) == want
 
     @pytest.mark.parametrize("beta, want", [(1e308, 4.0), (-1e308, 3.0)])
     def test_beta_at_the_float_limit_reads_the_extreme_atom(self, beta, want):
