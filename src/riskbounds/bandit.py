@@ -181,12 +181,13 @@ class TruncNormalArm:
         # Convex combinations of the endpoint probabilities and of their
         # complements keep full relative precision in both tails, so the
         # inverse normal stays smooth to machine precision near y = 0, 1.
+        # Each element takes the inverse normal once, of the one it keeps.
         y = np.asarray(y, dtype=np.float64)
         lo, hi, lo_c, hi_c = self._ends(bounds)
         u = (1.0 - y) * lo + y * hi
-        comp = (1.0 - y) * lo_c + y * hi_c
-        z = np.where(u <= 0.5, scipy.special.ndtri(np.maximum(u, 1e-300)), -scipy.special.ndtri(np.maximum(comp, 1e-300)))
-        return np.clip(self.mu + self.sigma * z, bounds.a, bounds.b)
+        below = u <= 0.5
+        z = scipy.special.ndtri(np.maximum(np.where(below, u, (1.0 - y) * lo_c + y * hi_c), 1e-300))
+        return np.clip(self.mu + self.sigma * np.where(below, z, -z), bounds.a, bounds.b)
 
     def cdf(self, x, bounds):
         lo, hi, lo_c, hi_c = self._ends(bounds)

@@ -33,8 +33,8 @@ import numpy as np
 
 from .concentration import RadiusRule, confidence_radius, resolve_radius_rule
 from .distributions import DiscreteDistribution, Distance, SupportBounds, from_samples
-from .lipschitz import UnsupportedCombinationError, glc, llc
-from .measures import _SPEC_CACHE_SIZE, RDEU, RiskMeasure, evaluate
+from .lipschitz import UnsupportedCombinationError, _llc_rows, glc, llc
+from .measures import _RANK_DEPENDENT, _SPEC_CACHE_SIZE, RDEU, RiskMeasure, _evaluate_rows, evaluate
 from .operators import _require_radius, neg_sup, neg_w1, pos_sup, pos_w1
 
 __all__ = [
@@ -96,55 +96,78 @@ def _attainable_range(spec: RiskMeasure, bounds: SupportBounds) -> tuple[float, 
     return lo, hi
 
 
-def _bound_edf(
-    spec: RiskMeasure, dist_kind: Distance, c: float, d: DiscreteDistribution, methods, lower=None, upper=None
-) -> list[ConfidenceResult]:
-    """One result per method for the empirical distribution ``d``.
+def _bound_block(spec: RiskMeasure, dist_kind: Distance, c: float, bounds, methods, edf=None, padded=None):
+    """Yield, row by row, one result per method.
 
-    ``lower()`` and ``upper()`` build the ball's extremes around ``d``; by
-    default they apply the distance's operators. The point is evaluated
-    once and shared by the methods. Each method builds the extremes it
-    reads and drops each as soon as it is read, so no two are ever alive
-    together: ``llc`` builds its own lowered extreme through ``lower``.
+    Given ``edf``, the one row is that empirical distribution, bounded with
+    ``evaluate``, the operators and ``llc``; no two extremes are ever alive
+    together. Given ``padded``, the rows are (a, s_1, ..., s_n, b) for
+    tie-free samples strictly inside (a, b), whose EDFs and supremum-ball
+    extremes share the first row's CDF values. Every risk and supremum-ball
+    constant is one pass over the block (``_evaluate_rows``, ``_llc_rows``)
+    with the bits and errors of the one-row path; W1 extremes break where
+    the values put them, so they go row by row. Nothing runs before the
+    first row is asked for, and each row's results are built when it is.
     """
+    sup = dist_kind is Distance.SUPREMUM
+    edf = from_samples(padded[0, 1:-1], bounds) if edf is None else edf
+    keep = np.ones(1 if padded is None else len(padded), dtype=bool)  # rows the block's values fit
+
+    def atoms(d: DiscreteDistribution) -> np.ndarray:
+        start = int(np.searchsorted(padded[0], d.xs[0]))
+        return padded[:, start : start + d.n_atoms]
+
+    def risks(d: DiscreteDistribution) -> list:
+        return [evaluate(spec, d)] if padded is None else _evaluate_rows(spec, atoms(d), d.cum, bounds)
+
+    def edfs() -> list:
+        return [edf] if padded is None else [DiscreteDistribution._trusted(x, edf.cum, bounds) for x in atoms(edf)]
+
     # The operators are read from the module on each call, so a wrapper
     # installed over them (perfbench's tracer) sees these calls too.
-    lower_op, upper_op = (neg_sup, pos_sup) if dist_kind is Distance.SUPREMUM else (neg_w1, pos_w1)
-    lower = lower or (lambda: lower_op(d, c))
-    upper = upper or (lambda: upper_op(d, c))
-    point = None
-    results = []
+    point, columns = None, []
     for method in methods:
         if method is BoundMethod.DIST:
-            if dist_kind is not Distance.SUPREMUM and isinstance(spec, RDEU):
+            if not sup and isinstance(spec, RDEU):
                 raise UnsupportedCombinationError(
                     "W1 ball extremes do not attain the rank-dependent expected "
                     "utility optimum; use the supremum distance or the glc method"
                 )
-            if point is None:
-                point = evaluate(spec, d)
-            ucb = evaluate(spec, upper())
-            lcb = evaluate(spec, lower())
-            results.append(ConfidenceResult(lcb, ucb, method, dist_kind, c, point))
+            point = point or risks(edf)
+            if sup and padded is not None:
+                columns.append(list(zip(risks(neg_sup(edf, c)), risks(pos_sup(edf, c)))))
+            else:  # each extreme is freed as soon as it is read
+                lower, upper = (neg_sup, pos_sup) if sup else (neg_w1, pos_w1)
+                columns.append([(evaluate(spec, lower(d, c)), evaluate(spec, upper(d, c))) for d in edfs()])
             continue
         # The constant comes first: an unsupported combination is reported as
         # such even where evaluating the point would reject the support.
-        if method is BoundMethod.LLC:
-            constant = llc(spec, dist_kind, d, c, lower)
+        if method is BoundMethod.GLC:
+            columns.append([glc(spec, dist_kind, bounds)] * len(keep))
+        elif sup and padded is not None:
+            low = neg_sup(edf, c)
+            columns.append(_llc_rows(spec, atoms(low), low.cum, bounds, keep))
+        elif not sup and isinstance(spec, _RANK_DEPENDENT):
+            columns.append([llc(spec, dist_kind, edf, c)] * len(keep))  # the glc, or none for RDEU
         else:
-            constant = glc(spec, dist_kind, d.bounds)
-        if point is None:
-            point = evaluate(spec, d)
-        delta = constant * c if c > 0.0 else 0.0  # avoid inf * 0 at zero radius
-        raw_lcb, raw_ucb = point - delta, point + delta
-        range_lo, range_hi = _attainable_range(spec, d.bounds)
-        extras = {"lipschitz_constant": constant, "raw_lcb": raw_lcb, "raw_ucb": raw_ucb}
-        results.append(
-            ConfidenceResult(
-                max(raw_lcb, range_lo), min(raw_ucb, range_hi), method, dist_kind, c, point, extras
-            )
-        )
-    return results
+            columns.append([llc(spec, dist_kind, d, c) for d in edfs()])
+        point = point or risks(edf)
+
+    def result(method: BoundMethod, value, row_point: float) -> ConfidenceResult:
+        if method is BoundMethod.DIST:
+            return ConfidenceResult(*value, method, dist_kind, c, row_point)
+        delta = value * c if c > 0.0 else 0.0  # avoid inf * 0 at zero radius
+        lcb, ucb = row_point - delta, row_point + delta
+        range_lo, range_hi = _attainable_range(spec, bounds)
+        extras = {"lipschitz_constant": value, "raw_lcb": lcb, "raw_ucb": ucb}
+        return ConfidenceResult(max(lcb, range_lo), min(ucb, range_hi), method, dist_kind, c, row_point, extras)
+
+    for i, (row_point, kept, *values) in enumerate(zip(point or [None] * len(keep), keep.tolist(), *columns)):
+        if kept:
+            yield [result(m, v, row_point) for m, v in zip(methods, values)]
+        else:  # on its own, from its EDF
+            own = DiscreteDistribution._trusted(atoms(edf)[i], edf.cum, bounds)
+            yield next(_bound_block(spec, dist_kind, c, bounds, methods, edf=own))
 
 
 def bound_with_radius(
@@ -156,46 +179,7 @@ def bound_with_radius(
 ) -> ConfidenceResult:
     """(LCB, UCB) for the risk of the true distribution, given ball radius c."""
     _require_radius(c)
-    return _bound_edf(spec, dist_kind, c, d, [method])[0]
-
-
-class _SharedMasses:
-    """The EDF and supremum-ball extremes of tie-free samples strictly
-    inside (a, b), shared by the rows of one call.
-
-    For n such samples the CDF values of the EDF and of both extremes
-    depend only on n and the radius: the EDF's are k/n, and the extremes
-    shift them by the radius. The first row that needs one builds it
-    through ``from_samples``, ``neg_sup`` or ``pos_sup``; its frozen ``cum``
-    is kept with the run of the padded row (a, sorted samples, b) that
-    holds its atoms, and every later row gets it with its own sorted values
-    as atoms, bit for bit what the builder would return.
-    """
-
-    def __init__(self, bounds: SupportBounds):
-        self.bounds = bounds
-        self.kept = {}  # builder -> (atom run of the padded row, cum)
-
-    def build(self, builder, padded: np.ndarray, *args) -> DiscreteDistribution:
-        entry = self.kept.get(builder)
-        if entry is not None:
-            run, cum = entry
-            return DiscreteDistribution._trusted(padded[run], cum, self.bounds)
-        out = builder(*args)
-        # The EDF's atoms are the samples; neg_sup's are a and the samples
-        # below its saturation, pos_sup's the samples above it and b: each
-        # a run of consecutive entries of the padded row.
-        start = int(np.searchsorted(padded, out.xs[0]))
-        self.kept[builder] = (slice(start, start + out.n_atoms), out.cum)
-        return out
-
-    def row(self, padded: np.ndarray, spec: RiskMeasure, dist_kind: Distance, c: float, methods):
-        d = self.build(from_samples, padded, padded[1:-1], self.bounds)
-        if dist_kind is not Distance.SUPREMUM:
-            return _bound_edf(spec, dist_kind, c, d, methods)  # a W1 extreme's break depends on the values
-        lower = lambda: self.build(neg_sup, padded, d, c)
-        upper = lambda: self.build(pos_sup, padded, d, c)
-        return _bound_edf(spec, dist_kind, c, d, methods, lower, upper)
+    return next(_bound_block(spec, dist_kind, c, d.bounds, [method], edf=d))[0]
 
 
 def bound_rows(
@@ -213,9 +197,12 @@ def bound_rows(
     building each row's empirical distribution with ``from_samples`` and
     bounding it with ``bound_with_radius`` method by method. Rows that are
     tie-free and strictly inside (a, b), a < s_1 < ... < s_n < b, share one
-    set of EDF and supremum-ball extreme CDF values; nan, inf and samples
-    outside [a, b] fail that test too. Every other row is bounded on its
-    own, from its samples as given, and ``from_samples`` checks it. The
+    set of EDF and supremum-ball extreme CDF values and are bounded together,
+    one vectorized pass per risk and constant; nan, inf and samples outside
+    [a, b] fail that test too. A shared row whose steps of v on its lowered
+    extreme differ from the first row's takes the ``llc`` of its own EDF.
+    Every other row is bounded on its own, from its samples as given, and
+    ``from_samples`` checks it. The fault raised is the first row's. The
     caller's array is not modified.
     """
     rule = resolve_radius_rule(radius_rule, dist_kind)
@@ -228,21 +215,20 @@ def bound_rows(
     # Each row as (a, sorted samples, b): strictly increasing exactly when
     # its samples are tie-free and strictly inside (a, b). A single row
     # (``ci``) has nothing to share and is not even copied.
-    shareable = np.zeros(rows, dtype=bool)
+    shareable = [False] * rows
     if rows > 1:
         padded = np.empty((rows, n + 2))
         padded[:, 0], padded[:, -1] = bounds.a, bounds.b
         padded[:, 1:-1] = arr
         padded[:, 1:-1].sort(axis=1)
         shareable = np.all(padded[:, 1:] > padded[:, :-1], axis=1)
-        shared = _SharedMasses(bounds)
+        block = _bound_block(spec, dist_kind, c, bounds, methods, padded=padded[shareable])
+        shareable = shareable.tolist()
+        del padded
 
     out = []
-    for i, share in enumerate(shareable.tolist()):
-        if share:
-            results = shared.row(padded[i], spec, dist_kind, c, methods)
-        else:
-            results = _bound_edf(spec, dist_kind, c, from_samples(arr[i], bounds), methods)
+    for i, share in enumerate(shareable):
+        results = next(block if share else _bound_block(spec, dist_kind, c, bounds, methods, edf=from_samples(arr[i], bounds)))
         for res in results:
             res.extras["radius_rule"] = rule.value
             res.extras["delta"] = delta

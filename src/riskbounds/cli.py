@@ -283,6 +283,7 @@ def _add_ball_options(parser: argparse.ArgumentParser, method_default: str) -> N
     parser.add_argument("--out", help="write the output here instead of stdout")
 
 
+@functools.cache  # built on the first main call, once per process: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskbounds",

@@ -37,7 +37,9 @@ from .measures import (
     RiskMeasure,
     _apply,
     _centred_log_moment,
+    _centred_log_moments,
     _check_on_support,
+    _evaluate_rows,
     _forward_diff,
     _with_zero,
     evaluate,
@@ -145,9 +147,32 @@ def glc(spec: RiskMeasure, dist_kind: Distance, bounds: SupportBounds) -> float:
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 
-def llc(
-    spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c: float, lowered=None
-) -> float:
+def _erm_llc(beta: float, sup: bool, bounds: SupportBounds, centre: float, log_moment: float) -> float:
+    """The local ERM constant from the lowered extreme's centred log-moment."""
+    log_den = beta * centre + log_moment  # log E[exp(beta X)]
+    if sup:
+        # log(1 - e^-x) without cancellation at either end of x
+        # (Maechler 2012, log1mexp): at x below ~1e-16 log1p(-e^-x)
+        # reads log(0), and from ~38 up log(-expm1(-x)) rounds to 0.
+        x = beta * bounds.width
+        log1mexp = math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
+        log_num = beta * bounds.b + log1mexp
+        log_den += math.log(beta)
+    else:
+        log_num = beta * bounds.b
+    try:
+        return math.exp(log_num - log_den)
+    except OverflowError:  # beyond the largest float: report inf, as glc does
+        return math.inf
+
+
+def _ce_llc(spec: CE, sup: bool, bounds: SupportBounds, ce_low: float) -> float:
+    """The local CE constant from the lowered extreme's certainty equivalent."""
+    slope = _deriv_at(spec.u_prime, ce_low)
+    return _ce_u_norm(spec, sup, bounds) / slope if slope > 0.0 else math.inf
+
+
+def llc(spec: RiskMeasure, dist_kind: Distance, center: DiscreteDistribution, c: float) -> float:
     """Local Lipschitz constant over the radius-c ball around ``center``.
 
     Supremum-distance constants exist for every family. Over W1 balls the
@@ -156,46 +181,23 @@ def llc(
     nondecreasing in c.
 
     Over the supremum ball, CVaR, SRM, DRM and RDEU take
-    int w'(F_low(x)) dv(x) on the lowered extreme F_low; for CVaR that is
-    (b - F^{-1}(1 - alpha - c)) / alpha on a tie-free center.
-
-    ``lowered()`` builds the ball's lowered extreme. By default it applies
-    ``neg_sup(center, c)`` for the supremum distance and ``neg_w1(center, c)``
-    for W1; a caller with a cheaper build of the same extreme (CDF values
-    shared across rows) passes that instead. The rank-dependent constants
-    read the extreme's CDF values and segment steps, then drop it, so its
-    atoms are freed before the integral's work unless the builder keeps
-    them.
+    int w'(F_low(x)) dv(x) on the lowered extreme F_low, ``neg_sup(center,
+    c)``; for CVaR that is (b - F^{-1}(1 - alpha - c)) / alpha on a tie-free
+    center. ERM and CE read the lowered extreme of either distance,
+    ``neg_w1(center, c)`` for W1. The rank-dependent constants read the
+    extreme's CDF values and segment steps, then drop it, so its atoms are
+    freed before the integral's work.
     """
     _require_radius(c)
     bounds = center.bounds
-    a, b = bounds.a, bounds.b
     sup = dist_kind is Distance.SUPREMUM
-    lowered = lowered or (lambda: (neg_sup if sup else neg_w1)(center, c))
+    lower = neg_sup if sup else neg_w1
 
     if isinstance(spec, ERM):
         _require_positive_beta(spec.beta)
-        beta = spec.beta
-        centre, log_moment = _centred_log_moment(beta, lowered())
-        log_den = beta * centre + log_moment  # log E[exp(beta X)]
-        if sup:
-            # log(1 - e^-x) without cancellation at either end of x
-            # (Maechler 2012, log1mexp): at x below ~1e-16 log1p(-e^-x)
-            # reads log(0), and from ~38 up log(-expm1(-x)) rounds to 0.
-            x = beta * (b - a)
-            log1mexp = math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
-            log_num = beta * b + log1mexp
-            log_den += math.log(beta)
-        else:
-            log_num = beta * b
-        try:
-            return math.exp(log_num - log_den)
-        except OverflowError:  # beyond the largest float: report inf, as glc does
-            return math.inf
+        return _erm_llc(spec.beta, sup, bounds, *_centred_log_moment(spec.beta, lower(center, c)))
     if isinstance(spec, CE):
-        ce_low = evaluate(spec, lowered())  # u^{-1} of the lowered expected utility
-        slope = _deriv_at(spec.u_prime, ce_low)
-        return _ce_u_norm(spec, sup, bounds) / slope if slope > 0.0 else math.inf
+        return _ce_llc(spec, sup, bounds, evaluate(spec, lower(center, c)))
     if isinstance(spec, _RANK_DEPENDENT):
         linear = not isinstance(spec, RDEU)
         if not sup:
@@ -206,15 +208,15 @@ def llc(
                 "constant over W1 balls; use the glc method"
             )
         if not linear:
-            _check_on_support(spec, a, b)
+            _check_on_support(spec, bounds.a, bounds.b)
             _require_convex_weight(spec)
         # int w'(F_low(x)) dv(x): the steps of v on the lowered extreme's
         # segments a <= x_1 < ... < x_m <= b, which are their widths for a
         # linear v. The extreme's atoms go once the steps are built, and its
         # CDF values once copied.
-        low = lowered()
+        low = lower(center, c)
         edges = np.empty(low.n_atoms + 2)
-        edges[0], edges[1:-1], edges[-1] = a, low.xs, b
+        edges[0], edges[1:-1], edges[-1] = bounds.a, low.xs, bounds.b
         steps = _forward_diff(edges if linear else _apply(spec.v, edges))
         del edges
         cum = low.cum
@@ -222,6 +224,35 @@ def llc(
         q = _with_zero(cum)
         del cum
         return _cdf_integral(q, spec.w_prime, steps)
+    raise TypeError(f"not a risk measure spec: {spec!r}")
+
+
+def _llc_rows(spec: RiskMeasure, low_xs: np.ndarray, cum: np.ndarray, bounds: SupportBounds, keep: np.ndarray) -> list:
+    """The supremum-ball ``llc`` of each row, bit for bit, from the atoms
+    ``low_xs`` of the rows' lowered extremes, which share the CDF values
+    ``cum``. Rows whose positive steps of v differ from the first row's are
+    cleared in ``keep``."""
+    if isinstance(spec, ERM):
+        _require_positive_beta(spec.beta)
+        return [_erm_llc(spec.beta, True, bounds, *m) for m in _centred_log_moments(spec.beta, low_xs, cum)]
+    if isinstance(spec, CE):
+        return [_ce_llc(spec, True, bounds, ce) for ce in _evaluate_rows(spec, low_xs, cum, bounds)]
+    if isinstance(spec, _RANK_DEPENDENT):
+        linear = not isinstance(spec, RDEU)
+        if not linear:
+            _check_on_support(spec, bounds.a, bounds.b)
+            _require_convex_weight(spec)
+        edges = np.empty((len(low_xs), low_xs.shape[1] + 2))
+        edges[:, 0], edges[:, 1:-1], edges[:, -1] = bounds.a, low_xs, bounds.b
+        edges = edges if linear else _apply(spec.v, edges)
+        steps = edges[:, 1:] - edges[:, :-1]
+        del edges
+        run = steps[0] > 0.0
+        keep &= ((steps > 0.0) == run).all(axis=1)
+        steps = np.compress(run, steps, axis=1)  # C-contiguous, as np.add.reduce needs
+        with np.errstate(divide="ignore", over="ignore"):  # as in _cdf_integral
+            steps *= _apply(spec.w_prime, _with_zero(cum)[run])
+        return np.add.reduce(steps, axis=1).tolist()
     raise TypeError(f"not a risk measure spec: {spec!r}")
 
 

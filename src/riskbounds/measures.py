@@ -104,15 +104,15 @@ def _power(x, p: float):
 
 
 def _apply(fn: Callable, arr: np.ndarray) -> np.ndarray:
-    """Evaluate a user function on an array, falling back to a python loop
-    for scalar-only callables."""
+    """Evaluate a user function on an array of any shape, falling back to a
+    python loop for scalar-only callables."""
     try:
         out = np.asarray(fn(arr), dtype=np.float64)
         if out.shape == arr.shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.asarray([fn(float(v)) for v in arr], dtype=np.float64)
+    return np.asarray([fn(float(v)) for v in arr.flat], dtype=np.float64).reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -331,6 +331,47 @@ def _centred_log_moment(beta: float, d: DiscreteDistribution) -> tuple[float, fl
     for lo, hi in _blocks(xs.size):
         t[lo:hi] *= _steps(cum, lo, hi)
     return c, (math.log if shifted else math.log1p)(float(t.sum()))
+
+
+def _centred_log_moments(beta: float, xs: np.ndarray, cum: np.ndarray) -> list:
+    """``_centred_log_moment`` of each row of atoms ``xs``, all with the CDF
+    values ``cum``, as (c, L) pairs, bit for bit: each row is centred or
+    shifted, and takes ``expm1`` or ``exp``, as that function does it."""
+    steps = _steps(cum)
+    if abs(beta) < 2.0**-1000:
+        means = np.add.reduce(xs * steps, axis=1).tolist()
+        return [(min(max(m, lo), hi), 0.0) for m, lo, hi in zip(means, xs[:, 0].tolist(), xs[:, -1].tolist())]
+    low, top = (xs[:, 0], xs[:, -1]) if beta > 0.0 else (xs[:, -1], xs[:, 0])
+    with np.errstate(over="ignore"):
+        shifted = beta * (top - low) > 354.0
+        c = np.where(shifted, top - 354.0 / beta, low)
+        t = np.subtract(xs, c[:, None])
+        np.multiply(t, beta, out=t)
+        np.exp(t, out=t, where=shifted[:, None])
+        np.expm1(t, out=t, where=~shifted[:, None])
+    sums = np.add.reduce(np.multiply(t, steps, out=t), axis=1).tolist()
+    return [(ci, (math.log if s else math.log1p)(v)) for ci, s, v in zip(c.tolist(), shifted.tolist(), sums)]
+
+
+def _evaluate_rows(spec: RiskMeasure, xs: np.ndarray, cum: np.ndarray, bounds) -> list:
+    """``evaluate`` of each row of atoms ``xs`` on ``bounds``, all with the
+    CDF values ``cum``, bit for bit: the checks, weights and masses are built
+    once, and the sums are one ``np.add.reduce`` along the rows of a
+    C-contiguous product, whose pairwise sum is the 1-D ``_dot``'s."""
+    if isinstance(spec, ERM):
+        return [c + log_moment / spec.beta for c, log_moment in _centred_log_moments(spec.beta, xs, cum)]
+    if isinstance(spec, CE):
+        _check_on_support(spec, bounds.a, bounds.b)
+        expected = np.add.reduce(_apply(spec.u, xs.copy()) * _steps(cum), axis=1)
+        return [float(_apply(spec.u_inv, np.array([e]))[0]) for e in expected.tolist()]
+    if isinstance(spec, _RANK_DEPENDENT):
+        linear = not isinstance(spec, RDEU)
+        if not linear:
+            _check_on_support(spec, bounds.a, bounds.b)
+        weights = _forward_diff(_apply(spec.w, _with_zero(cum)))
+        values = xs if linear else _apply(spec.v, xs.copy())
+        return np.add.reduce(values * weights, axis=1).tolist()
+    raise TypeError(f"not a risk measure spec: {spec!r}")
 
 
 def evaluate(spec: RiskMeasure, d: DiscreteDistribution) -> float:

@@ -1,7 +1,10 @@
 """A compact corpus of ``riskbounds`` command lines, with the files they read.
 
 Between them the commands run every subcommand; every risk family under
-both distances with every method; ``--radius fact22``; a zero radius;
+both distances with every method, and ``coverage``'s block path under
+each supremum-ball method, with shifted, negative and subnormal ERM
+betas and a row that takes its own ``llc``; ``--radius fact22``; a zero
+radius;
 sample files with a header line, in ``%.18e,`` format and of decimals
 with no digit on one side of the dot or with leading zeros; every arm
 family, including a CVaR bandit instance whose suboptimal arms are a Dirac
@@ -95,6 +98,15 @@ def commands(root: Path) -> list[tuple[list[str], int]]:
           "--radius", "fact22", "--method", "llc", "--n", "10", "--trials", "3"], 0),
         (["coverage", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "drm-power:0.5", "--n", "10", "--trials", "3"], 0),
         (["coverage", "--dist", "uniform:0.2,0.7", "--bounds", "0,1", "--risk", "srm-power:2", "--n", "10", "--trials", "3"], 0),
+        # The block path's supremum-ball llc rows, and its ERM rows that are
+        # shifted (beta = 500), negative or below |beta| = 2^-1000.
+        *[(["coverage", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", risk, "--method", method, "--n", "10",
+            "--trials", "3"], 0) for risk, method in (("erm:500", "dist"), ("erm:-2", "dist"), ("erm:1e-310", "dist"),
+                                                      ("erm:1", "llc"), ("ce-power:2", "llc"), ("rdeu-power:2,2", "llc"))],
+        # v(x) = x^2 rounds some of these samples' squares together, so a
+        # row's steps of v differ from the first row's and it takes its own llc.
+        (["coverage", "--dist", "uniform:0,1e-161", "--bounds", "0,1", "--risk", "rdeu-power:2,2", "--method", "llc",
+          "--n", "10", "--trials", "3"], 0),
         (["bandit", "--instance", cvar, "--seeds", "2", "--out", str(root / "cvar")], 0),
         (["bandit", "--instance", srm, "--out", str(root / "srm")], 0),
     ]

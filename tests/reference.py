@@ -37,6 +37,10 @@ oracles:
 - ``cvar_sup_llc_closed_form``: the CVaR supremum-ball local constant from
   the center's quantile function, the closed form the package computed
   before CVaR took the rank-dependent integral.
+- ``two_branch_truncnormal_quantile``: the truncated-normal quantile with
+  both branches taken at every level and one kept by ``np.where``, as the
+  package computed it before it took each level's branch alone. The
+  package must match it bit for bit.
 - ``exact_decimal_block``: the rule of the CSV reader's decimal kernel,
   in Python ints and ``float()``: which blocks it takes and what it gives
   for them. The package must accept the same blocks (where ``long double``
@@ -50,6 +54,7 @@ import re
 from dataclasses import asdict
 
 import numpy as np
+import scipy.special
 
 from riskbounds import (
     Arm,
@@ -534,3 +539,13 @@ def exact_decimal_block(text: str) -> np.ndarray | None:
         if int(match[1] + match[2]) >= 10**19 or len(match[2]) > 27:
             return None
     return np.array([float(line) for line in lines])
+
+
+def two_branch_truncnormal_quantile(arm, y, bounds: SupportBounds):
+    """``TruncNormalArm.quantile`` with both branches at every level."""
+    y = np.asarray(y, dtype=np.float64)
+    lo, hi, lo_c, hi_c = arm._ends(bounds)
+    u = (1.0 - y) * lo + y * hi
+    comp = (1.0 - y) * lo_c + y * hi_c
+    z = np.where(u <= 0.5, scipy.special.ndtri(np.maximum(u, 1e-300)), -scipy.special.ndtri(np.maximum(comp, 1e-300)))
+    return np.clip(arm.mu + arm.sigma * z, bounds.a, bounds.b)

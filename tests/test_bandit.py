@@ -41,7 +41,7 @@ from riskbounds.bandit import (
 )
 from riskbounds.cli import main
 from riskbounds.measures import ERM, parse_risk
-from reference import instance_to_dict, sorted_quantile_integral
+from reference import instance_to_dict, sorted_quantile_integral, two_branch_truncnormal_quantile
 
 B01 = SupportBounds(0.0, 1.0)
 
@@ -340,6 +340,37 @@ class TestOneDrawSample:
         arm = TruncNormalArm(0.4, 0.15)
         got = arm.sample(np.random.default_rng(8), 1000, B01)
         assert got.tobytes() == arm.quantile(np.random.default_rng(8).random(1000), B01).tobytes()
+
+
+def _assert_same_quantiles(arm, y, bounds):
+    got, want = arm.quantile(y, bounds), two_branch_truncnormal_quantile(arm, y, bounds)
+    assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestTruncNormalQuantile:
+    """Each level's branch alone gives the bits of both branches and np.where."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_truncnormal_draw_cases())
+    def test_matches_both_branches(self, case):
+        arm, bounds, seed, _ = case
+        _assert_same_quantiles(arm, np.random.default_rng(seed).random(200), bounds)
+
+    @pytest.mark.parametrize(
+        "mu,sigma,flat", [(0.4, 0.15, False), (0.0, 0.2, False), (-9.0, 1.0, True), (9.0, 1.0, False), (1.76, 0.02, True)]
+    )
+    def test_edges(self, mu, sigma, flat):
+        # y = 0 and 1, scalars and 0-d arrays; at mu = a, lo = ndtr(0) is 0.5,
+        # so y = 0 puts u exactly on the branch point; far below a, hi == lo
+        # == 1 and only the complements keep the mass; far above b, hi == lo
+        # == 0 and every level falls under the 1e-300 floor.
+        arm = TruncNormalArm(mu, sigma)
+        lo, hi = arm._ends(B01)[:2]
+        assert (lo == 0.5) == (mu == 0.0) and (hi == lo) == flat
+        y = np.concatenate(([0.0, 1.0, 0.5], np.random.default_rng(4).random(200)))
+        for levels in (y, 0.0, 1.0, 0.3, np.float64(0.7), np.array(0.2), y[:0]):
+            _assert_same_quantiles(arm, levels, B01)
 
 
 class TestFastPathConsistency:

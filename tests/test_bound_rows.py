@@ -22,7 +22,7 @@ from riskbounds import (
     parse_risk,
     true_risk,
 )
-from riskbounds import cli
+from riskbounds import cli, measures
 from riskbounds.cli import _bound_trials, _parse_arm, main
 from reference import bound_samples, trial_results
 from conftest import catalog_specs
@@ -130,6 +130,65 @@ class TestAgainstPerTrialLoop:
         assert any(shared) and not all(shared)
 
 
+class TestBlockEdges:
+    """Edges of the block that ``bound_rows`` bounds in one pass."""
+
+    @pytest.mark.parametrize("dist_kind", [SUP, W1], ids=["sup", "w1"])
+    def test_past_one_measures_block(self, dist_kind):
+        # n = 8193: the blocked _forward_diff and _steps passes run, and the
+        # pairwise sums of every row are deeper than one of numpy's blocks.
+        assert 8193 > measures._BLOCK
+        for risk in FAMILIES:
+            methods = [m for r, d, m in COMBOS if r == risk and d is dist_kind]
+            _compare_trials("beta:2,5", risk, dist_kind, methods, n=8193, trials=3)
+
+    @pytest.mark.parametrize("risk", ["erm:500", "erm:-2", "erm:1e-310", "erm:1000", "erm:-1000"])
+    @pytest.mark.parametrize("dist_kind", [SUP, W1], ids=["sup", "w1"])
+    def test_erm_rows(self, small_blocks, risk, dist_kind):
+        # beta = 500 shifts the rows whose atoms span more than 354 / 500
+        # and not the others; below |beta| = 2^-1000 every row is centred at
+        # its mean; at |beta| = 1000 a row's unshifted exponentials would
+        # overflow; a negative beta has only the dist method.
+        methods = [BoundMethod.DIST] if risk.startswith("erm:-") else METHODS
+        _compare_trials("beta:2,5", risk, dist_kind, methods, n=20, trials=7)
+        if risk == "erm:500":
+            spans = [np.ptp(_parse_arm("beta:2,5").sample(np.random.default_rng([7, t]), 20, B01)) for t in range(7)]
+            assert min(spans) < 354 / 500 < max(spans)
+
+    @pytest.mark.parametrize("risk", ["ce-power:2", "rdeu-power:2,2"])
+    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+    def test_ce_and_rdeu_under_every_sup_method(self, risk, method):
+        _compare_trials("truncnormal:0.4,0.15", risk, SUP, [method], n=300, trials=5)
+
+    @pytest.mark.parametrize("dist_kind", [SUP, W1], ids=["sup", "w1"])
+    def test_one_shared_row_among_own_rows(self, dist_kind):
+        # Only the middle row is tie-free and inside (a, b): the block is that
+        # one row, whose columns are contiguous in memory.
+        block = np.array([[0.0, 0.3, 0.5, 0.7], [0.2, 0.6, 0.4, 0.9], [0.3, 0.3, 0.9, 0.1]])
+        for risk in FAMILIES:
+            spec = parse_risk(risk)
+            methods = [m for r, d, m in COMBOS if r == risk and d is dist_kind]
+            want = [[bound_samples(row, B01, spec, dist_kind, m, 0.05) for m in methods] for row in block]
+            assert_same_results(bound_rows(block, B01, spec, dist_kind, methods, 0.05), want)
+
+    def test_llc_row_whose_value_steps_vanish(self):
+        # v(x) = x^2 rounds the tiny samples to 0, so the second row's positive
+        # steps of v are not the first row's: it is bounded on its own, and
+        # its pairwise sum, taken without the empty steps, is not regrouped.
+        rows = np.sort(np.random.default_rng(2).uniform(0.05, 0.95, (2, 40)), axis=1)
+        rows[1, :3] = 1e-200, 2e-200, 3e-200
+        spec, methods = parse_risk("rdeu-power:2,2"), [BoundMethod.LLC]
+        want = [[bound_samples(row, B01, spec, SUP, BoundMethod.LLC, 0.9)] for row in rows]
+        assert_same_results(bound_rows(rows, B01, spec, SUP, methods, 0.9), want)
+
+    @pytest.mark.parametrize("risk", FAMILIES)
+    def test_radius_of_one_or_more(self, small_blocks, risk):
+        # n = 3 at delta = 1e-3: the DKW radius is about 1.12, so both
+        # supremum-ball extremes are Dirac masses at a and b
+        rows = _compare_trials("beta:2,5", risk, SUP, METHODS, n=3, trials=8, delta=1e-3)
+        assert rows[0][0].radius >= 1.0
+
+
 _VALUES = st.one_of(
     st.sampled_from([0.0, 0.25, 0.5, 1.0]),
     st.floats(0.0, 1.0, allow_nan=False),
@@ -184,6 +243,10 @@ class TestValidation:
     def test_same_messages_as_from_samples(self, block, message):
         with pytest.raises(ValueError, match=message):
             bound_rows(block, B01, parse_risk("cvar:0.1"), SUP, METHODS, 0.05)
+
+    def test_no_methods_give_empty_rows(self):
+        block = np.array([[0.2, 0.6], [0.3, 0.3], [0.4, 0.9]])  # shared, own, shared
+        assert bound_rows(block, B01, parse_risk("cvar:0.1"), SUP, [], 0.05) == [[], [], []]
 
     def test_one_row_is_bound_from_samples(self):
         samples = np.random.default_rng(0).random(50)
@@ -262,3 +325,34 @@ def test_coverage_memory_stays_flat(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["true_risk"] == truth
     assert payload["coverage"] == hits / trials
+
+
+def test_sweep_memory_stays_flat(tmp_path):
+    """400 seeds at n = 100 and 1000 (4.4e5 samples, 6.7 blocks as one
+    array) with every method: the traced peak stays within a few blocks'
+    bytes, the output rows included, and the CSV is the per-trial loop's."""
+    seeds = 400
+    argv = ["sweep", "--dist", "beta:2,5", "--bounds", "0,1", "--risk", "drm-power:0.5", "--method", "all",
+            "--n", "100,1000", "--seeds", str(seeds), "--seed", "4"]
+    arm, spec = _parse_arm("beta:2,5"), parse_risk("drm-power:0.5")
+    truth = true_risk(arm, spec, B01)  # fills the quadrature cache before tracing
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 8 * cli._BLOCK_SAMPLES
+    assert 1100 * seeds * 8 > 6 * block_bytes
+    assert peak < 6 * block_bytes, peak
+
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 2 * seeds * len(METHODS)
+    for n in (100, 1000):
+        want = trial_results(arm, n, ([4, n, s] for s in range(0, seeds, 37)), B01, spec, SUP, METHODS, 0.05, None)
+        for s, row in zip(range(0, seeds, 37), want):
+            for res in row:
+                covered = int(res.lcb <= truth <= res.ucb)
+                line = f"{n},{s},{res.method.value},{res.lcb!r},{res.ucb!r},{res.point!r},{truth!r},{covered}"
+                assert line in lines

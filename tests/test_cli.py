@@ -557,6 +557,35 @@ class TestParser:
         for argv, dest, default in cases:
             assert getattr(build_parser().parse_args(argv), dest) == default, argv[0]
 
+    def test_built_once_per_process_on_the_first_main_call(self, samples_csv):
+        # Counts the top-level parsers built: none on import, one over two
+        # main calls.
+        code = (
+            "import argparse, contextlib, io, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import riskbounds.cli\n"
+            "print(built.count('riskbounds'))\n"
+            "argv = ['ci', '--input', sys.argv[1], '--bounds', '0,5', '--risk', 'cvar:0.5']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert riskbounds.cli.main(argv) == riskbounds.cli.main(argv) == 0\n"
+            "print(built.count('riskbounds'))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code, samples_csv], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(Path(riskbounds.__file__).parent.parent)})
+        assert run.stdout.split() == ["0", "1"]
+
+    def test_no_state_carries_over_between_commands(self, samples_csv, capsys):
+        argv = ["ci", "--input", samples_csv, "--bounds", "0,5", "--risk", "cvar:0.5"]
+        assert main(argv + ["--method", "all"]) == 0
+        assert [r["method"] for r in json.loads(capsys.readouterr().out)] == ["dist", "llc", "glc"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "dist"
+
     def test_arm_strings_match_instance_files(self):
         pairs = [
             ("dirac:0.3", {"family": "dirac", "params": {"x": 0.3}}),

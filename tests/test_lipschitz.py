@@ -228,21 +228,6 @@ class TestCVaRClosedForm:
 
 
 class TestLoweredExtremeAndCaching:
-    @pytest.mark.parametrize("c", [0.0, 0.05, 1.5])
-    def test_passed_lowered_extreme_is_bitwise_the_default(self, c):
-        rng = np.random.default_rng(8)
-        centers = [from_samples(rng.beta(2.0, 5.0, n), B01) for n in (1, 7, 60)]
-        centers.append(DiscreteDistribution([0.0, 0.4, 1.0], [0.2, 0.5, 0.3], B01))
-        ops = {SUP: neg_sup, W1: neg_w1}
-        for d in centers:
-            for _, spec in catalog_specs():
-                for kind, op in ops.items():
-                    if isinstance(spec, RDEU) and kind is W1:
-                        continue
-                    want = llc(spec, kind, d, c)
-                    got = llc(spec, kind, d, c, lowered=lambda: op(d, c))
-                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
     def test_convex_weight_check_runs_once_per_spec(self):
         grid_calls = []
 

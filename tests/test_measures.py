@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskbounds import (
+    BoundMethod,
     CE,
     CVaR,
     DiscreteDistribution,
@@ -23,6 +24,7 @@ from riskbounds import (
     glc,
     llc,
     UniformArm,
+    bound_rows,
     parse_risk,
     quadrature_risk,
 )
@@ -470,8 +472,11 @@ class TestEvaluateProperties:
             lambda spec: glc(spec, Distance.SUPREMUM, B01),
             lambda spec: llc(spec, Distance.SUPREMUM, TWO_POINT, 0.1),
             lambda spec: quadrature_risk(UniformArm(0.0, 1.0), spec, B01),
+            # two rows that share their CDF values: the block's own evaluator and constant
+            lambda spec: bound_rows([[0.2, 0.6], [0.3, 0.7]], B01, spec, Distance.SUPREMUM, [BoundMethod.DIST], 0.05),
+            lambda spec: bound_rows([[0.2, 0.6], [0.3, 0.7]], B01, spec, Distance.SUPREMUM, [BoundMethod.LLC], 0.05),
         ],
-        ids=["evaluate", "glc", "llc", "quadrature_risk"],
+        ids=["evaluate", "glc", "llc", "quadrature_risk", "block_evaluate", "block_llc"],
     )
     def test_non_spec_rejected(self, dispatch):
         with pytest.raises(TypeError, match="not a risk measure spec: 'cvar:0.25'"):
@@ -561,6 +566,13 @@ class TestCatalog:
         for kind in (Distance.SUPREMUM, Distance.WASSERSTEIN1):
             assert llc(spec, kind, d, 0.05) == llc(ref, kind, d, 0.05)
             assert glc(spec, kind, B01) == glc(ref, kind, B01)
+        # Rows that share their CDF values take u and v as 2-D arrays, and
+        # the loop goes element by element.
+        rows, methods = np.random.default_rng(13).beta(2.0, 5.0, (3, 40)), list(BoundMethod)
+        square, double = (lambda x: float(x) * float(x)), (lambda x: 2.0 * math.pow(x, 1.0))
+        for spec, ref in ((CE(square, double, math.sqrt), ce_power(2.0)), (RDEU(square, double, square, double), rdeu_power(2.0, 2.0))):
+            got, want = (bound_rows(rows, B01, s, Distance.SUPREMUM, methods, 0.05) for s in (spec, ref))
+            assert got == want
 
     def test_unit_exponent_derivatives_are_exactly_one(self):
         y = np.array([0.0, 0.5, 1.0])
